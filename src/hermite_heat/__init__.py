@@ -6,41 +6,16 @@ Crank-Nicolson.  See README.md for a tour and demos/ for worked examples.
 """
 
 from .basis import (
-    BasisTable,
-    CollocationRule,
-    build_basis_table,
     chebyshev_rule,
     hermite_first_derivs,
     hermite_second_derivs,
     hermite_values,
     legendre_rule,
 )
-from .problem import (
-    Mesh,
-    ProblemSpec,
-    build_mesh,
-    collocation_abscissa,
-    control_problem,
-)
-from .linalg import (
-    BandedMatrix,
-    LUFactors,
-    SingularMatrix,
-    band_lu_factor,
-    band_lu_solve,
-    band_matvec,
-)
-from .assembly import (
-    ElementBlocks,
-    GlobalSystem,
-    InitialSystem,
-    assemble_crank_nicolson,
-    assemble_initial_system,
-    element_blocks,
-    index_maps,
-)
+from .problem import ProblemSpec, build_mesh, control_problem
+from .linalg import SingularMatrix, band_lu_factor
+from .assembly import assemble_crank_nicolson
 from .solver import (
-    CoefficientVector,
     NonIntegralStepCount,
     RunConfig,
     evaluate,
@@ -51,13 +26,9 @@ from .solver import (
 )
 from .experiments import (
     TABLE_IDS,
-    ErrorReport,
     MissingExactSolution,
-    TableResult,
-    TableSpec,
     convergence_order,
     error_norms,
-    measure,
     run_table,
     table_spec,
 )
@@ -65,49 +36,32 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisTable",
-    "CollocationRule",
-    "build_basis_table",
-    "chebyshev_rule",
-    "hermite_first_derivs",
-    "hermite_second_derivs",
-    "hermite_values",
-    "legendre_rule",
-    "Mesh",
+    # workflow
     "ProblemSpec",
-    "build_mesh",
-    "collocation_abscissa",
     "control_problem",
-    "BandedMatrix",
-    "LUFactors",
-    "SingularMatrix",
-    "band_lu_factor",
-    "band_lu_solve",
-    "band_matvec",
-    "ElementBlocks",
-    "GlobalSystem",
-    "InitialSystem",
-    "assemble_crank_nicolson",
-    "assemble_initial_system",
-    "element_blocks",
-    "index_maps",
-    "CoefficientVector",
-    "NonIntegralStepCount",
+    "build_mesh",
+    "legendre_rule",
+    "chebyshev_rule",
     "RunConfig",
+    "run",
     "evaluate",
     "evaluate_derivatives",
-    "initial_coefficients",
-    "run",
-    "step",
-    "TABLE_IDS",
-    "ErrorReport",
-    "MissingExactSolution",
-    "TableResult",
-    "TableSpec",
-    "convergence_order",
     "error_norms",
-    "measure",
+    "convergence_order",
     "run_table",
     "table_spec",
-    "__version__",
+    "TABLE_IDS",
+    # shape functions
+    "hermite_values",
+    "hermite_first_derivs",
+    "hermite_second_derivs",
+    # stepping by hand
+    "assemble_crank_nicolson",
+    "band_lu_factor",
+    "initial_coefficients",
+    "step",
+    # exceptions
+    "SingularMatrix",
+    "NonIntegralStepCount",
+    "MissingExactSolution",
 ]

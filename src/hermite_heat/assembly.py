@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import build_basis_table
 from .linalg import BandedMatrix
+from .problem import collocation_abscissae
 
 __all__ = [
     "ElementBlocks",
@@ -97,30 +98,32 @@ class InitialSystem:
     n_elements: int
 
 
-def _scatter_pattern(n_elements, full_to_reduced):
-    """Row/column/block-slot arrays for one block repeated over all elements.
+def _scatter(n_elements, *blocks):
+    """Banded 6N x 6N matrices repeating each 6 x 8 block over all elements.
 
-    Positions whose full column is eliminated are dropped.
+    Block entries whose full column is an eliminated boundary value are
+    dropped.  Returns the matrices and the (reduced_to_full, full_to_reduced)
+    index maps.
     """
+    reduced_to_full, full_to_reduced = index_maps(n_elements)
     offsets = 6 * np.arange(n_elements)
     local_rows, local_cols = np.meshgrid(np.arange(6), np.arange(8), indexing="ij")
     rows = (offsets[:, None, None] + local_rows[None, :, :]).ravel()
-    cols_full = (offsets[:, None, None] + local_cols[None, :, :]).ravel()
+    cols = full_to_reduced[(offsets[:, None, None] + local_cols[None, :, :]).ravel()]
     slots = np.tile((local_rows * 8 + local_cols).ravel(), n_elements)
-    cols = full_to_reduced[cols_full]
     keep = cols >= 0
-    return rows[keep], cols[keep], slots[keep]
+    rows, cols, slots = rows[keep], cols[keep], slots[keep]
+    n = 6 * n_elements
+    matrices = [BandedMatrix.from_entries(n, rows, cols, block.ravel()[slots]) for block in blocks]
+    return matrices, reduced_to_full, full_to_reduced
 
 
 def assemble_crank_nicolson(mesh, rule, alpha, dt):
     """Assemble the boundary-eliminated recursion matrices L and R."""
-    table = build_basis_table(rule, mesh.h)
-    blocks = element_blocks(table, alpha, dt)
-    reduced_to_full, full_to_reduced = index_maps(mesh.n_elements)
-    rows, cols, slots = _scatter_pattern(mesh.n_elements, full_to_reduced)
-    n = 6 * mesh.n_elements
-    left = BandedMatrix.from_entries(n, rows, cols, blocks.left.ravel()[slots])
-    right = BandedMatrix.from_entries(n, rows, cols, blocks.right.ravel()[slots])
+    blocks = element_blocks(build_basis_table(rule, mesh.h), alpha, dt)
+    (left, right), reduced_to_full, full_to_reduced = _scatter(
+        mesh.n_elements, blocks.left, blocks.right
+    )
     return GlobalSystem(
         left=left,
         right=right,
@@ -132,11 +135,6 @@ def assemble_crank_nicolson(mesh, rule, alpha, dt):
 
 def assemble_initial_system(mesh, rule, f):
     """Assemble W and b so that W a0 = b interpolates f at the collocation points."""
-    table = build_basis_table(rule, mesh.h)
-    _, full_to_reduced = index_maps(mesh.n_elements)
-    rows, cols, slots = _scatter_pattern(mesh.n_elements, full_to_reduced)
-    n = 6 * mesh.n_elements
-    W = BandedMatrix.from_entries(n, rows, cols, table.H.ravel()[slots])
-    abscissae = (mesh.nodes[:-1, None] + mesh.h * rule.points[None, :]).ravel()
-    b = np.array([float(f(x)) for x in abscissae])
+    (W,), _, _ = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
+    b = np.array([float(f(x)) for x in collocation_abscissae(mesh, rule.points).ravel()])
     return InitialSystem(W=W, b=b, n_elements=mesh.n_elements)

@@ -34,6 +34,7 @@ __all__ = [
     "hermite_second_derivs",
     "legendre_rule",
     "chebyshev_rule",
+    "RULES",
     "build_basis_table",
 ]
 
@@ -155,25 +156,27 @@ def chebyshev_rule():
     return CollocationRule("chebyshev", (1.0 - np.cos((2 * i - 1) * np.pi / 12.0)) / 2.0)
 
 
+# Collocation rule constructors by CollocationRule.kind.
+RULES = {"legendre": legendre_rule, "chebyshev": chebyshev_rule}
+
+
 @dataclass(frozen=True)
 class BasisTable:
-    """Shape function families tabulated at the six collocation points.
+    """Shape function values and second derivatives at the collocation points.
 
-    Row i of H, A, B holds the eight function values (resp. first and
-    second xi-derivatives) at collocation point i, for element width h.
+    Row i of H and B holds the eight function values (resp. second
+    xi-derivatives) at collocation point i, for element width h.
     """
 
     h: float
     H: np.ndarray
-    A: np.ndarray
     B: np.ndarray
 
 
 def build_basis_table(rule, h):
-    """Tabulate H, A and B at the rule's points for element width h."""
+    """Tabulate H and B at the rule's points for element width h."""
     H = np.stack([hermite_values(xi, h) for xi in rule.points])
-    A = np.stack([hermite_first_derivs(xi, h) for xi in rule.points])
     B = np.stack([hermite_second_derivs(xi, h) for xi in rule.points])
-    for arr in (H, A, B):
+    for arr in (H, B):
         arr.setflags(write=False)
-    return BasisTable(h=h, H=H, A=A, B=B)
+    return BasisTable(h=h, H=H, B=B)

@@ -7,10 +7,12 @@ identical flags are byte-identical.
 """
 
 import argparse
+import math
 import sys
 
-from .basis import chebyshev_rule, legendre_rule
+from .basis import RULES
 from .experiments import (
+    TABLE_IDS,
     convergence_order,
     error_norms,
     run_table,
@@ -19,9 +21,6 @@ from .experiments import (
 from .linalg import SingularMatrix
 from .problem import build_mesh, control_problem
 from .solver import NonIntegralStepCount, RunConfig, evaluate, run
-
-_RULES = {"legendre": legendre_rule, "chebyshev": chebyshev_rule}
-_CLI_TABLE_IDS = (1, 2, 4, 5)
 
 
 def _fmt(value):
@@ -40,7 +39,7 @@ def _write(path, text):
 
 def _solve_rows(args):
     problem = control_problem(alpha=args.alpha)
-    rule = _RULES[args.rule]()
+    rule = RULES[args.rule]()
     cfg = RunConfig(dt=args.dt, t_final=args.t_final, n_elements=args.n, rule=rule)
     a = run(problem, cfg)
     mesh = build_mesh(problem, args.n)
@@ -116,7 +115,7 @@ def cmd_table(args):
 
 def cmd_convergence(args):
     problem = control_problem(alpha=args.alpha)
-    rule = _RULES[args.rule]()
+    rule = RULES[args.rule]()
     if args.sweep == "dt":
         params = [args.dt / 2**i for i in range(args.count)]
         configs = [(args.n, p) for p in params]
@@ -148,7 +147,7 @@ def cmd_convergence(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--rule", choices=("legendre", "chebyshev"), default="legendre")
+    sub.add_argument("--rule", choices=tuple(RULES), default="legendre")
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--output", default="-", help="output file, or - for stdout")
     sub.add_argument("--format", choices=("csv", "pretty"), default="csv")
@@ -170,8 +169,8 @@ def build_parser():
     solve.set_defaults(func=cmd_solve)
 
     table = subparsers.add_parser("table", help="recompute a reference table")
-    table.add_argument("--id", type=int, choices=_CLI_TABLE_IDS, required=True)
-    table.add_argument("--rule", choices=("legendre", "chebyshev", "both"), default="both")
+    table.add_argument("--id", type=int, choices=TABLE_IDS, required=True)
+    table.add_argument("--rule", choices=(*RULES, "both"), default="both")
     table.add_argument("--output", default="-")
     table.add_argument("--format", choices=("csv", "pretty"), default="csv")
     table.set_defaults(func=cmd_table)
@@ -190,12 +189,15 @@ def build_parser():
 def _validate(parser, args):
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be at least 1")
-    if getattr(args, "dt", None) is not None and args.dt <= 0.0:
-        parser.error("--dt must be positive")
-    if getattr(args, "t_final", None) is not None and args.t_final < 0.0:
-        parser.error("--t-final must be nonnegative")
-    if getattr(args, "alpha", None) is not None and args.alpha <= 0.0:
-        parser.error("--alpha must be positive")
+    dt = getattr(args, "dt", None)
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        parser.error("--dt must be positive and finite")
+    t_final = getattr(args, "t_final", None)
+    if t_final is not None and not (math.isfinite(t_final) and t_final >= 0.0):
+        parser.error("--t-final must be nonnegative and finite")
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0.0):
+        parser.error("--alpha must be positive and finite")
     if getattr(args, "count", None) is not None and args.count < 1:
         parser.error("--count must be at least 1")
 

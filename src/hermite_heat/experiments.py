@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import build_basis_table, chebyshev_rule, legendre_rule
-from .problem import build_mesh, control_problem
+from .basis import RULES, build_basis_table
+from .problem import build_mesh, collocation_abscissae, control_problem
 from .solver import RunConfig, run
 
 __all__ = [
@@ -67,7 +67,7 @@ def error_norms(spec, mesh, rule, a, t):
     """(L2, Linf) of exact minus numerical at the collocation points."""
     if spec.exact_solution is None:
         raise MissingExactSolution("problem has no exact solution to compare against")
-    abscissae = mesh.nodes[:-1, None] + mesh.h * rule.points[None, :]
+    abscissae = collocation_abscissae(mesh, rule.points)
     exact = np.array([[float(spec.exact_solution(x, t)) for x in row] for row in abscissae])
     errors = exact - _solution_at_collocation_points(mesh, rule, a)
     l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
@@ -116,12 +116,11 @@ def convergence_order(pairs):
 
 @dataclass(frozen=True)
 class Reference:
-    """One published value: which rule and norm it refers to, and its source."""
+    """One published value and the rule and norm it refers to."""
 
     rule_kind: str
     norm: str
     value: float
-    source: str
 
 
 @dataclass(frozen=True)
@@ -138,10 +137,9 @@ class TableSpec:
     rows: tuple
 
 
-def _refs(table_id, row_label, by_rule_norm):
-    source = f"table{table_id}:{row_label}"
+def _refs(by_rule_norm):
     return tuple(
-        Reference(rule_kind=rule, norm=norm, value=value, source=source)
+        Reference(rule_kind=rule, norm=norm, value=value)
         for (rule, norm), value in by_rule_norm.items()
     )
 
@@ -156,7 +154,7 @@ def _build_tables():
         (0.005, 1.7931e-7, 1.7932e-7),
         (0.0025, 4.4851e-8, 4.4851e-8),
     ]:
-        refs = _refs(1, f"dt={dt}", {("legendre", "l2"): l_val, ("chebyshev", "l2"): c_val})
+        refs = _refs({("legendre", "l2"): l_val, ("chebyshev", "l2"): c_val})
         rows.append(TableRow(n_elements=1000, dt=dt, t_final=1.0, references=refs))
     tables[1] = TableSpec(table_id=1, rows=tuple(rows))
 
@@ -168,14 +166,14 @@ def _build_tables():
         (20, 4.6215e-15, 7.4211e-15),
         (40, 8.1433e-15, 9.6794e-15),
     ]:
-        refs = _refs(2, f"N={n}", {("legendre", "l2"): l_val, ("chebyshev", "l2"): c_val})
+        refs = _refs({("legendre", "l2"): l_val, ("chebyshev", "l2"): c_val})
         rows.append(TableRow(n_elements=n, dt=1e-6, t_final=1.0, references=refs))
     tables[2] = TableSpec(table_id=2, rows=tuple(rows))
 
     # Same regime at T = 0.1 (reference values exist only for the Legendre rule).
     rows = []
     for n, l_val in [(10, 6.2482e-13), (20, 3.3280e-12), (40, 5.8595e-12)]:
-        refs = _refs(3, f"N={n}", {("legendre", "l2"): l_val})
+        refs = _refs({("legendre", "l2"): l_val})
         rows.append(TableRow(n_elements=n, dt=1e-6, t_final=0.1, references=refs))
     tables[3] = TableSpec(table_id=3, rows=tuple(rows))
 
@@ -198,7 +196,7 @@ def _build_tables():
         n = round(inv)
         if abs(inv - n) > 1e-9 * inv:
             raise ValueError(f"h = {s} does not divide the unit interval")
-        refs = _refs(4, f"h=k={s}", {("legendre", "linf"): l_val, ("chebyshev", "linf"): c_val})
+        refs = _refs({("legendre", "linf"): l_val, ("chebyshev", "linf"): c_val})
         rows.append(TableRow(n_elements=n, dt=s, t_final=1.0, references=refs))
     tables[4] = TableSpec(table_id=4, rows=tuple(rows))
 
@@ -212,9 +210,7 @@ def _build_tables():
         (0.9, 1.7294e-6, 9.9847e-7),
         (1.0, 7.1591e-7, 4.1332e-7),
     ]:
-        refs = _refs(
-            5, f"t={t}", {("legendre", "l2"): l2_val, ("legendre", "linf"): linf_val}
-        )
+        refs = _refs({("legendre", "l2"): l2_val, ("legendre", "linf"): linf_val})
         rows.append(TableRow(n_elements=16, dt=0.01, t_final=t, references=refs))
     tables[5] = TableSpec(table_id=5, rows=tuple(rows))
 
@@ -251,9 +247,6 @@ class TableResult:
     wall_time: float = 0.0
 
 
-_RULES = {"legendre": legendre_rule, "chebyshev": chebyshev_rule}
-
-
 def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
     """Recompute a reference table for the requested rules.
 
@@ -269,12 +262,21 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
         for rule_kind in rules:
             refs = [r for r in row.references if r.rule_kind == rule_kind]
             try:
-                rule = _RULES[rule_kind]()
+                rule = RULES[rule_kind]()
                 cfg = RunConfig(
                     dt=row.dt, t_final=row.t_final, n_elements=row.n_elements, rule=rule
                 )
                 report = measure(problem, cfg)
             except Exception as exc:
+                l2 = linf = math.nan
+                error, wall_time = str(exc), 0.0
+                cells = [(refs[0].value, refs[0].norm, None)] if refs else []
+            else:
+                l2, linf = report.l2, report.linf
+                error, wall_time = None, report.wall_time
+                computed = {"l2": l2, "linf": linf}
+                cells = [(r.value, r.norm, (computed[r.norm] - r.value) / r.value) for r in refs]
+            for ref_value, ref_norm, rel_dev in cells or [(None, None, None)]:
                 results.append(
                     TableResult(
                         table_id=spec_table.table_id,
@@ -282,47 +284,13 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
                         n_elements=row.n_elements,
                         dt=row.dt,
                         t_final=row.t_final,
-                        l2=math.nan,
-                        linf=math.nan,
-                        ref_value=refs[0].value if refs else None,
-                        ref_norm=refs[0].norm if refs else None,
-                        rel_dev=None,
-                        error=str(exc),
-                    )
-                )
-                continue
-            computed = {"l2": report.l2, "linf": report.linf}
-            if not refs:
-                results.append(
-                    TableResult(
-                        table_id=spec_table.table_id,
-                        rule_kind=rule_kind,
-                        n_elements=row.n_elements,
-                        dt=row.dt,
-                        t_final=row.t_final,
-                        l2=report.l2,
-                        linf=report.linf,
-                        ref_value=None,
-                        ref_norm=None,
-                        rel_dev=None,
-                        wall_time=report.wall_time,
-                    )
-                )
-            for ref in refs:
-                value = computed[ref.norm]
-                results.append(
-                    TableResult(
-                        table_id=spec_table.table_id,
-                        rule_kind=rule_kind,
-                        n_elements=row.n_elements,
-                        dt=row.dt,
-                        t_final=row.t_final,
-                        l2=report.l2,
-                        linf=report.linf,
-                        ref_value=ref.value,
-                        ref_norm=ref.norm,
-                        rel_dev=(value - ref.value) / ref.value,
-                        wall_time=report.wall_time,
+                        l2=l2,
+                        linf=linf,
+                        ref_value=ref_value,
+                        ref_norm=ref_norm,
+                        rel_dev=rel_dev,
+                        error=error,
+                        wall_time=wall_time,
                     )
                 )
     return results

@@ -58,10 +58,6 @@ class BandedMatrix:
         self.bands = bands
 
     @classmethod
-    def zeros(cls, n, kl, ku):
-        return cls(n, kl, ku)
-
-    @classmethod
     def from_entries(cls, n, rows, cols, values):
         """Build from parallel index/value arrays (each position set once)."""
         rows = np.asarray(rows)
@@ -71,25 +67,6 @@ class BandedMatrix:
         m = cls(n, kl, ku)
         m.bands[m.ku + rows - cols, cols] = values
         return m
-
-    def _check_indices(self, i, j):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"index ({i}, {j}) outside {self.n} x {self.n} matrix")
-
-    def in_band(self, i, j):
-        return -self.ku <= i - j <= self.kl
-
-    def set(self, i, j, value):
-        self._check_indices(i, j)
-        if not self.in_band(i, j):
-            raise IndexError(f"entry ({i}, {j}) lies outside the band")
-        self.bands[self.ku + i - j, j] = value
-
-    def get(self, i, j):
-        self._check_indices(i, j)
-        if not self.in_band(i, j):
-            return 0.0
-        return float(self.bands[self.ku + i - j, j])
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))

@@ -4,6 +4,7 @@ The solver targets u_t = alpha**2 u_xx on [x_left, x_right] with homogeneous
 Dirichlet boundary values and initial state u(x, 0) = f(x).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -14,7 +15,7 @@ __all__ = [
     "Mesh",
     "build_mesh",
     "control_problem",
-    "collocation_abscissa",
+    "collocation_abscissae",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -37,10 +38,12 @@ class ProblemSpec:
     exact_solution: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_left) and math.isfinite(self.x_right)):
+            raise ValueError("x_left and x_right must be finite")
         if not self.x_right > self.x_left:
             raise ValueError("x_right must exceed x_left")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("alpha must be positive and finite")
         for x in (self.x_left, self.x_right):
             if abs(self.initial_condition(x)) > _BOUNDARY_TOL:
                 raise ValueError(
@@ -88,11 +91,9 @@ def control_problem(alpha=1.0):
     )
 
 
-def collocation_abscissa(mesh, k, xi):
-    """Global abscissa of local coordinate xi inside element k (1-based).
+def collocation_abscissae(mesh, points):
+    """Global abscissae of the local points in every element, shape (N, len(points)).
 
-    Element k spans [nodes[k-1], nodes[k]].
+    Row k holds element k+1, which spans [nodes[k], nodes[k+1]].
     """
-    if not 1 <= k <= mesh.n_elements:
-        raise IndexError(f"element index {k} outside 1..{mesh.n_elements}")
-    return mesh.nodes[k - 1] + mesh.h * xi
+    return mesh.nodes[:-1, None] + mesh.h * points[None, :]

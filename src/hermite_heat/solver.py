@@ -32,7 +32,10 @@ _STEP_COUNT_RTOL = 1e-9
 
 
 class NonIntegralStepCount(ValueError):
-    """Raised when t_final is not an integral multiple of dt."""
+    """Raised when t_final is not a whole, nonzero number of steps dt.
+
+    t_final = 0 (zero steps) is allowed; any t_final > 0 needs at least one.
+    """
 
 
 @dataclass(frozen=True)
@@ -60,16 +63,21 @@ class RunConfig:
     rule: CollocationRule
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
+            raise ValueError("t_final must be nonnegative and finite")
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
         ratio = self.t_final / self.dt
-        if abs(ratio - round(ratio)) > _STEP_COUNT_RTOL * max(1.0, ratio):
+        tolerance = _STEP_COUNT_RTOL * max(1.0, ratio)
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= tolerance):
             raise NonIntegralStepCount(
                 f"t_final / dt = {ratio} is not an integer step count"
+            )
+        if self.t_final > 0.0 and round(ratio) == 0:
+            raise NonIntegralStepCount(
+                f"t_final / dt = {ratio} rounds to a step count of 0 for t_final > 0"
             )
 
     @property

@@ -4,17 +4,14 @@ import pytest
 from hermite_heat import (
     ProblemSpec,
     assemble_crank_nicolson,
-    assemble_initial_system,
     band_lu_factor,
-    band_lu_solve,
-    build_basis_table,
     build_mesh,
-    collocation_abscissa,
-    element_blocks,
     evaluate,
-    index_maps,
     initial_coefficients,
 )
+from hermite_heat.assembly import assemble_initial_system, element_blocks, index_maps
+from hermite_heat.basis import build_basis_table
+from hermite_heat.linalg import band_lu_solve
 
 
 def dense_assembly(mesh, rule, block):
@@ -30,8 +27,8 @@ def dense_assembly(mesh, rule, block):
 def dense_rhs(mesh, rule, f):
     return np.array(
         [
-            f(collocation_abscissa(mesh, k, xi))
-            for k in range(1, mesh.n_elements + 1)
+            f(mesh.nodes[k] + mesh.h * xi)
+            for k in range(mesh.n_elements)
             for xi in rule.points
         ]
     )

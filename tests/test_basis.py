@@ -3,14 +3,13 @@ import pytest
 from numpy.polynomial.polynomial import polyder, polyval
 
 from hermite_heat import (
-    build_basis_table,
     chebyshev_rule,
     hermite_first_derivs,
     hermite_second_derivs,
     hermite_values,
     legendre_rule,
 )
-from hermite_heat.basis import A_COEFFS, B_COEFFS, H_COEFFS, H_POWERS
+from hermite_heat.basis import A_COEFFS, B_COEFFS, H_COEFFS, H_POWERS, build_basis_table
 
 
 def five_point_derivative(func, xi, h, eps=0.001):
@@ -177,7 +176,7 @@ def test_basis_table_partition_rows(chebyshev):
 def test_basis_table_slope_column_scales_with_width(chebyshev):
     half = build_basis_table(chebyshev, 0.5)
     unit = build_basis_table(chebyshev, 1.0)
-    assert half.A[:, 1] == pytest.approx(0.5 * unit.A[:, 1], rel=1e-14)
+    assert half.H[:, 1] == pytest.approx(0.5 * unit.H[:, 1], rel=1e-14)
 
 
 def test_families_are_derivative_chains():

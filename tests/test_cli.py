@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from hermite_heat.cli import build_parser, main
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -37,6 +39,29 @@ def test_solve_rejects_zero_elements():
     result = run_cli("solve", "--n", "0", "--dt", "0.01", "--t-final", "1")
     assert result.returncode == 2
     assert "--n" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, code, message",
+    [
+        ("--dt", "nan", 2, "--dt"),
+        ("--dt", "inf", 2, "--dt"),
+        ("--t-final", "nan", 2, "--t-final"),
+        ("--t-final", "inf", 2, "--t-final"),
+        ("--alpha", "nan", 2, "--alpha"),
+        ("--alpha", "inf", 2, "--alpha"),
+        ("--t-final", "1e-12", 1, "step count"),  # dt = 1 gives zero steps
+    ],
+)
+def test_solve_rejects_non_finite_flags_and_zero_steps(flag, value, code, message, capsys):
+    flags = {"--n": "4", "--dt": "1", "--t-final": "1", "--alpha": "1", flag: value}
+    argv = ["solve"] + [item for pair in flags.items() for item in pair]
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        returned = exc.code
+    assert returned == code
+    assert message in capsys.readouterr().err
 
 
 def test_solve_reports_non_integral_step_count():
@@ -80,9 +105,14 @@ def test_table_temporal_refinement_row_counts():
 
 
 def test_table_unknown_id_is_rejected():
-    result = run_cli("table", "--id", "3")
+    result = run_cli("table", "--id", "7")
     assert result.returncode == 2
     assert "--id" in result.stderr
+
+
+def test_table_accepts_every_library_table_id():
+    for table_id in (1, 2, 3, 4, 5):
+        assert build_parser().parse_args(["table", "--id", str(table_id)]).id == table_id
 
 
 def test_convergence_dt_sweep_orders():

@@ -8,7 +8,6 @@ from hermite_heat import (
     ProblemSpec,
     RunConfig,
     build_mesh,
-    collocation_abscissa,
     convergence_order,
     error_norms,
     evaluate,
@@ -18,6 +17,7 @@ from hermite_heat import (
     table_spec,
 )
 from hermite_heat.experiments import Reference, TableRow, TableSpec
+from hermite_heat.problem import collocation_abscissae
 
 
 def test_zero_error_when_exact_matches_numeric(legendre):
@@ -60,12 +60,12 @@ def test_norms_are_internally_consistent(legendre, control):
     cfg = RunConfig(dt=0.01, t_final=0.1, n_elements=6, rule=legendre)
     a = run(control, cfg)
     l2, linf = error_norms(control, mesh, legendre, a, 0.1)
-    errs = []
-    for k in range(1, mesh.n_elements + 1):
-        for xi in legendre.points:
-            x = collocation_abscissa(mesh, k, xi)
-            errs.append(control.exact_solution(x, 0.1) - evaluate(mesh, a, x))
-    errs = np.array(errs)
+    errs = np.array(
+        [
+            control.exact_solution(x, 0.1) - evaluate(mesh, a, x)
+            for x in collocation_abscissae(mesh, legendre.points).ravel()
+        ]
+    )
     assert linf == pytest.approx(np.max(np.abs(errs)), rel=1e-12)
     assert l2 == pytest.approx(math.sqrt(mesh.h * np.sum(errs**2)), rel=1e-12)
 
@@ -161,7 +161,7 @@ def test_run_table_captures_row_failures():
         n_elements=4,
         dt=0.3,
         t_final=1.0,
-        references=(Reference("legendre", "l2", 1e-6, "table0:bad"),),
+        references=(Reference("legendre", "l2", 1e-6),),
     )
     good = table_spec(5).rows[0]
     results = run_table(TableSpec(table_id=0, rows=(bad, good)), rules=("legendre",))

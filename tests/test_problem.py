@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hermite_heat import (
-    ProblemSpec,
-    build_mesh,
-    collocation_abscissa,
-    control_problem,
-    legendre_rule,
-)
+from hermite_heat import ProblemSpec, build_mesh, control_problem, legendre_rule
+from hermite_heat.problem import collocation_abscissae
 
 
 def test_mesh_unit_interval():
@@ -55,6 +50,13 @@ def test_problem_rejects_bad_domain_and_alpha():
         ProblemSpec(1.0, 0.0, 1.0, f)
     with pytest.raises(ValueError):
         ProblemSpec(0.0, 1.0, -2.0, f)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ProblemSpec(0.0, 1.0, bad, f)
+        with pytest.raises(ValueError):
+            ProblemSpec(0.0, bad, 1.0, f)
+        with pytest.raises(ValueError):
+            ProblemSpec(-bad, 1.0, 1.0, f)
 
 
 def test_control_problem_exact_values():
@@ -68,26 +70,16 @@ def test_control_problem_exact_values():
 
 def test_collocation_abscissa_examples():
     mesh = build_mesh(control_problem(), 5)
-    assert collocation_abscissa(mesh, 1, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert collocation_abscissa(mesh, 5, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert collocation_abscissa(mesh, 2, 0.5) == pytest.approx(0.3, rel=1e-14)
-
-
-def test_collocation_abscissa_index_errors():
-    mesh = build_mesh(control_problem(), 5)
-    with pytest.raises(IndexError):
-        collocation_abscissa(mesh, 0, 0.5)
-    with pytest.raises(IndexError):
-        collocation_abscissa(mesh, 6, 0.5)
+    x = collocation_abscissae(mesh, np.array([0.0, 0.5, 1.0]))
+    assert x.shape == (5, 3)
+    assert x[0, 0] == pytest.approx(0.0, abs=1e-15)  # element 1, xi = 0
+    assert x[4, 2] == pytest.approx(1.0, rel=1e-15)  # element 5, xi = 1
+    assert x[1, 1] == pytest.approx(0.3, rel=1e-14)  # element 2, xi = 1/2
 
 
 def test_global_collocation_points_strictly_increase():
     mesh = build_mesh(control_problem(), 7)
     rule = legendre_rule()
-    points = [
-        collocation_abscissa(mesh, k, xi)
-        for k in range(1, mesh.n_elements + 1)
-        for xi in rule.points
-    ]
+    points = collocation_abscissae(mesh, rule.points).ravel()
     assert len(points) == 6 * mesh.n_elements
     assert np.all(np.diff(points) > 0)

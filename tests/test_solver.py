@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_heat import (
     NonIntegralStepCount,
@@ -9,7 +11,6 @@ from hermite_heat import (
     RunConfig,
     assemble_crank_nicolson,
     band_lu_factor,
-    band_matvec,
     build_mesh,
     evaluate,
     evaluate_derivatives,
@@ -17,6 +18,7 @@ from hermite_heat import (
     run,
     step,
 )
+from hermite_heat.linalg import band_matvec
 from hermite_heat.solver import CoefficientVector
 
 
@@ -44,6 +46,30 @@ def test_run_config_rejects_bad_parameters(legendre):
         RunConfig(dt=0.1, t_final=-1.0, n_elements=4, rule=legendre)
     with pytest.raises(ValueError):
         RunConfig(dt=0.1, t_final=1.0, n_elements=0, rule=legendre)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RunConfig(dt=bad, t_final=0.0, n_elements=4, rule=legendre)
+        with pytest.raises(ValueError):
+            RunConfig(dt=0.1, t_final=bad, n_elements=4, rule=legendre)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    dt=st.one_of(st.floats(), st.integers(1, 10**7).map(lambda m: 1.0 / m)),
+    t_final=st.sampled_from([1e-12, 0.1, 1.0, 3.0]),
+)
+def test_run_config_accepts_exactly_finite_positive_integral_steps(dt, t_final, legendre):
+    """Accepted: finite dt > 0 with t_final / dt within 1e-9 of a whole number >= 1."""
+    ratio = t_final / dt if math.isfinite(dt) and dt > 0.0 else math.nan
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    valid = steps >= 1 and abs(ratio - steps) <= 1e-9 * max(1.0, ratio)
+    try:
+        cfg = RunConfig(dt=dt, t_final=t_final, n_elements=4, rule=legendre)
+    except ValueError:  # NonIntegralStepCount included
+        assert not valid
+    else:
+        assert valid
+        assert cfg.n_steps == steps
 
 
 def test_initial_coefficients_zero_data(legendre):
