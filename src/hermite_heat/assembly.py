@@ -137,4 +137,6 @@ def assemble_initial_system(mesh, rule, f):
     """Assemble W and b so that W a0 = b interpolates f at the collocation points."""
     (W,), _, _ = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
     b = np.array([float(f(x)) for x in collocation_abscissae(mesh, rule.points).ravel()])
+    if not np.all(np.isfinite(b)):
+        raise ValueError("initial condition is not finite at every collocation point")
     return InitialSystem(W=W, b=b, n_elements=mesh.n_elements)

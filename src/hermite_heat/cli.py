@@ -20,7 +20,7 @@ from .experiments import (
 )
 from .linalg import SingularMatrix
 from .problem import build_mesh, control_problem
-from .solver import NonIntegralStepCount, RunConfig, evaluate, run
+from .solver import NonIntegralStepCount, RunConfig, evaluate, run, run_batch
 
 
 def _fmt(value):
@@ -118,15 +118,18 @@ def cmd_convergence(args):
     rule = RULES[args.rule]()
     if args.sweep == "dt":
         params = [args.dt / 2**i for i in range(args.count)]
-        configs = [(args.n, p) for p in params]
+        points = [(args.n, p) for p in params]
     else:
         params = [args.n * 2**i for i in range(args.count)]
-        configs = [(p, args.dt) for p in params]
+        points = [(p, args.dt) for p in params]
+    configs = [RunConfig(dt=dt, t_final=args.t_final, n_elements=n, rule=rule) for n, dt in points]
+    finals = {index: a for index, a, _ in run_batch(problem, configs)}
     records = []
-    for (n, dt), param in zip(configs, params):
-        cfg = RunConfig(dt=dt, t_final=args.t_final, n_elements=n, rule=rule)
-        a = run(problem, cfg)
-        mesh = build_mesh(problem, n)
+    for index, (cfg, param) in enumerate(zip(configs, params)):
+        a = finals[index]
+        if isinstance(a, Exception):
+            raise a
+        mesh = build_mesh(problem, cfg.n_elements)
         l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
         records.append((param, l2, linf))
     orders = [None]

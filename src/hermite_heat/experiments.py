@@ -12,7 +12,6 @@ rules so that a whole accuracy table can be recomputed in one call.
 """
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,18 +19,16 @@ import numpy as np
 
 from .basis import RULES, build_basis_table
 from .problem import build_mesh, collocation_abscissae, control_problem
-from .solver import RunConfig, run
+from .solver import RunConfig, run_batch
 
 __all__ = [
     "MissingExactSolution",
-    "ErrorReport",
     "Reference",
     "TableRow",
     "TableSpec",
     "TableResult",
     "TABLE_IDS",
     "error_norms",
-    "measure",
     "convergence_order",
     "table_spec",
     "run_table",
@@ -40,20 +37,6 @@ __all__ = [
 
 class MissingExactSolution(ValueError):
     """Raised when norms are requested for a problem without exact solution."""
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Error norms plus the configuration that produced them."""
-
-    l2: float
-    linf: float
-    rule_kind: str
-    n_elements: int
-    dt: float
-    t_final: float
-    alpha: float
-    wall_time: float
 
 
 def _solution_at_collocation_points(mesh, rule, a):
@@ -73,25 +56,6 @@ def error_norms(spec, mesh, rule, a, t):
     l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
     linf = float(np.max(np.abs(errors)))
     return l2, linf
-
-
-def measure(spec, cfg):
-    """Run one configuration and report its error norms with run metadata."""
-    start = time.perf_counter()
-    a = run(spec, cfg)
-    elapsed = time.perf_counter() - start
-    mesh = build_mesh(spec, cfg.n_elements)
-    l2, linf = error_norms(spec, mesh, cfg.rule, a, cfg.t_final)
-    return ErrorReport(
-        l2=l2,
-        linf=linf,
-        rule_kind=cfg.rule.kind,
-        n_elements=cfg.n_elements,
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        alpha=spec.alpha,
-        wall_time=elapsed,
-    )
 
 
 def convergence_order(pairs):
@@ -231,7 +195,12 @@ def table_spec(table_id):
 
 @dataclass(frozen=True)
 class TableResult:
-    """One computed table cell next to its reference value (when any)."""
+    """One computed table cell next to its reference value (when any).
+
+    wall_time is the seconds taken to solve the cell's configuration
+    (0.0 when it failed).  A configuration that was stacked with others
+    reports the time of the shared run, so it can exceed its own share.
+    """
 
     table_id: int
     rule_kind: str
@@ -250,47 +219,70 @@ class TableResult:
 def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
     """Recompute a reference table for the requested rules.
 
-    Each (row, rule) configuration is solved once; a result is emitted per
-    matching reference value (or a single reference-free result when the
-    table has none for that rule).  Failures are captured per row so the
-    remaining rows still run.
+    Each (row, rule) configuration is solved once, all of them through
+    run_batch, so rows that share a step count are stacked; a result is
+    emitted per matching reference value (or a single reference-free
+    result when the table has none for that rule).  Failures are captured
+    per row so the remaining rows still run.
     """
     if problem is None:
         problem = control_problem()
-    results = []
+    # each case holds an index into configs, or the failed (l2, linf, error,
+    # wall_time) when no RunConfig could be built
+    cases, configs = [], []
     for row in spec_table.rows:
         for rule_kind in rules:
-            refs = [r for r in row.references if r.rule_kind == rule_kind]
             try:
-                rule = RULES[rule_kind]()
                 cfg = RunConfig(
-                    dt=row.dt, t_final=row.t_final, n_elements=row.n_elements, rule=rule
+                    dt=row.dt,
+                    t_final=row.t_final,
+                    n_elements=row.n_elements,
+                    rule=RULES[rule_kind](),
                 )
-                report = measure(problem, cfg)
-            except Exception as exc:
-                l2 = linf = math.nan
-                error, wall_time = str(exc), 0.0
-                cells = [(refs[0].value, refs[0].norm, None)] if refs else []
+            except Exception as exc:  # reported in the row's result
+                cases.append((row, rule_kind, (math.nan, math.nan, str(exc), 0.0)))
             else:
-                l2, linf = report.l2, report.linf
-                error, wall_time = None, report.wall_time
-                computed = {"l2": l2, "linf": linf}
-                cells = [(r.value, r.norm, (computed[r.norm] - r.value) / r.value) for r in refs]
-            for ref_value, ref_norm, rel_dev in cells or [(None, None, None)]:
-                results.append(
-                    TableResult(
-                        table_id=spec_table.table_id,
-                        rule_kind=rule_kind,
-                        n_elements=row.n_elements,
-                        dt=row.dt,
-                        t_final=row.t_final,
-                        l2=l2,
-                        linf=linf,
-                        ref_value=ref_value,
-                        ref_norm=ref_norm,
-                        rel_dev=rel_dev,
-                        error=error,
-                        wall_time=wall_time,
-                    )
+                cases.append((row, rule_kind, len(configs)))
+                configs.append(cfg)
+    # Norms are taken as each state arrives, and the state is dropped before
+    # the next stack runs: a live state at the top of the heap keeps the
+    # allocator from returning the next stack's freed matrices (table 1's
+    # peak RSS read 1 MiB higher while states were kept).
+    solved = {}
+    for index, state, seconds in run_batch(problem, configs):
+        cfg = configs[index]
+        try:
+            if isinstance(state, Exception):
+                raise state
+            mesh = build_mesh(problem, cfg.n_elements)
+            solved[index] = (*error_norms(problem, mesh, cfg.rule, state, cfg.t_final), None, seconds)
+        except Exception as exc:
+            solved[index] = (math.nan, math.nan, str(exc), 0.0)
+        del state
+    results = []
+    for row, rule_kind, outcome in cases:
+        l2, linf, error, wall_time = solved[outcome] if isinstance(outcome, int) else outcome
+        refs = [r for r in row.references if r.rule_kind == rule_kind]
+        if error is None:
+            computed = {"l2": l2, "linf": linf}
+            cells = [(r.value, r.norm, (computed[r.norm] - r.value) / r.value) for r in refs]
+        else:
+            cells = [(refs[0].value, refs[0].norm, None)] if refs else []
+        for ref_value, ref_norm, rel_dev in cells or [(None, None, None)]:
+            results.append(
+                TableResult(
+                    table_id=spec_table.table_id,
+                    rule_kind=rule_kind,
+                    n_elements=row.n_elements,
+                    dt=row.dt,
+                    t_final=row.t_final,
+                    l2=l2,
+                    linf=linf,
+                    ref_value=ref_value,
+                    ref_norm=ref_norm,
+                    rel_dev=rel_dev,
+                    error=error,
+                    wall_time=wall_time,
                 )
+            )
     return results

@@ -21,6 +21,7 @@ __all__ = [
     "band_matvec",
     "band_lu_factor",
     "band_lu_solve",
+    "block_diagonal",
 ]
 
 # Pivots smaller than this are reported as singular even when LAPACK
@@ -135,3 +136,24 @@ def band_lu_solve(factors, b):
     if info != 0:
         raise ValueError(f"dgbtrs failed with info = {info}")
     return x
+
+
+def block_diagonal(matrices, factors):
+    """Block-diagonal matrix of matrices with equal bandwidths, and its factors.
+
+    factors[i] is the LU factorization of matrices[i].  Band columns are
+    placed side by side and each block's pivots are offset by the rows
+    before it.  No pivot crosses a block, so the factors equal those of
+    band_lu_factor on the stacked matrix, bitwise.
+    """
+    if len(matrices) == 1:
+        return matrices[0], factors[0]
+    kl, ku = matrices[0].kl, matrices[0].ku
+    if any((m.kl, m.ku) != (kl, ku) for m in matrices):
+        raise ValueError("blocks must share their bandwidths")
+    n = sum(m.n for m in matrices)
+    bands = np.concatenate([m.bands for m in matrices], axis=1)
+    lu_bands = np.asfortranarray(np.concatenate([f.lu_bands for f in factors], axis=1))
+    offsets = np.cumsum([0] + [m.n for m in matrices[:-1]]).tolist()
+    ipiv = np.concatenate([f.ipiv + offset for f, offset in zip(factors, offsets)])
+    return BandedMatrix(n, kl, ku, bands), LUFactors(n=n, kl=kl, ku=ku, lu_bands=lu_bands, ipiv=ipiv)

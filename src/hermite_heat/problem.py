@@ -45,7 +45,8 @@ class ProblemSpec:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be positive and finite")
         for x in (self.x_left, self.x_right):
-            if abs(self.initial_condition(x)) > _BOUNDARY_TOL:
+            # written so that NaN fails too
+            if not abs(self.initial_condition(x)) <= _BOUNDARY_TOL:
                 raise ValueError(
                     f"initial condition must vanish at the boundary, got f({x}) = "
                     f"{self.initial_condition(x)}"

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from hermite_heat import (
     ProblemSpec,
+    RunConfig,
     assemble_crank_nicolson,
     band_lu_factor,
     build_mesh,
     evaluate,
     initial_coefficients,
+    run,
 )
 from hermite_heat.assembly import assemble_initial_system, element_blocks, index_maps
 from hermite_heat.basis import build_basis_table
@@ -105,6 +109,18 @@ def test_initial_system_zero_forcing(legendre):
     system = assemble_initial_system(mesh, legendre, spec.initial_condition)
     assert system.b.shape == (6,)
     assert np.max(np.abs(system.b)) == 0.0
+
+
+def test_initial_system_rejects_non_finite_data(legendre):
+    """Data that vanishes at both ends but is NaN or inf inside is rejected
+    before it can reach a solve."""
+    for bad in (math.nan, math.inf):
+        spec = ProblemSpec(0.0, 1.0, 1.0, lambda x: bad if 0.4 < x < 0.6 else 0.0)
+        mesh = build_mesh(spec, 4)
+        with pytest.raises(ValueError):
+            assemble_initial_system(mesh, legendre, spec.initial_condition)
+        with pytest.raises(ValueError):
+            run(spec, RunConfig(dt=0.1, t_final=0.1, n_elements=4, rule=legendre))
 
 
 def test_initial_rhs_first_entry(legendre, control):

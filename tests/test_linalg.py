@@ -7,6 +7,7 @@ from hermite_heat.linalg import (
     band_lu_factor,
     band_lu_solve,
     band_matvec,
+    block_diagonal,
 )
 
 
@@ -146,3 +147,28 @@ def test_factorization_is_reusable_bitwise():
     y2 = band_lu_solve(band_lu_factor(m), b2)
     assert np.array_equal(x1, y1)
     assert np.array_equal(x2, y2)
+
+
+def test_block_diagonal_factors_equal_a_fresh_factorization_bitwise():
+    """Pivots never cross blocks, so side-by-side LU bands with offset
+    pivots are exactly the factorization of the stacked matrix."""
+    rng = np.random.default_rng(7)
+    blocks = [random_band(rng, n, 3, 2, dominant=False) for n in (7, 2, 30, 12)]
+    factors = [band_lu_factor(m) for m in blocks]
+    stacked, stacked_factors = block_diagonal(blocks, factors)
+    dense = np.zeros((51, 51))
+    start = 0
+    for m in blocks:
+        dense[start : start + m.n, start : start + m.n] = m.to_dense()
+        start += m.n
+    assert np.array_equal(stacked.to_dense(), dense)
+    fresh = band_lu_factor(stacked)
+    assert np.array_equal(stacked_factors.lu_bands, fresh.lu_bands)
+    assert np.array_equal(stacked_factors.ipiv, fresh.ipiv)
+    b = rng.normal(size=51)
+    x = band_lu_solve(stacked_factors, b)
+    assert np.array_equal(x, band_lu_solve(fresh, b))
+    pieces = np.split(b, np.cumsum([m.n for m in blocks])[:-1])
+    assert np.array_equal(x, np.concatenate([band_lu_solve(f, p) for f, p in zip(factors, pieces)]))
+    with pytest.raises(ValueError):
+        block_diagonal([blocks[0], identity_band(3)], [factors[0], band_lu_factor(identity_band(3))])

@@ -42,6 +42,9 @@ def test_mesh_rejects_zero_elements():
 def test_problem_rejects_incompatible_initial_condition():
     with pytest.raises(ValueError):
         ProblemSpec(0.0, 1.0, 1.0, lambda x: np.cos(np.pi * x))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ProblemSpec(0.0, 1.0, 1.0, lambda x: bad, exact_solution=lambda x, t: 0.0)
 
 
 def test_problem_rejects_bad_domain_and_alpha():

@@ -17,9 +17,12 @@ from hermite_heat import (
     initial_coefficients,
     run,
     step,
+    table_spec,
 )
+from hermite_heat.basis import RULES
 from hermite_heat.linalg import band_matvec
-from hermite_heat.solver import CoefficientVector
+from hermite_heat.problem import collocation_abscissae
+from hermite_heat.solver import CoefficientVector, run_batch
 
 
 def quadratic_problem():
@@ -46,6 +49,10 @@ def test_run_config_rejects_bad_parameters(legendre):
         RunConfig(dt=0.1, t_final=-1.0, n_elements=4, rule=legendre)
     with pytest.raises(ValueError):
         RunConfig(dt=0.1, t_final=1.0, n_elements=0, rule=legendre)
+    for bad in (2.5, 3.0, True, "4", None):
+        with pytest.raises(ValueError):
+            RunConfig(dt=0.1, t_final=1.0, n_elements=bad, rule=legendre)
+    assert RunConfig(dt=0.1, t_final=1.0, n_elements=np.int32(3), rule=legendre).n_elements == 3
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             RunConfig(dt=bad, t_final=0.0, n_elements=4, rule=legendre)
@@ -195,6 +202,89 @@ def test_runs_are_bitwise_deterministic(legendre, control):
     first = run(control, cfg)
     second = run(control, cfg)
     assert np.array_equal(first.full, second.full)
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 4, 16])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
+    """run() and step() share one kernel; N = 1 and 2 take its narrow-band path."""
+    rule = RULES[kind]()
+    cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=n_elements, rule=rule)
+    mesh = build_mesh(control, n_elements)
+    system = assemble_crank_nicolson(mesh, rule, control.alpha, cfg.dt)
+    factors = band_lu_factor(system.left)
+    a = initial_coefficients(control, mesh, rule)
+    for _ in range(cfg.n_steps):
+        a = step(system, factors, a)
+    final = run(control, cfg)
+    assert np.array_equal(final.full, a.full)
+    assert final.time_index == a.time_index == 25
+
+
+def batch_matches_solo_runs(spec, configs):
+    outcomes = list(run_batch(spec, configs))
+    assert sorted(index for index, _, _ in outcomes) == list(range(len(configs)))
+    for index, state, seconds in outcomes:
+        solo = run(spec, configs[index])
+        assert np.array_equal(state.full, solo.full), configs[index]
+        assert state.time_index == solo.time_index
+        assert seconds >= 0.0
+
+
+@pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
+def test_run_batch_equals_solo_runs_on_the_floor_tables(table_id, t_final, control):
+    """All rows of a table stack into one system (900 and 420 unknowns),
+    yet every result is bitwise the solo run's.  The 10**6 and 10**5 steps
+    of the tables are cut to 10**3 and 10**4 (same meshes, rules, dt and
+    stacks) to keep the suite fast."""
+    configs = [
+        RunConfig(
+            dt=row.dt,
+            t_final=t_final,
+            n_elements=row.n_elements,
+            rule=RULES[kind](),
+        )
+        for row in table_spec(table_id).rows
+        for kind in ("legendre", "chebyshev")
+    ]
+    batch_matches_solo_runs(control, configs)
+
+
+def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
+    """N = 1 and 2 are narrower than their band and step alone; the other
+    30-step runs stack.  A 20-step run, a zero-step run and a mesh above
+    the stack size (N = 200, 1200 unknowns) each run on their own."""
+    configs = [
+        RunConfig(dt=0.01, t_final=0.3, n_elements=n, rule=RULES[kind]())
+        for n in (1, 3, 1, 2, 7)
+        for kind in ("legendre", "chebyshev")
+    ]
+    configs += [
+        RunConfig(dt=0.02, t_final=0.4, n_elements=5, rule=RULES["legendre"]()),
+        RunConfig(dt=0.1, t_final=0.0, n_elements=4, rule=RULES["chebyshev"]()),
+        RunConfig(dt=0.01, t_final=0.3, n_elements=200, rule=RULES["legendre"]()),
+    ]
+    batch_matches_solo_runs(control, configs)
+
+
+def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
+    """One member's initial data is NaN at one of its own collocation
+    points; it gets its own ValueError, its stack mates are unchanged."""
+    target = collocation_abscissae(build_mesh(control, 3), legendre.points)[1, 2]
+    for n in (2, 4, 5):
+        assert target not in collocation_abscissae(build_mesh(control, n), legendre.points)
+    spec = ProblemSpec(
+        0.0, 1.0, 1.0, lambda x: math.nan if x == target else math.sin(math.pi * x)
+    )
+    configs = [
+        RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in (2, 3, 4, 5)
+    ]
+    outcomes = {index: state for index, state, _ in run_batch(spec, configs)}
+    assert isinstance(outcomes[1], ValueError)
+    with pytest.raises(ValueError):
+        run(spec, configs[1])
+    for index in (0, 2, 3):
+        assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
 
 
 def test_evaluate_at_boundaries_and_nodes(legendre, control):
