@@ -117,7 +117,7 @@ def cmd_convergence(args):
     problem = control_problem(alpha=args.alpha)
     rule = RULES[args.rule]()
     if args.sweep == "dt":
-        params = [args.dt / 2**i for i in range(args.count)]
+        params = [math.ldexp(args.dt, -i) for i in range(args.count)]
         points = [(args.n, p) for p in params]
     else:
         params = [args.n * 2**i for i in range(args.count)]
@@ -199,10 +199,14 @@ def _validate(parser, args):
     if t_final is not None and not (math.isfinite(t_final) and t_final >= 0.0):
         parser.error("--t-final must be nonnegative and finite")
     alpha = getattr(args, "alpha", None)
-    if alpha is not None and not (math.isfinite(alpha) and alpha > 0.0):
-        parser.error("--alpha must be positive and finite")
-    if getattr(args, "count", None) is not None and args.count < 1:
+    # alpha * alpha rather than alpha**2, which raises OverflowError
+    if alpha is not None and not (alpha > 0.0 and math.isfinite(alpha * alpha)):
+        parser.error("--alpha must be positive with a finite square")
+    count = getattr(args, "count", None)
+    if count is not None and count < 1:
         parser.error("--count must be at least 1")
+    if getattr(args, "sweep", None) == "dt" and math.ldexp(dt, 1 - count) == 0.0:
+        parser.error("--count halves --dt to 0 before the last row")
 
 
 def main(argv=None):

@@ -22,6 +22,7 @@ __all__ = [
     "band_lu_factor",
     "band_lu_solve",
     "block_diagonal",
+    "check_pivots",
 ]
 
 # Pivots smaller than this are reported as singular even when LAPACK
@@ -107,6 +108,17 @@ def band_matvec(m, v):
     return out
 
 
+def check_pivots(diagonal):
+    """Raise SingularMatrix at the first pivot not at least _PIVOT_FLOOR in size.
+
+    Written so that a NaN pivot fails too, as an overflow in the matrix
+    leaves NaN on the diagonal without LAPACK reporting it.
+    """
+    bad = np.nonzero(~(np.abs(diagonal) >= _PIVOT_FLOOR))[0]
+    if bad.size:
+        raise SingularMatrix(int(bad[0]) + 1)
+
+
 def band_lu_factor(m):
     """Factor PA = LU within band storage (partial pivoting)."""
     ab = np.zeros((2 * m.kl + m.ku + 1, m.n), order="F")
@@ -116,10 +128,7 @@ def band_lu_factor(m):
         raise ValueError(f"illegal argument {-info} passed to dgbtrf")
     if info > 0:
         raise SingularMatrix(info)
-    diag = np.abs(lu_bands[m.kl + m.ku, :])
-    small = np.nonzero(diag < _PIVOT_FLOOR)[0]
-    if small.size:
-        raise SingularMatrix(int(small[0]) + 1)
+    check_pivots(lu_bands[m.kl + m.ku, :])
     return LUFactors(n=m.n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv)
 
 

@@ -5,6 +5,11 @@ the Crank-Nicolson matrix L once, then advances the coefficient vector
 through M = t_final / dt solves of L a^{n+1} = R a^n.  The full coefficient
 vector keeps the two eliminated boundary entries pinned at zero so that
 evaluation code can index elements uniformly.
+
+Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
+L, and run_batch stacks them.  Larger meshes step alone, through the
+statically condensed system of assembly.assemble_condensed, whose step
+costs 0.4 to 0.5 of the banded one from N = 170 on.
 """
 
 import math
@@ -13,10 +18,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
-from .assembly import assemble_crank_nicolson, assemble_initial_system, index_maps
+from .assembly import (
+    assemble_condensed,
+    assemble_crank_nicolson,
+    assemble_initial_system,
+    index_maps,
+)
 from .basis import CollocationRule, hermite_first_derivs, hermite_second_derivs, hermite_values
 from .linalg import band_lu_factor, band_lu_solve, band_matvec, block_diagonal
 from .problem import build_mesh
@@ -39,6 +50,7 @@ _STEP_COUNT_RTOL = 1e-9
 # about 1 us of call overhead per member and step (x86_64, OpenBLAS), a
 # gain that fades by about 1000 unknowns; near 10**4 unknowns the stack's
 # bands (256 bytes per unknown) outgrow the L2 cache and stacking loses.
+# A mesh above it always steps alone, through the condensed kernel.
 _STACK_UNKNOWNS = 1024
 
 
@@ -136,11 +148,48 @@ def _advance(right, factors, x, n_steps, on_step=None):
     return x
 
 
+def _advance_condensed(system, factors, a, n_steps, on_step=None):
+    """Step a n_steps times as a <- a + L^-1 (D a), through the condensed system.
+
+    factors is the LU factorization of system.interface.  Each step takes
+    one product of the element windows of a with G, one banded solve for
+    the 2N nodal increments, and one product with P for the local ones,
+    then adds the increment to a in place; the boundary entries stay 0.0.
+    on_step, if given, is called with a CoefficientVector after each step.
+    Returns the final CoefficientVector.
+    """
+    full = a.full.copy()
+    delta = np.zeros_like(full)
+    windows = sliding_window_view(full, 8)[::6]
+    delta_windows = sliding_window_view(delta, 8)[::6]
+    delta_local = delta[:-2].reshape(-1, 6)[:, 2:]
+    element_rhs = np.ascontiguousarray(system.element_rhs.T)
+    local_solve = np.ascontiguousarray(system.local_solve.T)
+    positions = system.interface_positions
+    lu, ipiv, kl, ku = factors.lu_bands, factors.ipiv, factors.kl, factors.ku
+    dgbtrs = _lapack.dgbtrs
+    for k in range(1, n_steps + 1):
+        rhs = windows @ element_rhs
+        nodal, info = dgbtrs(lu, kl, ku, rhs[:, 4:].ravel(), ipiv)
+        if info != 0:
+            raise ValueError(f"dgbtrs failed with info = {info}")
+        delta[positions] = nodal
+        delta_local[...] = rhs[:, :4]
+        delta_local[...] = delta_windows @ local_solve
+        full += delta
+        if on_step is not None:
+            on_step(CoefficientVector(full=full.copy(), time_index=k))
+    return CoefficientVector(full=full, time_index=n_steps)
+
+
 def step(system, factors, a):
     """Advance one Crank-Nicolson step: solve L a_next = R a_current.
 
-    This is one step of the loop that run() uses, so a hand-written loop of
-    step() reproduces run() bitwise.
+    This is one step of the banded loop that run() uses for meshes with
+    6N <= 1024 unknowns, so for those a hand-written loop of step()
+    reproduces run() bitwise.  Larger meshes run() steps through the
+    condensed kernel, which agrees with a loop of step() only to within
+    the banded solve's forward error (see below).
 
     Accuracy: the banded LU solve is backward stable, so the computed a_next
     exactly solves a system whose matrix differs from L by a small multiple
@@ -155,12 +204,25 @@ def step(system, factors, a):
     return _coefficients(reduced_to_full, x, a.time_index + 1)
 
 
+def _condensed(cfg):
+    """Whether cfg's mesh is too large to stack, and so steps condensed."""
+    return 6 * cfg.n_elements > _STACK_UNKNOWNS
+
+
 def _prepare(spec, cfg):
-    """Initial state, and for a run with steps its system and L's factors."""
+    """Initial state, and for a run with steps its system and that system's factors.
+
+    The system is the condensed one, with the factors of its interface
+    matrix, for meshes too large to stack; otherwise L and R with the
+    factors of L.
+    """
     mesh = build_mesh(spec, cfg.n_elements)
     a = initial_coefficients(spec, mesh, cfg.rule)
     if cfg.n_steps == 0:
         return a, None, None
+    if _condensed(cfg):
+        system = assemble_condensed(mesh, cfg.rule, spec.alpha, cfg.dt)
+        return a, system, band_lu_factor(system.interface)
     system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
     return a, system, band_lu_factor(system.left)
 
@@ -168,15 +230,19 @@ def _prepare(spec, cfg):
 def run(spec, cfg, on_step=None):
     """Run the whole pipeline and return the final coefficient vector.
 
-    L is factored once and reused for all steps, which advance the reduced
-    6N-vector without building a CoefficientVector per step.  If on_step is
-    given it is called with a CoefficientVector of each new time level
-    (time_index 1 .. n_steps); nothing is retained otherwise, so
-    million-step runs stay flat in memory.
+    The step's matrix is factored once and reused for all steps.  Meshes
+    with 6N <= 1024 unknowns advance the reduced 6N-vector through the
+    banded LU of L without building a CoefficientVector per step; larger
+    ones step through the condensed kernel, in 0.4 to 0.5 of the time.
+    If on_step is given it is called with a CoefficientVector of each new
+    time level (time_index 1 .. n_steps); nothing is retained otherwise,
+    so million-step runs stay flat in memory.
     """
     a, system, factors = _prepare(spec, cfg)
     if system is None:
         return a
+    if _condensed(cfg):
+        return _advance_condensed(system, factors, a, cfg.n_steps, on_step)
     reduced_to_full = system.reduced_to_full
     report = None
     if on_step is not None:
@@ -212,7 +278,8 @@ def _run_stack(spec, configs, indices):
     """(index, result, seconds) of configs[indices], which share a step count.
 
     Members whose (kl, ku) agree and whose matrices are at least as wide as
-    their band step as one block-diagonal system; the others step alone.
+    their band step as one block-diagonal system; the others step alone,
+    and a mesh too large to stack steps condensed.
     A member whose preparation raises gets that exception as its result.
     seconds is the wall time of the whole stack.
     """
@@ -228,6 +295,9 @@ def _run_stack(spec, configs, indices):
             continue
         if system is None:
             results[index] = a
+            continue
+        if _condensed(configs[index]):  # always alone in its stack
+            results[index] = _advance_condensed(system, factors, a, n_steps)
             continue
         right, reduced_to_full = system.right, system.reduced_to_full
         # band_matvec's diagonal sums may round unlike dgbmv, so a matrix
@@ -255,8 +325,9 @@ def run_batch(spec, configs):
     run raised, and the other configurations still run.  Configurations
     with the same step count are stacked into one block-diagonal banded
     system of at most 1024 unknowns, which steps faster than separate
-    loops on small meshes.  seconds is the wall time of the stack the
-    configuration ran in, preparation included.  Results come stack by
+    loops on small meshes; a larger mesh runs alone and condensed, as in
+    run().  seconds is the wall time of the stack the configuration ran
+    in, preparation included.  Results come stack by
     stack, and each stack's matrices and states are freed before the next
     one is assembled, so a caller that reduces each state as it arrives
     holds only one stack at a time.

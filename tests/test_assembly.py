@@ -13,7 +13,12 @@ from hermite_heat import (
     initial_coefficients,
     run,
 )
-from hermite_heat.assembly import assemble_initial_system, element_blocks, index_maps
+from hermite_heat.assembly import (
+    assemble_condensed,
+    assemble_initial_system,
+    element_blocks,
+    index_maps,
+)
 from hermite_heat.basis import build_basis_table
 from hermite_heat.linalg import band_lu_solve
 
@@ -163,6 +168,19 @@ def test_index_maps_omit_boundary_entries():
     assert np.all(np.sort(reduced_to_full) == reduced_to_full)
     # 6N collocation equations plus the 2 eliminated coefficients
     assert len(reduced_to_full) + 2 == 26
+
+
+def test_condensed_system_shapes_and_interface_band(chebyshev, control):
+    """The interface matrix has two rows per element, bandwidths 2, and one
+    unknown per nodal value and slope except the two boundary values."""
+    for n in (2, 5, 200):
+        system = assemble_condensed(build_mesh(control, n), chebyshev, 1.0, 0.01)
+        assert system.element_rhs.shape == (6, 8)
+        assert system.local_solve.shape == (4, 8)
+        interface = system.interface
+        assert (interface.n, interface.kl, interface.ku) == (2 * n, 2, 2)
+        nodal = [p for j in range(n + 1) for p in (6 * j, 6 * j + 1) if p not in (0, 6 * n)]
+        assert system.interface_positions.tolist() == nodal
 
 
 def test_band_sparsity_bound(legendre, control):

@@ -50,12 +50,39 @@ def test_solve_rejects_zero_elements():
         ("--t-final", "inf", 2, "--t-final"),
         ("--alpha", "nan", 2, "--alpha"),
         ("--alpha", "inf", 2, "--alpha"),
+        ("--alpha", "1e200", 2, "--alpha"),  # alpha**2 overflows
         ("--t-final", "1e-12", 1, "step count"),  # dt = 1 gives zero steps
     ],
 )
 def test_solve_rejects_non_finite_flags_and_zero_steps(flag, value, code, message, capsys):
     flags = {"--n": "4", "--dt": "1", "--t-final": "1", "--alpha": "1", flag: value}
     argv = ["solve"] + [item for pair in flags.items() for item in pair]
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        returned = exc.code
+    assert returned == code
+    assert message in capsys.readouterr().err
+
+
+def test_solve_reports_nan_pivots(capsys):
+    """alpha**2 / h**2 overflows to inf in L, whose factorization then holds
+    NaN pivots; they are reported, not stepped through."""
+    assert main(["solve", "--n", "4", "--dt", "0.01", "--t-final", "1", "--alpha", "1e154"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error:") for line in captured.err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "dt, count, code, message",
+    [
+        ("0.01", "1030", 1, "step count"),  # 2**1029 is no float; t_final / dt overflows
+        ("1e-300", "100", 2, "--count"),  # the finest dt underflows to 0
+    ],
+)
+def test_convergence_rejects_sweeps_beyond_the_float_range(dt, count, code, message, capsys):
+    argv = ["convergence", "--sweep", "dt", "--n", "1", "--dt", dt, "--count", count]
     try:
         returned = main(argv)
     except SystemExit as exc:  # argparse usage errors

@@ -8,6 +8,7 @@ from hermite_heat.linalg import (
     band_lu_solve,
     band_matvec,
     block_diagonal,
+    check_pivots,
 )
 
 
@@ -89,6 +90,20 @@ def test_subnormal_pivot_reported_singular():
     m.bands[m.ku, 1] = 1e-310
     with pytest.raises(SingularMatrix):
         band_lu_factor(m)
+
+
+def test_nan_pivot_reported_singular():
+    """NaN fails every comparison, so the pivot check is written to fail on it.
+    An overflow in the matrix (inf - inf) leaves such pivots."""
+    m = identity_band(3)
+    m.bands[m.ku, 1] = np.nan
+    with pytest.raises(SingularMatrix) as info:
+        band_lu_factor(m)
+    assert info.value.pivot_index == 2
+    with pytest.raises(SingularMatrix) as info:
+        check_pivots(np.array([1.0, -2.0, np.nan, 0.0]))
+    assert info.value.pivot_index == 3
+    check_pivots(np.array([1.0, -1e-300, np.inf]))
 
 
 def test_residual_on_diagonally_dominant_system():

@@ -9,9 +9,12 @@ from hermite_heat import (
     NonIntegralStepCount,
     ProblemSpec,
     RunConfig,
+    SingularMatrix,
     assemble_crank_nicolson,
     band_lu_factor,
     build_mesh,
+    control_problem,
+    error_norms,
     evaluate,
     evaluate_derivatives,
     initial_coefficients,
@@ -19,10 +22,11 @@ from hermite_heat import (
     step,
     table_spec,
 )
+from hermite_heat.assembly import assemble_condensed
 from hermite_heat.basis import RULES
 from hermite_heat.linalg import band_matvec
 from hermite_heat.problem import collocation_abscissae
-from hermite_heat.solver import CoefficientVector, run_batch
+from hermite_heat.solver import CoefficientVector, _advance_condensed, run_batch
 
 
 def quadratic_problem():
@@ -221,6 +225,93 @@ def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
     assert final.time_index == a.time_index == 25
 
 
+def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
+    """L2 error of exact Crank-Nicolson on the control problem's sine mode.
+
+    A step multiplies the mode by (1 - x) / (1 + x) = exp(-2 atanh x), with
+    x = dt mu / 2 and mu = alpha**2 pi**2, where the exact solution decays by
+    exp(-2x).  After M steps the error is exp(-mu T) |exp(-2M (atanh x - x)) - 1|
+    times the mode's discrete L2 norm; atanh x - x = x**3/3 + x**5/5 + x**7/7
+    up to x**9/9, below 1e-26 of the sum at x = 5e-5.  The spatial error
+    at N = 180 is far smaller than the 1e-4 relative this reference is
+    used at.
+    """
+    mu = alpha**2 * math.pi**2
+    x = dt * mu / 2
+    steps = round(t_final / dt)
+    h = 1.0 / n_elements
+    points = h * np.arange(n_elements)[:, None] + h * rule.points[None, :]
+    norm = math.sqrt(h * float(np.sum(np.sin(math.pi * points) ** 2)))
+    return math.exp(-mu * t_final) * abs(math.expm1(-2 * steps * (x**3 / 3 + x**5 / 5 + x**7 / 7))) * norm
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_condensed_run_meets_the_closed_form_crank_nicolson_error(kind, control):
+    """N = 180 (1080 unknowns) steps condensed.  Its L2 error after 10**4
+    steps matched the closed form to 5.7e-6 (Legendre) and 6.2e-6
+    (Chebyshev) relative; the banded kernel missed it by 4.7e-4 and 2.1e-3."""
+    rule = RULES[kind]()
+    cfg = RunConfig(dt=1e-5, t_final=0.1, n_elements=180, rule=rule)
+    l2, _ = error_norms(control, build_mesh(control, 180), rule, run(control, cfg), cfg.t_final)
+    assert abs(l2 / closed_form_l2(180, cfg.dt, cfg.t_final, rule) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_condensed_run_agrees_with_a_loop_of_banded_step(kind, control):
+    """run() at N = 180 steps condensed, step() banded, so they agree to
+    rounding, not bitwise.  After 25 steps the largest difference measured
+    3.7e-7 (Legendre) and 3.4e-7 (Chebyshev) of the largest coefficient:
+    the banded solve's forward error, cond_inf(L) * eps = 1.5e-6 and 1.1e-6
+    here.  on_step still sees every level, boundary entries exactly zero."""
+    rule = RULES[kind]()
+    cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=180, rule=rule)
+    mesh = build_mesh(control, 180)
+    system = assemble_crank_nicolson(mesh, rule, control.alpha, cfg.dt)
+    factors = band_lu_factor(system.left)
+    a = initial_coefficients(control, mesh, rule)
+    for _ in range(cfg.n_steps):
+        a = step(system, factors, a)
+    seen = []
+
+    def check(state):
+        seen.append(state.time_index)
+        assert state.full[0] == 0.0 and state.full[6 * 180] == 0.0
+
+    final = run(control, cfg, on_step=check)
+    assert seen == list(range(1, 26))
+    assert final.time_index == 25
+    assert final.full[0] == 0.0 and final.full[6 * 180] == 0.0
+    assert np.max(np.abs(final.full - a.full)) <= 4e-6 * np.max(np.abs(a.full))
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_condensed_step_matches_a_dense_solve(n_elements, kind, control):
+    """The condensed kernel on small meshes, against a + L^-1 (R - L) a by
+    dense elimination; both carry forward errors of order cond(L) * eps
+    (measured at most 1.3e-11 of the largest coefficient, N = 16)."""
+    rule = RULES[kind]()
+    mesh = build_mesh(control, n_elements)
+    banded = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
+    left, right = banded.left.to_dense(), banded.right.to_dense()
+    a = initial_coefficients(control, mesh, rule)
+    x = a.full[banded.reduced_to_full]
+    expected = np.zeros_like(a.full)
+    expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
+    system = assemble_condensed(mesh, rule, control.alpha, 0.01)
+    advanced = _advance_condensed(system, band_lu_factor(system.interface), a, 1)
+    assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
+    bound = np.linalg.cond(left, np.inf) * np.finfo(float).eps * np.max(np.abs(expected))
+    assert np.max(np.abs(advanced.full - expected)) <= bound
+
+
+def test_condensed_run_reports_nan_pivots(legendre):
+    """alpha**2 / h**2 overflows in the element block, so R_b's diagonal is NaN."""
+    cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=200, rule=legendre)
+    with pytest.raises(SingularMatrix):
+        run(control_problem(alpha=1e154), cfg)
+
+
 def batch_matches_solo_runs(spec, configs):
     outcomes = list(run_batch(spec, configs))
     assert sorted(index for index, _, _ in outcomes) == list(range(len(configs)))
@@ -253,7 +344,8 @@ def test_run_batch_equals_solo_runs_on_the_floor_tables(table_id, t_final, contr
 def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
     """N = 1 and 2 are narrower than their band and step alone; the other
     30-step runs stack.  A 20-step run, a zero-step run and a mesh above
-    the stack size (N = 200, 1200 unknowns) each run on their own."""
+    the stack size (N = 200, 1200 unknowns) each run on their own; the last
+    takes the condensed kernel, and batch and solo still agree bitwise."""
     configs = [
         RunConfig(dt=0.01, t_final=0.3, n_elements=n, rule=RULES[kind]())
         for n in (1, 3, 1, 2, 7)
