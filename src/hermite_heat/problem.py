@@ -25,9 +25,10 @@ _BOUNDARY_TOL = 1e-12
 class ProblemSpec:
     """One heat conduction problem instance.
 
-    alpha is the thermal diffusivity (alpha**2 multiplies u_xx).  The
-    initial condition must vanish at both ends; anything incompatible with
-    the homogeneous Dirichlet conditions is rejected at construction.
+    alpha is the thermal diffusivity (alpha**2 multiplies u_xx), and its
+    square must be finite.  The initial condition must vanish at both ends;
+    anything incompatible with the homogeneous Dirichlet conditions is
+    rejected at construction.
     exact_solution(x, t) is optional and only needed for error norms.
     """
 
@@ -42,8 +43,9 @@ class ProblemSpec:
             raise ValueError("x_left and x_right must be finite")
         if not self.x_right > self.x_left:
             raise ValueError("x_right must exceed x_left")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("alpha must be positive and finite")
+        # alpha * alpha rather than alpha**2, which raises OverflowError
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha * self.alpha)):
+            raise ValueError("alpha must be positive with a finite square")
         for x in (self.x_left, self.x_right):
             # written so that NaN fails too
             if not abs(self.initial_condition(x)) <= _BOUNDARY_TOL:
@@ -82,14 +84,17 @@ def control_problem(alpha=1.0):
     f(x) = sin(pi x), whose exact evolution is
     u(x, t) = sin(pi x) * exp(-alpha**2 pi**2 t).
     """
-    decay = alpha**2 * np.pi**2
-    return ProblemSpec(
+    spec = ProblemSpec(
         x_left=0.0,
         x_right=1.0,
         alpha=alpha,
         initial_condition=lambda x: np.sin(np.pi * x),
         exact_solution=lambda x, t: np.sin(np.pi * x) * np.exp(-decay * t),
     )
+    # only once ProblemSpec has checked alpha: alpha**2 raises OverflowError
+    # where that check raises ValueError
+    decay = alpha**2 * np.pi**2
+    return spec
 
 
 def collocation_abscissae(mesh, points):

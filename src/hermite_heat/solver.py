@@ -9,7 +9,9 @@ evaluation code can index elements uniformly.
 Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
 L, and run_batch stacks them.  Larger meshes step alone, through the
 statically condensed system of assembly.assemble_condensed, whose step
-costs 0.4 to 0.5 of the banded one from N = 170 on.
+costs about 0.55 of the banded one at N = 180 and 0.4 at N = 1000.  Both
+kernels solve with the factors' row interchanges moved to the front
+(linalg.LUFactors): one gather and two BLAS dtbsv calls per step.
 """
 
 import math
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
 
 from .assembly import (
     assemble_condensed,
@@ -128,21 +129,23 @@ def initial_coefficients(spec, mesh, rule):
 def _advance(right, factors, x, n_steps, on_step=None):
     """Solve L x_next = R x n_steps times on the reduced vector x; return the last x.
 
-    right is R and factors is the LU factorization of L.  LAPACK is called
-    directly with arguments bound once, since per-step Python work costs
-    as much as the solve itself on small meshes.  Matrices narrower than
-    their band (N = 1 and 2) take band_matvec's diagonal sums instead of
-    BLAS.  on_step, if given, is called as on_step(k, x) after step k.
+    right is R and factors is the LU factorization of L, in its permuted
+    form.  BLAS is called directly with positional arguments bound once,
+    since per-step Python work costs as much as the solve itself on small
+    meshes: one dgbmv, one gather and two dtbsv per step.  Matrices
+    narrower than their band (N = 1 and 2) take band_matvec's diagonal
+    sums instead of dgbmv.  on_step, if given, is called as on_step(k, x)
+    after step k.
     """
     n, kl, ku, bands = right.n, right.kl, right.ku, right.bands
-    lu, ipiv = factors.lu_bands, factors.ipiv
+    perm, lower, width = factors.perm, factors.lower, factors.width
+    upper, upper_width = factors.lu_bands, factors.kl + factors.ku
     narrow = n < kl + ku + 1
-    dgbmv, dgbtrs = _blas.dgbmv, _lapack.dgbtrs
+    dgbmv, dtbsv = _blas.dgbmv, _blas.dtbsv
     for k in range(1, n_steps + 1):
         rhs = band_matvec(right, x) if narrow else dgbmv(n, n, kl, ku, 1.0, bands, x)
-        x, info = dgbtrs(lu, kl, ku, rhs, ipiv)
-        if info != 0:
-            raise ValueError(f"dgbtrs failed with info = {info}")
+        y = dtbsv(width, lower, rhs[perm], 1, 0, 1, 0, 1, 1)
+        x = dtbsv(upper_width, upper, y, 1, 0, 0, 0, 0, 1)
         if on_step is not None:
             on_step(k, x)
     return x
@@ -151,12 +154,13 @@ def _advance(right, factors, x, n_steps, on_step=None):
 def _advance_condensed(system, factors, a, n_steps, on_step=None):
     """Step a n_steps times as a <- a + L^-1 (D a), through the condensed system.
 
-    factors is the LU factorization of system.interface.  Each step takes
-    one product of the element windows of a with G, one banded solve for
-    the 2N nodal increments, and one product with P for the local ones,
-    then adds the increment to a in place; the boundary entries stay 0.0.
-    on_step, if given, is called with a CoefficientVector after each step.
-    Returns the final CoefficientVector.
+    factors is the LU factorization of system.interface, in its permuted
+    form.  Each step takes one product of the element windows of a with G,
+    one gather of the interface right-hand sides in pivot order, two dtbsv
+    for the 2N nodal increments, and one product with P for the local
+    ones, then adds the increment to a in place; the boundary entries stay
+    0.0.  on_step, if given, is called with a CoefficientVector after each
+    step.  Returns the final CoefficientVector.
     """
     full = a.full.copy()
     delta = np.zeros_like(full)
@@ -166,14 +170,15 @@ def _advance_condensed(system, factors, a, n_steps, on_step=None):
     element_rhs = np.ascontiguousarray(system.element_rhs.T)
     local_solve = np.ascontiguousarray(system.local_solve.T)
     positions = system.interface_positions
-    lu, ipiv, kl, ku = factors.lu_bands, factors.ipiv, factors.kl, factors.ku
-    dgbtrs = _lapack.dgbtrs
+    # interface row i is column 4 + i % 2 of element i // 2's right-hand sides
+    gather = 6 * (factors.perm // 2) + 4 + factors.perm % 2
+    lower, width = factors.lower, factors.width
+    upper, upper_width = factors.lu_bands, factors.kl + factors.ku
+    dtbsv = _blas.dtbsv
     for k in range(1, n_steps + 1):
         rhs = windows @ element_rhs
-        nodal, info = dgbtrs(lu, kl, ku, rhs[:, 4:].ravel(), ipiv)
-        if info != 0:
-            raise ValueError(f"dgbtrs failed with info = {info}")
-        delta[positions] = nodal
+        y = dtbsv(width, lower, rhs.ravel()[gather], 1, 0, 1, 0, 1, 1)
+        delta[positions] = dtbsv(upper_width, upper, y, 1, 0, 0, 0, 0, 1)
         delta_local[...] = rhs[:, :4]
         delta_local[...] = delta_windows @ local_solve
         full += delta
@@ -214,7 +219,8 @@ def _prepare(spec, cfg):
 
     The system is the condensed one, with the factors of its interface
     matrix, for meshes too large to stack; otherwise L and R with the
-    factors of L.
+    factors of L.  Raises ValueError if those factors have no permuted
+    form, which no matrix the package builds has been found to lack.
     """
     mesh = build_mesh(spec, cfg.n_elements)
     a = initial_coefficients(spec, mesh, cfg.rule)
@@ -222,9 +228,17 @@ def _prepare(spec, cfg):
         return a, None, None
     if _condensed(cfg):
         system = assemble_condensed(mesh, cfg.rule, spec.alpha, cfg.dt)
-        return a, system, band_lu_factor(system.interface)
-    system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
-    return a, system, band_lu_factor(system.left)
+        matrix = system.interface
+    else:
+        system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
+        matrix = system.left
+    factors = band_lu_factor(matrix)
+    if factors.lower is None:
+        raise ValueError(
+            f"the row interchanges of the {matrix.n} x {matrix.n} step matrix widen "
+            f"its lower factor past kl + ku = {matrix.kl + matrix.ku}"
+        )
+    return a, system, factors
 
 
 def run(spec, cfg, on_step=None):
@@ -233,7 +247,7 @@ def run(spec, cfg, on_step=None):
     The step's matrix is factored once and reused for all steps.  Meshes
     with 6N <= 1024 unknowns advance the reduced 6N-vector through the
     banded LU of L without building a CoefficientVector per step; larger
-    ones step through the condensed kernel, in 0.4 to 0.5 of the time.
+    ones step through the condensed kernel, in 0.4 to 0.55 of the time.
     If on_step is given it is called with a CoefficientVector of each new
     time level (time_index 1 .. n_steps); nothing is retained otherwise,
     so million-step runs stay flat in memory.

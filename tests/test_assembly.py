@@ -19,7 +19,7 @@ from hermite_heat.assembly import (
     element_blocks,
     index_maps,
 )
-from hermite_heat.basis import build_basis_table
+from hermite_heat.basis import RULES, build_basis_table
 from hermite_heat.linalg import band_lu_solve
 
 
@@ -181,6 +181,26 @@ def test_condensed_system_shapes_and_interface_band(chebyshev, control):
         assert (interface.n, interface.kl, interface.ku) == (2 * n, 2, 2)
         nodal = [p for j in range(n + 1) for p in (6 * j, 6 * j + 1) if p not in (0, 6 * n)]
         assert system.interface_positions.tolist() == nodal
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_step_matrices_keep_their_permuted_lower_factor_within_kl_plus_ku(kind):
+    """Runs refuse step matrices whose interchanges, moved to the front,
+    widen L past kl + ku (solver._prepare), so pin the width here, on a
+    subset of the grid alpha = 1e-6 ... 1e50, dt = 1e-12 ... 1e2 and
+    N = 1 ... 3000.  That grid measured 5-9 for L (kl = ku = 5 at N = 1, 6
+    from N = 2) and 2-3 for S (kl = ku = 2; 1 at N = 1, where kl = ku = 1);
+    W measured 5-9 too."""
+    rule = RULES[kind]()
+    for n in (1, 2, 5, 40, 171, 1000):
+        mesh = build_mesh(ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0), n)
+        for alpha in (1e-6, 1.0, 1e50):
+            for dt in (1e-12, 1e-3, 1e2):
+                left = assemble_crank_nicolson(mesh, rule, alpha, dt).left
+                interface = assemble_condensed(mesh, rule, alpha, dt).interface
+                for m in (left, interface):
+                    width = band_lu_factor(m).width
+                    assert width is not None and width <= m.kl + m.ku, (n, alpha, dt, m.n)
 
 
 def test_band_sparsity_bound(legendre, control):

@@ -62,6 +62,16 @@ def test_problem_rejects_bad_domain_and_alpha():
             ProblemSpec(-bad, 1.0, 1.0, f)
 
 
+def test_alpha_whose_square_overflows_is_rejected():
+    """alpha**2 of a Python float raises OverflowError past about 1.34e154;
+    both entry points report a ValueError instead."""
+    with pytest.raises(ValueError, match="square"):
+        ProblemSpec(0.0, 1.0, 1e200, lambda x: 0.0)
+    with pytest.raises(ValueError, match="square"):
+        control_problem(1e200)
+    assert ProblemSpec(0.0, 1.0, 1e150, lambda x: 0.0).alpha == 1e150
+
+
 def test_control_problem_exact_values():
     prob = control_problem()
     assert prob.exact_solution(0.5, 0.0) == pytest.approx(1.0, abs=1e-15)

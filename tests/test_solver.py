@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas, lapack
 
 from hermite_heat import (
     NonIntegralStepCount,
@@ -26,6 +28,7 @@ from hermite_heat.assembly import assemble_condensed
 from hermite_heat.basis import RULES
 from hermite_heat.linalg import band_matvec
 from hermite_heat.problem import collocation_abscissae
+from hermite_heat import solver
 from hermite_heat.solver import CoefficientVector, _advance_condensed, run_batch
 
 
@@ -377,6 +380,50 @@ def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
         run(spec, configs[1])
     for index in (0, 2, 3):
         assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+
+
+@pytest.mark.parametrize("n_elements", [4, 10, 40])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_banded_run_equals_the_interleaved_lapack_loop_bitwise(n_elements, kind, control):
+    """The banded kernel solves with the interchanges moved to the front,
+    and that changes no bit: run() equals a loop of dgbmv and LAPACK dgbtrs
+    on dgbtrf's interleaved factors (Table 3's roundoff floor depends on it)."""
+    rule = RULES[kind]()
+    cfg = RunConfig(dt=1e-3, t_final=0.05, n_elements=n_elements, rule=rule)
+    mesh = build_mesh(control, n_elements)
+    system = assemble_crank_nicolson(mesh, rule, 1.0, cfg.dt)
+    factors = band_lu_factor(system.left)
+    right = system.right
+    n, kl, ku = right.n, right.kl, right.ku
+    x = initial_coefficients(control, mesh, rule).full[system.reduced_to_full]
+    for _ in range(cfg.n_steps):
+        rhs = blas.dgbmv(n, n, kl, ku, 1.0, right.bands, x)
+        x, _ = lapack.dgbtrs(factors.lu_bands, kl, ku, rhs, factors.ipiv)
+    assert np.array_equal(run(control, cfg).full[system.reduced_to_full], x)
+
+
+def test_runs_refuse_step_factors_without_the_permuted_form(legendre, control, monkeypatch):
+    """No step matrix the package builds widens its permuted lower factor
+    past kl + ku (see test_assembly), but one that did would be refused with
+    a ValueError naming the cap, per member in run_batch.  W's factors
+    without it still solve, through dgbtrs."""
+    factor = solver.band_lu_factor
+
+    def interleaved_only(m):
+        return dataclasses.replace(factor(m), perm=None, lower=None)
+
+    monkeypatch.setattr(solver, "band_lu_factor", interleaved_only)
+    mesh = build_mesh(control, 4)
+    a0 = initial_coefficients(control, mesh, legendre)
+    assert abs(evaluate(mesh, a0, 0.5) - 1.0) < 1e-9
+    for n_elements in (4, 180):
+        cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=n_elements, rule=legendre)
+        with pytest.raises(ValueError, match="kl \\+ ku = "):
+            run(control, cfg)
+    configs = [RunConfig(dt=0.01, t_final=t, n_elements=4, rule=legendre) for t in (0.0, 0.02)]
+    outcomes = [state for _, state, _ in run_batch(control, configs)]
+    assert np.array_equal(outcomes[0].full, a0.full)
+    assert isinstance(outcomes[1], ValueError)
 
 
 def test_evaluate_at_boundaries_and_nodes(legendre, control):
