@@ -94,9 +94,7 @@ class GlobalSystem:
 
     left: BandedMatrix
     right: BandedMatrix
-    n_elements: int
     reduced_to_full: np.ndarray
-    full_to_reduced: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,6 @@ class InitialSystem:
 
     W: BandedMatrix
     b: np.ndarray
-    n_elements: int
 
 
 def _scatter(n_elements, *blocks):
@@ -119,8 +116,7 @@ def _scatter(n_elements, *blocks):
     so neighbouring elements share two columns; m is 6 for the collocation
     blocks and 2 for the condensed interface block.  Block entries whose
     full column is an eliminated boundary value (0 or mN) are dropped.
-    Returns the matrices and the (reduced_to_full, full_to_reduced) index
-    maps.
+    Returns the matrices and the reduced_to_full index map.
     """
     m = blocks[0].shape[0]
     n = m * n_elements
@@ -133,7 +129,7 @@ def _scatter(n_elements, *blocks):
     keep = cols >= 0
     rows, cols, slots = rows[keep], cols[keep], slots[keep]
     matrices = [BandedMatrix.from_entries(n, rows, cols, block.ravel()[slots]) for block in blocks]
-    return matrices, reduced_to_full, full_to_reduced
+    return matrices, reduced_to_full
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def assemble_condensed(mesh, rule, alpha, dt):
     coupling = solve_triangular(r_b, q_1.T @ shared)
     element_rhs = np.vstack([solve_triangular(r_b, q_1.T @ difference), q_2.T @ difference])
     local_solve = np.hstack([-coupling[:, :2], np.eye(4), -coupling[:, 2:]])
-    (interface,), reduced_to_full, _ = _scatter(mesh.n_elements, q_2.T @ shared)
+    (interface,), reduced_to_full = _scatter(mesh.n_elements, q_2.T @ shared)
     # interface entry 2j + c (c = 0 value, 1 slope) belongs to node j: full index 6j + c
     positions = 6 * (reduced_to_full // 2) + reduced_to_full % 2
     return CondensedSystem(
@@ -198,22 +194,14 @@ def assemble_condensed(mesh, rule, alpha, dt):
 def assemble_crank_nicolson(mesh, rule, alpha, dt):
     """Assemble the boundary-eliminated recursion matrices L and R."""
     blocks = element_blocks(build_basis_table(rule, mesh.h), alpha, dt)
-    (left, right), reduced_to_full, full_to_reduced = _scatter(
-        mesh.n_elements, blocks.left, blocks.right
-    )
-    return GlobalSystem(
-        left=left,
-        right=right,
-        n_elements=mesh.n_elements,
-        reduced_to_full=reduced_to_full,
-        full_to_reduced=full_to_reduced,
-    )
+    (left, right), reduced_to_full = _scatter(mesh.n_elements, blocks.left, blocks.right)
+    return GlobalSystem(left=left, right=right, reduced_to_full=reduced_to_full)
 
 
 def assemble_initial_system(mesh, rule, f):
     """Assemble W and b so that W a0 = b interpolates f at the collocation points."""
-    (W,), _, _ = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
+    (W,), _ = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
     b = np.array([float(f(x)) for x in collocation_abscissae(mesh, rule.points).ravel()])
     if not np.all(np.isfinite(b)):
         raise ValueError("initial condition is not finite at every collocation point")
-    return InitialSystem(W=W, b=b, n_elements=mesh.n_elements)
+    return InitialSystem(W=W, b=b)

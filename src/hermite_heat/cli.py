@@ -167,7 +167,6 @@ def build_parser():
     solve.add_argument("--n", type=int, required=True, help="number of elements")
     solve.add_argument("--dt", type=float, required=True, help="time step")
     solve.add_argument("--t-final", type=float, required=True, help="final time")
-    solve.add_argument("--problem", choices=("control",), default="control")
     _add_common(solve)
     solve.set_defaults(func=cmd_solve)
 

@@ -3,8 +3,9 @@
 Storage is the standard band layout: a matrix with lower bandwidth kl and
 upper bandwidth ku keeps entry (i, j) at bands[ku + i - j, j], using
 (kl + ku + 1) x n doubles.  Factorization appends kl extra rows for the
-fill-in produced by partial pivoting and is delegated to LAPACK dgbtrf;
-matrix-vector products use BLAS dgbmv.
+fill-in produced by partial pivoting and is delegated to LAPACK dgbtrf.
+The layout is also that of BLAS dgbmv, which the solver calls directly for
+its matrix-vector products.
 
 dgbtrf leaves its row interchanges interleaved with the columns of L, and
 LAPACK's dgbtrs applies them one column and one BLAS call at a time.
@@ -27,7 +28,6 @@ __all__ = [
     "SingularMatrix",
     "BandedMatrix",
     "LUFactors",
-    "band_matvec",
     "band_lu_factor",
     "band_lu_solve",
     "block_diagonal",
@@ -81,7 +81,8 @@ class BandedMatrix:
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
-        for d in range(-self.kl, self.ku + 1):
+        # only the diagonals that meet the matrix; kl or ku may pass n - 1
+        for d in range(max(-self.kl, 1 - self.n), min(self.ku, self.n - 1) + 1):
             lo = max(0, d)
             hi = min(self.n, self.n + d)
             idx = np.arange(lo, hi)
@@ -114,23 +115,6 @@ class LUFactors:
     def width(self):
         """Lower bandwidth of L in the permuted form, or None without one."""
         return None if self.lower is None else self.lower.shape[0] - 1
-
-
-def band_matvec(m, v):
-    """Product m @ v restricted to the band."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (m.n,):
-        raise ValueError(f"vector of length {v.shape} does not match n = {m.n}")
-    if m.n >= m.kl + m.ku + 1:
-        return _blas.dgbmv(m.n, m.n, m.kl, m.ku, 1.0, m.bands, v)
-    # the BLAS wrapper rejects matrices narrower than their band; sum the
-    # diagonals directly instead
-    out = np.zeros(m.n)
-    for d in range(-m.kl, m.ku + 1):
-        lo = max(0, d)
-        hi = min(m.n, m.n + d)
-        out[lo - d : hi - d] += m.bands[m.ku - d, lo:hi] * v[lo:hi]
-    return out
 
 
 def check_pivots(diagonal):

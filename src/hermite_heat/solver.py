@@ -30,7 +30,7 @@ from .assembly import (
     index_maps,
 )
 from .basis import CollocationRule, hermite_first_derivs, hermite_second_derivs, hermite_values
-from .linalg import band_lu_factor, band_lu_solve, band_matvec, block_diagonal
+from .linalg import band_lu_factor, band_lu_solve, block_diagonal
 from .problem import build_mesh
 
 __all__ = [
@@ -71,10 +71,6 @@ class CoefficientVector:
 
     full: np.ndarray
     time_index: int = 0
-
-    @property
-    def n_elements(self):
-        return (len(self.full) - 2) // 6
 
 
 @dataclass(frozen=True)
@@ -132,18 +128,22 @@ def _advance(right, factors, x, n_steps, on_step=None):
     right is R and factors is the LU factorization of L, in its permuted
     form.  BLAS is called directly with positional arguments bound once,
     since per-step Python work costs as much as the solve itself on small
-    meshes: one dgbmv, one gather and two dtbsv per step.  Matrices
-    narrower than their band (N = 1 and 2) take band_matvec's diagonal
-    sums instead of dgbmv.  on_step, if given, is called as on_step(k, x)
-    after step k.
+    meshes: one dgbmv, one gather and two dtbsv per step.  on_step, if
+    given, is called as on_step(k, x) after step k.
+
+    scipy's dgbmv wrapper wants at least kl + ku + 1 rows, more than n at
+    N = 1 and 2, where BLAS asks only for that many band rows (Dongarra et
+    al., ACM TOMS 14, 1988).  So dgbmv forms max(n, kl + ku + 1) rows:
+    those past n read only band slots outside the matrix, and the gather
+    by perm, which lies in 0 .. n-1, drops them.
     """
     n, kl, ku, bands = right.n, right.kl, right.ku, right.bands
+    rows = max(n, kl + ku + 1)
     perm, lower, width = factors.perm, factors.lower, factors.width
     upper, upper_width = factors.lu_bands, factors.kl + factors.ku
-    narrow = n < kl + ku + 1
     dgbmv, dtbsv = _blas.dgbmv, _blas.dtbsv
     for k in range(1, n_steps + 1):
-        rhs = band_matvec(right, x) if narrow else dgbmv(n, n, kl, ku, 1.0, bands, x)
+        rhs = dgbmv(rows, n, kl, ku, 1.0, bands, x)
         y = dtbsv(width, lower, rhs[perm], 1, 0, 1, 0, 1, 1)
         x = dtbsv(upper_width, upper, y, 1, 0, 0, 0, 0, 1)
         if on_step is not None:
@@ -291,9 +291,8 @@ def _plan_stacks(configs):
 def _run_stack(spec, configs, indices):
     """(index, result, seconds) of configs[indices], which share a step count.
 
-    Members whose (kl, ku) agree and whose matrices are at least as wide as
-    their band step as one block-diagonal system; the others step alone,
-    and a mesh too large to stack steps condensed.
+    Members whose (kl, ku) agree step as one block-diagonal system, and a
+    mesh too large to stack steps condensed.
     A member whose preparation raises gets that exception as its result.
     seconds is the wall time of the whole stack.
     """
@@ -314,12 +313,8 @@ def _run_stack(spec, configs, indices):
             results[index] = _advance_condensed(system, factors, a, n_steps)
             continue
         right, reduced_to_full = system.right, system.reduced_to_full
-        # band_matvec's diagonal sums may round unlike dgbmv, so a matrix
-        # narrower than its band steps alone to stay bitwise equal to run()
-        narrow = right.n < right.kl + right.ku + 1
-        key = ("alone", index) if narrow else (right.kl, right.ku)
         member = (index, right, factors, a.full[reduced_to_full], reduced_to_full)
-        groups.setdefault(key, []).append(member)
+        groups.setdefault((right.kl, right.ku), []).append(member)
     for members in groups.values():
         stacked, rights, factor_list, xs, maps = zip(*members)
         right, factors = block_diagonal(rights, factor_list)

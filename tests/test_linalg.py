@@ -10,7 +10,6 @@ from hermite_heat.linalg import (
     SingularMatrix,
     band_lu_factor,
     band_lu_solve,
-    band_matvec,
     block_diagonal,
     check_pivots,
 )
@@ -55,26 +54,20 @@ def identity_band(n, kl=1, ku=1):
     return BandedMatrix(n, kl, ku, bands)
 
 
-def test_matvec_identity():
-    m = identity_band(3)
-    assert band_matvec(m, np.array([1.0, 2.0, 3.0])) == pytest.approx([1, 2, 3])
-
-
-def test_matvec_zero_matrix():
-    m = BandedMatrix(4, 2, 2)
-    assert band_matvec(m, np.arange(4.0)) == pytest.approx([0, 0, 0, 0], abs=0.0)
-
-
-def test_matvec_against_dense():
-    rng = np.random.default_rng(1)
-    m = random_band(rng, 10, 3, 3, dominant=False)
-    v = rng.normal(size=10)
-    assert band_matvec(m, v) == pytest.approx(m.to_dense() @ v, abs=1e-14)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        band_matvec(identity_band(3), np.ones(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_to_dense_reads_the_band_slots_even_when_a_bandwidth_passes_n(n):
+    """Entry (i, j) is bands[ku + i - j, j] for every shape, including kl or
+    ku >= n (diagonals that miss the matrix); the other slots are ignored."""
+    rng = np.random.default_rng(n)
+    for kl in range(9):
+        for ku in range(9):
+            m = BandedMatrix(n, kl, ku, rng.normal(size=(kl + ku + 1, n)))
+            expected = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if -kl <= j - i <= ku:
+                        expected[i, j] = m.bands[ku + i - j, j]
+            assert np.array_equal(m.to_dense(), expected), (kl, ku)
 
 
 def test_factor_identity_solves_identity():
@@ -123,7 +116,7 @@ def test_solve_recovers_known_vector():
     rng = np.random.default_rng(3)
     m = random_band(rng, 25, 3, 5)
     x0 = rng.normal(size=25)
-    b = band_matvec(m, x0)
+    b = m.to_dense() @ x0
     x = band_lu_solve(band_lu_factor(m), b)
     assert x == pytest.approx(x0, rel=1e-10)
 

@@ -26,7 +26,6 @@ from hermite_heat import (
 )
 from hermite_heat.assembly import assemble_condensed
 from hermite_heat.basis import RULES
-from hermite_heat.linalg import band_matvec
 from hermite_heat.problem import collocation_abscissae
 from hermite_heat import solver
 from hermite_heat.solver import CoefficientVector, _advance_condensed, run_batch
@@ -135,8 +134,9 @@ def test_step_is_linear(legendre, control):
     # backward deviation |L d| that banded LU keeps small instead (2.3e-17 here).
     twice = step(system, factors, CoefficientVector(full=3.5 * a0.full, time_index=0))
     deviation = (twice.full - 3.5 * once.full)[system.reduced_to_full]
-    residual = np.max(np.abs(band_matvec(system.left, deviation)))
-    left_norm = np.linalg.norm(system.left.to_dense(), np.inf)
+    left = system.left.to_dense()
+    residual = np.max(np.abs(left @ deviation))
+    left_norm = np.linalg.norm(left, np.inf)
     assert residual <= 1e-12 * left_norm * np.max(np.abs(3.5 * once.full))
 
 
@@ -214,7 +214,8 @@ def test_runs_are_bitwise_deterministic(legendre, control):
 @pytest.mark.parametrize("n_elements", [1, 2, 4, 16])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
-    """run() and step() share one kernel; N = 1 and 2 take its narrow-band path."""
+    """run() and step() share one kernel, also at N = 1 and 2, whose
+    matrices are narrower than their band."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=n_elements, rule=rule)
     mesh = build_mesh(control, n_elements)
@@ -287,6 +288,26 @@ def test_condensed_run_agrees_with_a_loop_of_banded_step(kind, control):
     assert np.max(np.abs(final.full - a.full)) <= 4e-6 * np.max(np.abs(a.full))
 
 
+@pytest.mark.parametrize("n_elements", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_banded_step_matches_a_dense_solve(n_elements, kind, control):
+    """One banded step against L^-1 (R a) by dense elimination, within their
+    forward errors, of order cond(L) * eps.  At N = 1 and 2 the matrices
+    are narrower than their band (6N < kl + ku + 1 = 11 and 13), and dgbmv
+    forms the product with padding rows that the solve drops."""
+    rule = RULES[kind]()
+    mesh = build_mesh(control, n_elements)
+    system = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
+    left, right = system.left.to_dense(), system.right.to_dense()
+    a = initial_coefficients(control, mesh, rule)
+    expected = np.zeros_like(a.full)
+    expected[system.reduced_to_full] = np.linalg.solve(left, right @ a.full[system.reduced_to_full])
+    advanced = step(system, band_lu_factor(system.left), a)
+    assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
+    bound = np.linalg.cond(left, np.inf) * np.finfo(float).eps * np.max(np.abs(expected))
+    assert np.max(np.abs(advanced.full - expected)) <= bound
+
+
 @pytest.mark.parametrize("n_elements", [1, 2, 3, 7, 16])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_condensed_step_matches_a_dense_solve(n_elements, kind, control):
@@ -345,10 +366,11 @@ def test_run_batch_equals_solo_runs_on_the_floor_tables(table_id, t_final, contr
 
 
 def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
-    """N = 1 and 2 are narrower than their band and step alone; the other
-    30-step runs stack.  A 20-step run, a zero-step run and a mesh above
-    the stack size (N = 200, 1200 unknowns) each run on their own; the last
-    takes the condensed kernel, and batch and solo still agree bitwise."""
+    """N = 1 (kl = ku = 5) stacks with itself, and N = 2, 3 and 7 (kl = ku
+    = 6) stack together, though N = 1 and 2 are narrower than their band.
+    A 20-step run, a zero-step run and a mesh above the stack size (N =
+    200, 1200 unknowns) each run on their own; the last takes the condensed
+    kernel, and batch and solo still agree bitwise."""
     configs = [
         RunConfig(dt=0.01, t_final=0.3, n_elements=n, rule=RULES[kind]())
         for n in (1, 3, 1, 2, 7)
