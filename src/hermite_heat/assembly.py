@@ -32,7 +32,6 @@ __all__ = [
     "InitialSystem",
     "CondensedSystem",
     "element_blocks",
-    "index_maps",
     "assemble_crank_nicolson",
     "assemble_initial_system",
     "assemble_condensed",
@@ -68,16 +67,6 @@ def element_blocks(table, alpha, dt):
     return ElementBlocks(left=mass - diffusion, right=mass + diffusion)
 
 
-def index_maps(n_elements):
-    """Maps between full coefficient indices and reduced (solved) indices.
-
-    Full indices run 0 .. 6N+1; entries 0 and 6N are the eliminated boundary
-    value coefficients.  Returns (reduced_to_full, full_to_reduced), the
-    latter holding -1 at eliminated positions.
-    """
-    return _eliminate_ends(6 * n_elements)
-
-
 def _eliminate_ends(n):
     """Index maps of n + 2 full entries whose entries 0 and n are eliminated."""
     full_to_reduced = np.full(n + 2, -1, dtype=np.int64)
@@ -107,6 +96,7 @@ class InitialSystem:
 
     W: BandedMatrix
     b: np.ndarray
+    reduced_to_full: np.ndarray
 
 
 def _scatter(n_elements, *blocks):
@@ -200,8 +190,8 @@ def assemble_crank_nicolson(mesh, rule, alpha, dt):
 
 def assemble_initial_system(mesh, rule, f):
     """Assemble W and b so that W a0 = b interpolates f at the collocation points."""
-    (W,), _ = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
+    (W,), reduced_to_full = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
     b = np.array([float(f(x)) for x in collocation_abscissae(mesh, rule.points).ravel()])
     if not np.all(np.isfinite(b)):
         raise ValueError("initial condition is not finite at every collocation point")
-    return InitialSystem(W=W, b=b)
+    return InitialSystem(W=W, b=b, reduced_to_full=reduced_to_full)

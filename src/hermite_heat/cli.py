@@ -123,7 +123,7 @@ def cmd_convergence(args):
         params = [args.n * 2**i for i in range(args.count)]
         points = [(p, args.dt) for p in params]
     configs = [RunConfig(dt=dt, t_final=args.t_final, n_elements=n, rule=rule) for n, dt in points]
-    finals = {index: a for index, a, _ in run_batch(problem, configs)}
+    finals = dict(run_batch(problem, configs))
     records = []
     for index, (cfg, param) in enumerate(zip(configs, params)):
         a = finals[index]

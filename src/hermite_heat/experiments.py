@@ -197,9 +197,8 @@ def table_spec(table_id):
 class TableResult:
     """One computed table cell next to its reference value (when any).
 
-    wall_time is the seconds taken to solve the cell's configuration
-    (0.0 when it failed).  A configuration that was stacked with others
-    reports the time of the shared run, so it can exceed its own share.
+    error holds the message of a configuration that failed, whose norms
+    are NaN.
     """
 
     table_id: int
@@ -213,7 +212,6 @@ class TableResult:
     ref_norm: Optional[str]
     rel_dev: Optional[float]
     error: Optional[str] = None
-    wall_time: float = 0.0
 
 
 def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
@@ -227,8 +225,8 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
     """
     if problem is None:
         problem = control_problem()
-    # each case holds an index into configs, or the failed (l2, linf, error,
-    # wall_time) when no RunConfig could be built
+    # each case holds an index into configs, or the failed (l2, linf, error)
+    # when no RunConfig could be built
     cases, configs = [], []
     for row in spec_table.rows:
         for rule_kind in rules:
@@ -240,7 +238,7 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
                     rule=RULES[rule_kind](),
                 )
             except Exception as exc:  # reported in the row's result
-                cases.append((row, rule_kind, (math.nan, math.nan, str(exc), 0.0)))
+                cases.append((row, rule_kind, (math.nan, math.nan, str(exc))))
             else:
                 cases.append((row, rule_kind, len(configs)))
                 configs.append(cfg)
@@ -249,19 +247,19 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
     # allocator from returning the next stack's freed matrices (table 1's
     # peak RSS read 1 MiB higher while states were kept).
     solved = {}
-    for index, state, seconds in run_batch(problem, configs):
+    for index, state in run_batch(problem, configs):
         cfg = configs[index]
         try:
             if isinstance(state, Exception):
                 raise state
             mesh = build_mesh(problem, cfg.n_elements)
-            solved[index] = (*error_norms(problem, mesh, cfg.rule, state, cfg.t_final), None, seconds)
+            solved[index] = (*error_norms(problem, mesh, cfg.rule, state, cfg.t_final), None)
         except Exception as exc:
-            solved[index] = (math.nan, math.nan, str(exc), 0.0)
+            solved[index] = (math.nan, math.nan, str(exc))
         del state
     results = []
     for row, rule_kind, outcome in cases:
-        l2, linf, error, wall_time = solved[outcome] if isinstance(outcome, int) else outcome
+        l2, linf, error = solved[outcome] if isinstance(outcome, int) else outcome
         refs = [r for r in row.references if r.rule_kind == rule_kind]
         if error is None:
             computed = {"l2": l2, "linf": linf}
@@ -282,7 +280,6 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
                     ref_norm=ref_norm,
                     rel_dev=rel_dev,
                     error=error,
-                    wall_time=wall_time,
                 )
             )
     return results

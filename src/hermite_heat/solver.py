@@ -16,7 +16,6 @@ kernels solve with the factors' row interchanges moved to the front
 
 import math
 import numbers
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .assembly import (
     assemble_condensed,
     assemble_crank_nicolson,
     assemble_initial_system,
-    index_maps,
 )
 from .basis import CollocationRule, hermite_first_derivs, hermite_second_derivs, hermite_values
 from .linalg import band_lu_factor, band_lu_solve, block_diagonal
@@ -118,8 +116,7 @@ def initial_coefficients(spec, mesh, rule):
     """Solve W a0 = b and scatter into the full coefficient layout."""
     system = assemble_initial_system(mesh, rule, spec.initial_condition)
     reduced = band_lu_solve(band_lu_factor(system.W), system.b)
-    reduced_to_full, _ = index_maps(mesh.n_elements)
-    return _coefficients(reduced_to_full, reduced, 0)
+    return _coefficients(system.reduced_to_full, reduced, 0)
 
 
 def _advance(right, factors, x, n_steps, on_step=None):
@@ -250,84 +247,77 @@ def run(spec, cfg, on_step=None):
     ones step through the condensed kernel, in 0.4 to 0.55 of the time.
     If on_step is given it is called with a CoefficientVector of each new
     time level (time_index 1 .. n_steps); nothing is retained otherwise,
-    so million-step runs stay flat in memory.
+    so million-step runs stay flat in memory.  run is run_batch's stack of
+    one member, and raises the exception that member's result would hold.
     """
-    a, system, factors = _prepare(spec, cfg)
-    if system is None:
-        return a
-    if _condensed(cfg):
-        return _advance_condensed(system, factors, a, cfg.n_steps, on_step)
-    reduced_to_full = system.reduced_to_full
-    report = None
-    if on_step is not None:
-
-        def report(k, x):
-            on_step(_coefficients(reduced_to_full, x, k))
-
-    x = _advance(system.right, factors, a.full[reduced_to_full], cfg.n_steps, report)
-    return _coefficients(reduced_to_full, x, cfg.n_steps)
+    ((_, result),) = _run_stack(spec, [(0, cfg)], on_step)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _plan_stacks(configs):
-    """Indices of configs grouped into stacks that can step as one system.
+    """(index, config) pairs of configs grouped into stacks that step as one.
 
     Members of a stack share their step count and hold at most
     _STACK_UNKNOWNS unknowns (6N each) together; a larger member stacks
     alone.  Stacks and their members keep input order.
     """
     stacks = []
-    filling = {}  # n_steps -> (indices, unknowns) of the stack still open
+    filling = {}  # n_steps -> (members, unknowns) of the stack still open
     for index, cfg in enumerate(configs):
         size = 6 * cfg.n_elements
-        indices, unknowns = filling.get(cfg.n_steps, (None, 0))
-        if indices is None or unknowns + size > _STACK_UNKNOWNS:
-            indices, unknowns = [], 0
-            stacks.append(indices)
-        indices.append(index)
-        filling[cfg.n_steps] = (indices, unknowns + size)
+        members, unknowns = filling.get(cfg.n_steps, (None, 0))
+        if members is None or unknowns + size > _STACK_UNKNOWNS:
+            members, unknowns = [], 0
+            stacks.append(members)
+        members.append((index, cfg))
+        filling[cfg.n_steps] = (members, unknowns + size)
     return stacks
 
 
-def _run_stack(spec, configs, indices):
-    """(index, result, seconds) of configs[indices], which share a step count.
+def _run_stack(spec, members, on_step=None):
+    """(index, result) of each (index, config) in members, which share a step count.
 
     Members whose (kl, ku) agree step as one block-diagonal system, and a
-    mesh too large to stack steps condensed.
-    A member whose preparation raises gets that exception as its result.
-    seconds is the wall time of the whole stack.
+    mesh too large to stack steps condensed.  A member whose preparation
+    raises gets that exception as its result, and one whose final state is
+    not finite a ValueError.  on_step is run()'s, passed only for its one
+    member.
     """
-    start = time.perf_counter()
-    n_steps = configs[indices[0]].n_steps
+    n_steps = members[0][1].n_steps
     results = {}
     groups = {}
-    for index in indices:
+    for index, cfg in members:
         try:
-            a, system, factors = _prepare(spec, configs[index])
+            a, system, factors = _prepare(spec, cfg)
         except Exception as exc:  # reported per member; the others still run
             results[index] = exc
             continue
         if system is None:
             results[index] = a
-            continue
-        if _condensed(configs[index]):  # always alone in its stack
-            results[index] = _advance_condensed(system, factors, a, n_steps)
-            continue
-        right, reduced_to_full = system.right, system.reduced_to_full
-        member = (index, right, factors, a.full[reduced_to_full], reduced_to_full)
-        groups.setdefault((right.kl, right.ku), []).append(member)
-    for members in groups.values():
-        stacked, rights, factor_list, xs, maps = zip(*members)
+        elif _condensed(cfg):  # always alone in its stack
+            results[index] = _advance_condensed(system, factors, a, n_steps, on_step)
+        else:
+            right, reduced_to_full = system.right, system.reduced_to_full
+            member = (index, right, factors, a.full[reduced_to_full], reduced_to_full)
+            groups.setdefault((right.kl, right.ku), []).append(member)
+    for group in groups.values():
+        stacked, rights, factor_list, xs, maps = zip(*group)
         right, factors = block_diagonal(rights, factor_list)
-        x = _advance(right, factors, np.concatenate(xs), n_steps)
+        report = None if on_step is None else lambda k, x: on_step(_coefficients(maps[0], x, k))
+        x = _advance(right, factors, np.concatenate(xs), n_steps, report)
         parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
         for index, reduced_to_full, part in zip(stacked, maps, parts):
             results[index] = _coefficients(reduced_to_full, part, n_steps)
-    seconds = time.perf_counter() - start
-    return [(index, results[index], seconds) for index in indices]
+    for index, result in results.items():
+        if isinstance(result, CoefficientVector) and not np.all(np.isfinite(result.full)):
+            results[index] = ValueError(f"the solution is not finite after step {n_steps}")
+    return [(index, results[index]) for index, _ in members]
 
 
 def run_batch(spec, configs):
-    """Run every configuration on one problem, yielding (index, result, seconds).
+    """Run every configuration on one problem, yielding (index, result).
 
     index points into configs; result is the final CoefficientVector,
     bitwise equal to run(spec, configs[index]), or the exception that its
@@ -335,14 +325,16 @@ def run_batch(spec, configs):
     with the same step count are stacked into one block-diagonal banded
     system of at most 1024 unknowns, which steps faster than separate
     loops on small meshes; a larger mesh runs alone and condensed, as in
-    run().  seconds is the wall time of the stack the configuration ran
-    in, preparation included.  Results come stack by
-    stack, and each stack's matrices and states are freed before the next
-    one is assembled, so a caller that reduces each state as it arrives
-    holds only one stack at a time.
+    run().  A state that overflows to inf makes NaN of its stack mates
+    through 0 * inf in the band slots between the blocks, so they get its
+    ValueError too, also where their solo runs stay finite (N = 2 ... 8
+    next to N = 20 for 1e306 x (1 - x), dt = 0.01, one step).
+    Results come stack by stack, and each stack's matrices and states are
+    freed before the next one is assembled, so a caller that reduces each
+    state as it arrives holds only one stack at a time.
     """
-    for indices in _plan_stacks(configs):
-        yield from _run_stack(spec, configs, indices)
+    for members in _plan_stacks(configs):
+        yield from _run_stack(spec, members)
 
 
 def _locate(mesh, x):

@@ -17,7 +17,6 @@ from hermite_heat.assembly import (
     assemble_condensed,
     assemble_initial_system,
     element_blocks,
-    index_maps,
 )
 from hermite_heat.basis import RULES, build_basis_table
 from hermite_heat.linalg import band_lu_solve
@@ -160,14 +159,14 @@ def test_initial_system_boundary_block_structure(legendre, control):
     assert np.allclose(dense[12:18, 17], table.H[:, 7], atol=1e-15)
 
 
-def test_index_maps_omit_boundary_entries():
-    reduced_to_full, full_to_reduced = index_maps(4)
-    assert len(reduced_to_full) == 24
-    assert full_to_reduced[0] == -1
-    assert full_to_reduced[24] == -1
-    assert np.all(np.sort(reduced_to_full) == reduced_to_full)
-    # 6N collocation equations plus the 2 eliminated coefficients
-    assert len(reduced_to_full) + 2 == 26
+def test_index_maps_omit_boundary_entries(legendre, control):
+    """W and the step matrices share one map, which skips the eliminated
+    boundary values: full entries 0 and 6N of 6N + 2."""
+    mesh = build_mesh(control, 4)
+    initial = assemble_initial_system(mesh, legendre, control.initial_condition)
+    stepping = assemble_crank_nicolson(mesh, legendre, control.alpha, 0.01)
+    assert np.array_equal(initial.reduced_to_full, stepping.reduced_to_full)
+    assert np.array_equal(initial.reduced_to_full, np.delete(np.arange(26), [0, 24]))
 
 
 def test_condensed_system_shapes_and_interface_band(chebyshev, control):

@@ -1,16 +1,25 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hermite_heat
 from hermite_heat.cli import build_parser, main
+
+# the tree that holds the package under test, first on the child's path
+_SOURCE = str(Path(hermite_heat.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": _SOURCE + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "hermite_heat.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -215,18 +215,26 @@ def test_runs_are_bitwise_deterministic(legendre, control):
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
     """run() and step() share one kernel, also at N = 1 and 2, whose
-    matrices are narrower than their band."""
+    matrices are narrower than their band; every state run() reports
+    through on_step is the loop's state at that step, bitwise."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=n_elements, rule=rule)
     mesh = build_mesh(control, n_elements)
     system = assemble_crank_nicolson(mesh, rule, control.alpha, cfg.dt)
     factors = band_lu_factor(system.left)
     a = initial_coefficients(control, mesh, rule)
+    looped = []
     for _ in range(cfg.n_steps):
         a = step(system, factors, a)
-    final = run(control, cfg)
+        looped.append(a)
+    reported = []
+    final = run(control, cfg, on_step=reported.append)
     assert np.array_equal(final.full, a.full)
     assert final.time_index == a.time_index == 25
+    assert len(reported) == len(looped) == 25
+    for got, expected in zip(reported, looped):
+        assert got.time_index == expected.time_index
+        assert np.array_equal(got.full, expected.full)
 
 
 def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
@@ -338,12 +346,11 @@ def test_condensed_run_reports_nan_pivots(legendre):
 
 def batch_matches_solo_runs(spec, configs):
     outcomes = list(run_batch(spec, configs))
-    assert sorted(index for index, _, _ in outcomes) == list(range(len(configs)))
-    for index, state, seconds in outcomes:
+    assert sorted(index for index, _ in outcomes) == list(range(len(configs)))
+    for index, state in outcomes:
         solo = run(spec, configs[index])
         assert np.array_equal(state.full, solo.full), configs[index]
         assert state.time_index == solo.time_index
-        assert seconds >= 0.0
 
 
 @pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
@@ -396,11 +403,42 @@ def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
     configs = [
         RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in (2, 3, 4, 5)
     ]
-    outcomes = {index: state for index, state, _ in run_batch(spec, configs)}
+    outcomes = dict(run_batch(spec, configs))
     assert isinstance(outcomes[1], ValueError)
     with pytest.raises(ValueError):
         run(spec, configs[1])
     for index in (0, 2, 3):
+        assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+
+
+def overflowing_problem(scale):
+    return ProblemSpec(0.0, 1.0, 1.0, lambda x: scale * x * (1.0 - x))
+
+
+@pytest.mark.parametrize("n_elements", [3, 200])
+def test_run_rejects_a_state_that_overflows(n_elements, legendre):
+    """The initial coefficients of 1e307 x (1 - x) are finite, but one step
+    overflows them, on the banded (N = 3) and the condensed (N = 200) kernel."""
+    cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=n_elements, rule=legendre)
+    spec = overflowing_problem(1e307)
+    assert np.all(np.isfinite(initial_coefficients(spec, build_mesh(spec, n_elements), legendre).full))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="after step 1"):
+        run(spec, cfg)
+
+
+def test_run_batch_reports_overflow_per_member(legendre):
+    """At 1e307 every member overflows.  At 1e305 N = 1, 2 and 3 stay finite
+    and equal their solo runs bitwise, while N = 200 overflows."""
+    configs = [
+        RunConfig(dt=0.01, t_final=0.01, n_elements=n, rule=legendre) for n in (1, 2, 3, 200)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = dict(run_batch(overflowing_problem(1e307), configs))
+        assert all(isinstance(outcomes[index], ValueError) for index in range(4))
+        spec = overflowing_problem(1e305)
+        outcomes = dict(run_batch(spec, configs))
+    assert isinstance(outcomes[3], ValueError)
+    for index in (0, 1, 2):
         assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
 
 
@@ -443,7 +481,7 @@ def test_runs_refuse_step_factors_without_the_permuted_form(legendre, control, m
         with pytest.raises(ValueError, match="kl \\+ ku = "):
             run(control, cfg)
     configs = [RunConfig(dt=0.01, t_final=t, n_elements=4, rule=legendre) for t in (0.0, 0.02)]
-    outcomes = [state for _, state, _ in run_batch(control, configs)]
+    outcomes = [state for _, state in run_batch(control, configs)]
     assert np.array_equal(outcomes[0].full, a0.full)
     assert isinstance(outcomes[1], ValueError)
 
