@@ -20,8 +20,8 @@ form of the recursion instead (assemble_condensed).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from ._lapack import lapack as _lapack
 from .basis import build_basis_table
 from .linalg import BandedMatrix, check_pivots
 from .problem import collocation_abscissae
@@ -147,6 +147,19 @@ class CondensedSystem:
     interface_positions: np.ndarray
 
 
+def _solve_upper(r, b):
+    """R^-1 b for an upper triangular R, by LAPACK dtrtrs.
+
+    The memory of R in C order is R^T in Fortran order, so dtrtrs solves
+    (R^T)^T x = b as lower triangular and transposed, without a copy of R.
+    That is the call scipy.linalg.solve_triangular makes, bit for bit.
+    """
+    x, info = _lapack.dtrtrs(r.T, b, lower=1, trans=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs failed with info = {info}")
+    return x
+
+
 def assemble_condensed(mesh, rule, alpha, dt):
     """Statically condensed Crank-Nicolson step for a uniform mesh.
 
@@ -167,8 +180,8 @@ def assemble_condensed(mesh, rule, alpha, dt):
     r_b, q_1, q_2 = r[:4], q[:, :4], q[:, 4:]
     check_pivots(np.diag(r_b))
     shared = left[:, _SHARED]
-    coupling = solve_triangular(r_b, q_1.T @ shared)
-    element_rhs = np.vstack([solve_triangular(r_b, q_1.T @ difference), q_2.T @ difference])
+    coupling = _solve_upper(r_b, q_1.T @ shared)
+    element_rhs = np.vstack([_solve_upper(r_b, q_1.T @ difference), q_2.T @ difference])
     local_solve = np.hstack([-coupling[:, :2], np.eye(4), -coupling[:, 2:]])
     (interface,), reduced_to_full = _scatter(mesh.n_elements, q_2.T @ shared)
     # interface entry 2j + c (c = 0 value, 1 slope) belongs to node j: full index 6j + c

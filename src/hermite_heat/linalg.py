@@ -17,12 +17,13 @@ result is bitwise equal to it.  Everything is stored in Fortran order so
 the hot time-stepping loop never copies.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
+
+from ._lapack import blas as _blas
+from ._lapack import lapack as _lapack
 
 __all__ = [
     "SingularMatrix",
@@ -100,7 +101,8 @@ class LUFactors:
     perm and lower hold the same factors with the interchanges moved to the
     front, A[perm] = L U: lower is the unit lower triangular L with entry
     (i, j) at lower[i - j, j] (dtbsv's lower band storage, k = width).
-    Both are None when L would be wider than kl + ku (see band_lu_factor).
+    Both are None when L would be wider than kl + ku (see band_lu_factor),
+    and in factors made for a single solve.
     """
 
     n: int
@@ -174,8 +176,12 @@ def _front_interchanges(lu_bands, ipiv, n, kl, ku):
     return perm, lower
 
 
-def band_lu_factor(m):
-    """Factor A[perm] = LU within band storage (partial pivoting)."""
+def _interleaved_factors(m):
+    """dgbtrf's factors of m, without the permuted form.
+
+    Enough for a single solve, which band_lu_solve passes to dgbtrs; the
+    permuted form costs more to build than it saves there.
+    """
     ab = np.zeros((2 * m.kl + m.ku + 1, m.n), order="F")
     ab[m.kl :, :] = m.bands
     lu_bands, ipiv, info = _lapack.dgbtrf(ab, m.kl, m.ku, overwrite_ab=1)
@@ -184,8 +190,14 @@ def band_lu_factor(m):
     if info > 0:
         raise SingularMatrix(info)
     check_pivots(lu_bands[m.kl + m.ku, :])
-    perm, lower = _front_interchanges(lu_bands, ipiv, m.n, m.kl, m.ku)
-    return LUFactors(n=m.n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
+    return LUFactors(n=m.n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=None, lower=None)
+
+
+def band_lu_factor(m):
+    """Factor A[perm] = LU within band storage (partial pivoting)."""
+    factors = _interleaved_factors(m)
+    perm, lower = _front_interchanges(factors.lu_bands, factors.ipiv, m.n, m.kl, m.ku)
+    return replace(factors, perm=perm, lower=lower)
 
 
 def band_lu_solve(factors, b):

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas as _blas
 
+from ._lapack import blas as _blas
 from .assembly import (
     assemble_condensed,
     assemble_crank_nicolson,
     assemble_initial_system,
 )
 from .basis import CollocationRule, hermite_first_derivs, hermite_second_derivs, hermite_values
-from .linalg import band_lu_factor, band_lu_solve, block_diagonal
+from .linalg import _interleaved_factors, band_lu_factor, band_lu_solve, block_diagonal
 from .problem import build_mesh
 
 __all__ = [
@@ -113,9 +113,13 @@ def _coefficients(reduced_to_full, x, time_index):
 
 
 def initial_coefficients(spec, mesh, rule):
-    """Solve W a0 = b and scatter into the full coefficient layout."""
+    """Solve W a0 = b and scatter into the full coefficient layout.
+
+    W is solved once, so its factors skip the permuted form, which only
+    repeated solves pay back, and band_lu_solve hands them to dgbtrs.
+    """
     system = assemble_initial_system(mesh, rule, spec.initial_condition)
-    reduced = band_lu_solve(band_lu_factor(system.W), system.b)
+    reduced = band_lu_solve(_interleaved_factors(system.W), system.b)
     return _coefficients(system.reduced_to_full, reduced, 0)
 
 
@@ -303,17 +307,31 @@ def _run_stack(spec, members, on_step=None):
             member = (index, right, factors, a.full[reduced_to_full], reduced_to_full)
             groups.setdefault((right.kl, right.ku), []).append(member)
     for group in groups.values():
-        stacked, rights, factor_list, xs, maps = zip(*group)
-        right, factors = block_diagonal(rights, factor_list)
-        report = None if on_step is None else lambda k, x: on_step(_coefficients(maps[0], x, k))
-        x = _advance(right, factors, np.concatenate(xs), n_steps, report)
-        parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
-        for index, reduced_to_full, part in zip(stacked, maps, parts):
-            results[index] = _coefficients(reduced_to_full, part, n_steps)
+        results.update(_advance_group(group, n_steps, on_step))
     for index, result in results.items():
         if isinstance(result, CoefficientVector) and not np.all(np.isfinite(result.full)):
             results[index] = ValueError(f"the solution is not finite after step {n_steps}")
     return [(index, results[index]) for index, _ in members]
+
+
+def _advance_group(group, n_steps, on_step):
+    """(index, final state) of each banded member of group, stepped as one.
+
+    Where a state overflows, dgbmv's 0 * inf in the band slots between the
+    blocks makes NaN of its neighbours too, so a group of several members
+    that ends not finite steps each member again alone.
+    """
+    stacked, rights, factor_list, xs, maps = zip(*group)
+    right, factors = block_diagonal(rights, factor_list)
+    report = None if on_step is None else lambda k, x: on_step(_coefficients(maps[0], x, k))
+    x = _advance(right, factors, np.concatenate(xs), n_steps, report)
+    if len(group) > 1 and not np.all(np.isfinite(x)):
+        return [pair for member in group for pair in _advance_group([member], n_steps, None)]
+    parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
+    return [
+        (index, _coefficients(reduced_to_full, part, n_steps))
+        for index, reduced_to_full, part in zip(stacked, maps, parts)
+    ]
 
 
 def run_batch(spec, configs):
@@ -325,10 +343,9 @@ def run_batch(spec, configs):
     with the same step count are stacked into one block-diagonal banded
     system of at most 1024 unknowns, which steps faster than separate
     loops on small meshes; a larger mesh runs alone and condensed, as in
-    run().  A state that overflows to inf makes NaN of its stack mates
-    through 0 * inf in the band slots between the blocks, so they get its
-    ValueError too, also where their solo runs stay finite (N = 2 ... 8
-    next to N = 20 for 1e306 x (1 - x), dt = 0.01, one step).
+    run().  A stack with a state that is not finite at the end steps its
+    members again one by one, so a member that overflows gets a ValueError
+    without changing the results of its stack mates.
     Results come stack by stack, and each stack's matrices and states are
     freed before the next one is assembled, so a caller that reduces each
     state as it arrives holds only one stack at a time.

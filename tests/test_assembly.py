@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from hermite_heat import (
     ProblemSpec,
@@ -13,6 +14,7 @@ from hermite_heat import (
     initial_coefficients,
     run,
 )
+from hermite_heat import assembly
 from hermite_heat.assembly import (
     assemble_condensed,
     assemble_initial_system,
@@ -180,6 +182,22 @@ def test_condensed_system_shapes_and_interface_band(chebyshev, control):
         assert (interface.n, interface.kl, interface.ku) == (2 * n, 2, 2)
         nodal = [p for j in range(n + 1) for p in (6 * j, 6 * j + 1) if p not in (0, 6 * n)]
         assert system.interface_positions.tolist() == nodal
+
+
+@pytest.mark.parametrize("n_elements", [171, 200, 1000])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+@pytest.mark.parametrize("dt", [0.01, 1e-5])
+def test_condensed_system_solves_r_b_as_solve_triangular_does_bitwise(n_elements, kind, dt, monkeypatch):
+    """R_b^-1 is applied by LAPACK dtrtrs directly; the condensed system is
+    bitwise that of scipy.linalg.solve_triangular."""
+    mesh = build_mesh(ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0), n_elements)
+    rule = RULES[kind]()
+    system = assemble_condensed(mesh, rule, 1.0, dt)
+    monkeypatch.setattr(assembly, "_solve_upper", solve_triangular)
+    expected = assemble_condensed(mesh, rule, 1.0, dt)
+    assert np.array_equal(system.element_rhs, expected.element_rhs)
+    assert np.array_equal(system.local_solve, expected.local_solve)
+    assert np.array_equal(system.interface.bands, expected.interface.bands)
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])

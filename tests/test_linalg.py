@@ -8,6 +8,7 @@ from hermite_heat.assembly import assemble_condensed, assemble_crank_nicolson, a
 from hermite_heat.linalg import (
     BandedMatrix,
     SingularMatrix,
+    _interleaved_factors,
     band_lu_factor,
     band_lu_solve,
     block_diagonal,
@@ -292,6 +293,7 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_the_package_matrices(n_elements
         expected, info = lapack.dgbtrs(factors.lu_bands, m.kl, m.ku, b, factors.ipiv)
         assert info == 0
         assert np.array_equal(band_lu_solve(factors, b), expected), name
+        assert np.array_equal(band_lu_solve(_interleaved_factors(m), b), expected), name
 
 
 def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():

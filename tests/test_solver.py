@@ -442,6 +442,23 @@ def test_run_batch_reports_overflow_per_member(legendre):
         assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
 
 
+def test_an_overflowing_member_leaves_its_stack_mates_as_their_solo_runs(legendre):
+    """At 1e306 x (1 - x) one step overflows N = 20 but not N = 2, 3, 4
+    and 8.  All five fit one stack, where the overflow would reach the others
+    through 0 * inf in the band slots between their blocks."""
+    spec = overflowing_problem(1e306)
+    sizes = (2, 3, 4, 8, 20)
+    configs = [RunConfig(dt=0.01, t_final=0.01, n_elements=n, rule=legendre) for n in sizes]
+    assert len(solver._plan_stacks(configs)) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = dict(run_batch(spec, configs))
+        with pytest.raises(ValueError, match="after step 1"):
+            run(spec, configs[4])
+    assert isinstance(outcomes[4], ValueError)
+    for index in range(4):
+        assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+
+
 @pytest.mark.parametrize("n_elements", [4, 10, 40])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_banded_run_equals_the_interleaved_lapack_loop_bitwise(n_elements, kind, control):
