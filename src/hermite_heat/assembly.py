@@ -24,7 +24,7 @@ import numpy as np
 from ._lapack import lapack as _lapack
 from .basis import build_basis_table
 from .linalg import BandedMatrix, check_pivots
-from .problem import collocation_abscissae
+from .problem import _sample, collocation_abscissae
 
 __all__ = [
     "ElementBlocks",
@@ -204,7 +204,7 @@ def assemble_crank_nicolson(mesh, rule, alpha, dt):
 def assemble_initial_system(mesh, rule, f):
     """Assemble W and b so that W a0 = b interpolates f at the collocation points."""
     (W,), reduced_to_full = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
-    b = np.array([float(f(x)) for x in collocation_abscissae(mesh, rule.points).ravel()])
+    b = _sample("initial_condition", f, collocation_abscissae(mesh, rule.points).ravel())
     if not np.all(np.isfinite(b)):
         raise ValueError("initial condition is not finite at every collocation point")
     return InitialSystem(W=W, b=b, reduced_to_full=reduced_to_full)

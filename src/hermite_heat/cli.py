@@ -19,7 +19,7 @@ from .experiments import (
     table_spec,
 )
 from .linalg import SingularMatrix
-from .problem import build_mesh, control_problem
+from .problem import _sample, build_mesh, control_problem
 from .solver import NonIntegralStepCount, RunConfig, evaluate, run, run_batch
 
 
@@ -43,11 +43,11 @@ def _solve_rows(args):
     cfg = RunConfig(dt=args.dt, t_final=args.t_final, n_elements=args.n, rule=rule)
     a = run(problem, cfg)
     mesh = build_mesh(problem, args.n)
+    exact = _sample("exact_solution", problem.exact_solution, mesh.nodes, args.t_final)
     rows = []
-    for x in mesh.nodes:
+    for x, ex in zip(mesh.nodes, exact.tolist()):
         numeric = evaluate(mesh, a, x)
-        exact = float(problem.exact_solution(x, args.t_final))
-        rows.append((x, numeric, exact, abs(exact - numeric)))
+        rows.append((x, numeric, ex, abs(ex - numeric)))
     l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
     return rows, l2, linf
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import RULES, build_basis_table
-from .problem import build_mesh, collocation_abscissae, control_problem
+from .problem import _sample, build_mesh, collocation_abscissae, control_problem
 from .solver import RunConfig, run_batch
 
 __all__ = [
@@ -51,7 +51,7 @@ def error_norms(spec, mesh, rule, a, t):
     if spec.exact_solution is None:
         raise MissingExactSolution("problem has no exact solution to compare against")
     abscissae = collocation_abscissae(mesh, rule.points)
-    exact = np.array([[float(spec.exact_solution(x, t)) for x in row] for row in abscissae])
+    exact = _sample("exact_solution", spec.exact_solution, abscissae, t)
     errors = exact - _solution_at_collocation_points(mesh, rule, a)
     l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
     linf = float(np.max(np.abs(errors)))

@@ -30,13 +30,19 @@ class ProblemSpec:
     anything incompatible with the homogeneous Dirichlet conditions is
     rejected at construction.
     exact_solution(x, t) is optional and only needed for error norms.
+
+    Both callables take a float ndarray of abscissae x (and a float t) and
+    return values of x's shape; a constant is allowed, as it broadcasts.
+    The package samples each one in a single call per solve.  The
+    initial condition is called once here, on [x_left, x_right], so one
+    that cannot take an array is rejected at construction.
     """
 
     x_left: float
     x_right: float
     alpha: float
-    initial_condition: Callable[[float], float]
-    exact_solution: Optional[Callable[[float, float], float]] = None
+    initial_condition: Callable[[np.ndarray], np.ndarray]
+    exact_solution: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.x_left) and math.isfinite(self.x_right)):
@@ -46,13 +52,34 @@ class ProblemSpec:
         # alpha * alpha rather than alpha**2, which raises OverflowError
         if not (self.alpha > 0.0 and math.isfinite(self.alpha * self.alpha)):
             raise ValueError("alpha must be positive with a finite square")
-        for x in (self.x_left, self.x_right):
+        ends = (self.x_left, self.x_right)
+        values = _sample("initial_condition", self.initial_condition, np.array(ends))
+        for x, value in zip(ends, values):
             # written so that NaN fails too
-            if not abs(self.initial_condition(x)) <= _BOUNDARY_TOL:
+            if not abs(value) <= _BOUNDARY_TOL:
                 raise ValueError(
-                    f"initial condition must vanish at the boundary, got f({x}) = "
-                    f"{self.initial_condition(x)}"
+                    f"initial condition must vanish at the boundary, got f({x}) = {value}"
                 )
+
+
+def _sample(name, fn, x, *args):
+    """fn(x, *args) as a new float array of x's shape.
+
+    name is the ProblemSpec field that holds fn, for the error messages.
+    A result that does not broadcast to x's shape, and a callable that fails
+    on an array argument, raise ValueError.
+    """
+    try:
+        result = fn(x, *args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must take an ndarray of abscissae: {exc}") from exc
+    values = np.asarray(result, dtype=float)
+    try:
+        return np.array(np.broadcast_to(values, x.shape))
+    except ValueError:
+        raise ValueError(
+            f"{name} returned shape {values.shape} for abscissae of shape {x.shape}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -355,7 +355,8 @@ def run_batch(spec, configs):
 
 
 def _locate(mesh, x):
-    if x < mesh.nodes[0] or x > mesh.nodes[-1]:
+    # written so that NaN fails too
+    if not (mesh.nodes[0] <= x <= mesh.nodes[-1]):
         raise ValueError(f"x = {x} lies outside [{mesh.nodes[0]}, {mesh.nodes[-1]}]")
     k = min(max(int(math.floor((x - mesh.nodes[0]) / mesh.h)), 0), mesh.n_elements - 1)
     xi = min(max((x - mesh.nodes[k]) / mesh.h, 0.0), 1.0)

@@ -121,11 +121,11 @@ def test_initial_system_rejects_non_finite_data(legendre):
     """Data that vanishes at both ends but is NaN or inf inside is rejected
     before it can reach a solve."""
     for bad in (math.nan, math.inf):
-        spec = ProblemSpec(0.0, 1.0, 1.0, lambda x: bad if 0.4 < x < 0.6 else 0.0)
+        spec = ProblemSpec(0.0, 1.0, 1.0, lambda x: np.where((0.4 < x) & (x < 0.6), bad, 0.0))
         mesh = build_mesh(spec, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not finite"):
             assemble_initial_system(mesh, legendre, spec.initial_condition)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not finite"):
             run(spec, RunConfig(dt=0.1, t_final=0.1, n_elements=4, rule=legendre))
 
 

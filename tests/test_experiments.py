@@ -39,7 +39,7 @@ def test_constant_offset_error_norms(legendre, control):
         1.0,
         1.0,
         control.initial_condition,
-        exact_solution=lambda x, t: evaluate(mesh, a0, x) + 1e-3,
+        exact_solution=np.vectorize(lambda x, t: evaluate(mesh, a0, x) + 1e-3),
     )
     l2, linf = error_norms(offset, mesh, legendre, a0, 0.0)
     assert linf == pytest.approx(1e-3, rel=1e-12)
@@ -170,3 +170,37 @@ def test_run_table_captures_row_failures():
     good_results = [r for r in results if r.error is None]
     assert len(good_results) == 2  # one config, two reference norms
     assert {r.ref_norm for r in good_results} == {"l2", "linf"}
+
+
+def test_run_table_samples_f_and_exact_once_per_solve(control):
+    """Each solve calls the initial condition once (W a0 = b) and the exact
+    solution once (the norms), on arrays of all 6N abscissae; building the
+    spec adds one call of f, on its two ends."""
+    calls = {"f": 0, "exact": 0}
+
+    def f(x):
+        calls["f"] += 1
+        return control.initial_condition(x)
+
+    def exact(x, t):
+        calls["exact"] += 1
+        return control.exact_solution(x, t)
+
+    problem = ProblemSpec(0.0, 1.0, 1.0, f, exact_solution=exact)
+    assert calls == {"f": 1, "exact": 0}
+    results = run_table(table_spec(5), problem=problem)
+    solves = len(table_spec(5).rows) * 2
+    assert all(r.error is None for r in results)
+    assert calls == {"f": 1 + solves, "exact": solves}
+
+
+def test_error_norms_reject_an_exact_solution_that_breaks_the_array_contract(legendre, control):
+    mesh = build_mesh(control, 4)
+    a0 = initial_coefficients(control, mesh, legendre)
+    for exact, message in [
+        (lambda x, t: math.sin(math.pi * x), "exact_solution must take an ndarray"),
+        (lambda x, t: np.zeros(4), r"exact_solution returned shape \(4,\)"),
+    ]:
+        spec = ProblemSpec(0.0, 1.0, 1.0, control.initial_condition, exact_solution=exact)
+        with pytest.raises(ValueError, match=message):
+            error_norms(spec, mesh, legendre, a0, 0.0)

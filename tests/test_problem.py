@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hermite_heat import ProblemSpec, build_mesh, control_problem, legendre_rule
+from hermite_heat.assembly import assemble_initial_system
+from hermite_heat.basis import RULES
 from hermite_heat.problem import collocation_abscissae
 
 
@@ -47,6 +49,17 @@ def test_problem_rejects_incompatible_initial_condition():
             ProblemSpec(0.0, 1.0, 1.0, lambda x: bad, exact_solution=lambda x, t: 0.0)
 
 
+def test_problem_rejects_a_callable_that_breaks_the_array_contract():
+    """The initial condition takes an ndarray and returns its shape (or a
+    constant); construction probes it once, on [x_left, x_right]."""
+    for f in (lambda x: math.sin(math.pi * x), lambda x: x * (1 - x) if x > 0.0 else 0.0):
+        with pytest.raises(ValueError, match="initial_condition must take an ndarray"):
+            ProblemSpec(0.0, 1.0, 1.0, f)
+    with pytest.raises(ValueError, match=r"initial_condition returned shape \(3,\)"):
+        ProblemSpec(0.0, 1.0, 1.0, lambda x: np.zeros(3))
+    assert ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0).x_right == 1.0
+
+
 def test_problem_rejects_bad_domain_and_alpha():
     f = lambda x: 0.0
     with pytest.raises(ValueError):
@@ -79,6 +92,23 @@ def test_control_problem_exact_values():
     assert prob.exact_solution(0.5, 1.0) == pytest.approx(5.1723e-5, rel=1e-4)
     assert abs(prob.initial_condition(0.0)) < 1e-15
     assert abs(prob.initial_condition(1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+@pytest.mark.parametrize("n_elements", [5, 40, 1000])
+def test_control_problem_array_calls_equal_scalar_calls_bitwise(n_elements, kind):
+    """One array call gives bitwise the per-point scalar values, for the
+    initial data b and the exact solution: Table 3's roundoff floor reacts
+    to any change in them."""
+    control = control_problem()
+    rule = RULES[kind]()
+    mesh = build_mesh(control, n_elements)
+    x = collocation_abscissae(mesh, rule.points)
+    b = assemble_initial_system(mesh, rule, control.initial_condition).b
+    assert np.array_equal(b, [float(control.initial_condition(v)) for v in x.ravel()])
+    for t in (0.1, 0.5, 1.0):
+        scalar = [[float(control.exact_solution(v, t)) for v in row] for row in x]
+        assert np.array_equal(control.exact_solution(x, t), scalar)
 
 
 def test_collocation_abscissa_examples():

@@ -397,15 +397,14 @@ def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
     target = collocation_abscissae(build_mesh(control, 3), legendre.points)[1, 2]
     for n in (2, 4, 5):
         assert target not in collocation_abscissae(build_mesh(control, n), legendre.points)
-    spec = ProblemSpec(
-        0.0, 1.0, 1.0, lambda x: math.nan if x == target else math.sin(math.pi * x)
-    )
+    spec = ProblemSpec(0.0, 1.0, 1.0, lambda x: np.where(x == target, math.nan, np.sin(np.pi * x)))
     configs = [
         RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in (2, 3, 4, 5)
     ]
     outcomes = dict(run_batch(spec, configs))
     assert isinstance(outcomes[1], ValueError)
-    with pytest.raises(ValueError):
+    assert "not finite" in str(outcomes[1])
+    with pytest.raises(ValueError, match="not finite"):
         run(spec, configs[1])
     for index in (0, 2, 3):
         assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
@@ -521,6 +520,15 @@ def test_evaluate_outside_domain(legendre, control):
         evaluate(mesh, a0, -0.1)
     with pytest.raises(ValueError):
         evaluate(mesh, a0, 1.1)
+
+
+def test_evaluate_rejects_a_nan_abscissa(legendre, control):
+    """NaN fails the domain check rather than the element index's int()."""
+    mesh = build_mesh(control, 4)
+    a0 = initial_coefficients(control, mesh, legendre)
+    for evaluator in (evaluate, evaluate_derivatives):
+        with pytest.raises(ValueError, match="lies outside"):
+            evaluator(mesh, a0, math.nan)
 
 
 def test_element_boundary_evaluations_agree_bitwise(legendre, control):
