@@ -1,7 +1,7 @@
 """The LAPACK and BLAS wrappers of scipy.linalg, without importing scipy.linalg.
 
 The package calls a handful of f2py wrappers (dgbtrf, dgbtrs, dlaswp and
-dtrtrs; dgbmv and dtbsv), all of which live in two extension modules,
+zgetrf; dgbmv and dtbsv), all of which live in two extension modules,
 scipy/linalg/_flapack and _fblas.  Importing scipy.linalg to reach them
 costs about 0.3 s with scipy 1.17.1 and numpy 2.4.6: scipy's array-API
 shim runs `from numpy import *`, which resolves numpy's lazy numpy.f2py

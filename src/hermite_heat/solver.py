@@ -1,17 +1,18 @@
 """Time-stepping pipeline and evaluation of the numerical solution.
 
-A run interpolates the initial condition (W a0 = b), assembles and factors
-the Crank-Nicolson matrix L once, then advances the coefficient vector
-through M = t_final / dt solves of L a^{n+1} = R a^n.  The full coefficient
-vector keeps the two eliminated boundary entries pinned at zero so that
-evaluation code can index elements uniformly.
+A run interpolates the initial condition (W a0 = b), then advances the
+coefficient vector through M = t_final / dt Crank-Nicolson steps
+L a^{n+1} = R a^n.  The full coefficient vector keeps the two eliminated
+boundary entries pinned at zero so that evaluation code can index elements
+uniformly.
 
 Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
-L, and run_batch stacks them.  Larger meshes step alone, through the
-statically condensed system of assembly.assemble_condensed, whose step
-costs about 0.55 of the banded one at N = 180 and 0.4 at N = 1000.  Both
-kernels solve with the factors' row interchanges moved to the front
-(linalg.LUFactors): one gather and two BLAS dtbsv calls per step.
+L, factored once, and run_batch stacks them; each step is one dgbmv, one
+gather and two BLAS dtbsv calls (linalg.LUFactors).  Larger meshes step
+alone, through their Fourier modes: one real FFT of the state's odd
+extension splits the run into N + 1 independent 6 x 6 complex problems,
+each powered in log2(M) batched products, and one inverse FFT returns the
+final state (_propagator, _advance_modes).
 """
 
 import math
@@ -19,16 +20,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import blas as _blas
-from .assembly import (
-    assemble_condensed,
-    assemble_crank_nicolson,
-    assemble_initial_system,
-)
-from .basis import CollocationRule, hermite_first_derivs, hermite_second_derivs, hermite_values
-from .linalg import _interleaved_factors, band_lu_factor, band_lu_solve, block_diagonal
+from ._lapack import lapack as _lapack
+from .assembly import assemble_crank_nicolson, assemble_initial_system, element_blocks
+from .basis import CollocationRule, build_basis_table, hermite_values
+from .basis import hermite_first_derivs, hermite_second_derivs
+from .linalg import SingularMatrix, _interleaved_factors, band_lu_factor, band_lu_solve
+from .linalg import block_diagonal
 from .problem import build_mesh
 
 __all__ = [
@@ -49,7 +48,7 @@ _STEP_COUNT_RTOL = 1e-9
 # about 1 us of call overhead per member and step (x86_64, OpenBLAS), a
 # gain that fades by about 1000 unknowns; near 10**4 unknowns the stack's
 # bands (256 bytes per unknown) outgrow the L2 cache and stacking loses.
-# A mesh above it always steps alone, through the condensed kernel.
+# A mesh above it always steps alone, through its Fourier modes.
 _STACK_UNKNOWNS = 1024
 
 
@@ -152,40 +151,114 @@ def _advance(right, factors, x, n_steps, on_step=None):
     return x
 
 
-def _advance_condensed(system, factors, a, n_steps, on_step=None):
-    """Step a n_steps times as a <- a + L^-1 (D a), through the condensed system.
+def _symbols(block, n_elements):
+    """B_0 + e^{i theta} B_1 for theta = pi m / N, m = 0 .. N, as (N + 1) x 6 x 6.
 
-    factors is the LU factorization of system.interface, in its permuted
-    form.  Each step takes one product of the element windows of a with G,
-    one gather of the interface right-hand sides in pivot order, two dtbsv
-    for the 2N nodal increments, and one product with P for the local
-    ones, then adds the increment to a in place; the boundary entries stay
-    0.0.  on_step, if given, is called with a CoefficientVector after each
-    step.  Returns the final CoefficientVector.
+    B_0 is the 6 x 8 element block's first six columns, on the element's
+    own state, and B_1 its last two, on the next element's value and slope.
     """
-    full = a.full.copy()
-    delta = np.zeros_like(full)
-    windows = sliding_window_view(full, 8)[::6]
-    delta_windows = sliding_window_view(delta, 8)[::6]
-    delta_local = delta[:-2].reshape(-1, 6)[:, 2:]
-    element_rhs = np.ascontiguousarray(system.element_rhs.T)
-    local_solve = np.ascontiguousarray(system.local_solve.T)
-    positions = system.interface_positions
-    # interface row i is column 4 + i % 2 of element i // 2's right-hand sides
-    gather = 6 * (factors.perm // 2) + 4 + factors.perm % 2
-    lower, width = factors.lower, factors.width
-    upper, upper_width = factors.lu_bands, factors.kl + factors.ku
-    dtbsv = _blas.dtbsv
-    for k in range(1, n_steps + 1):
-        rhs = windows @ element_rhs
-        y = dtbsv(width, lower, rhs.ravel()[gather], 1, 0, 1, 0, 1, 1)
-        delta[positions] = dtbsv(upper_width, upper, y, 1, 0, 0, 0, 0, 1)
-        delta_local[...] = rhs[:, :4]
-        delta_local[...] = delta_windows @ local_solve
-        full += delta
-        if on_step is not None:
-            on_step(CoefficientVector(full=full.copy(), time_index=k))
-    return CoefficientVector(full=full, time_index=n_steps)
+    phase = np.exp(1j * np.pi / n_elements * np.arange(n_elements + 1))
+    symbols = np.repeat(block[None, :, :6].astype(complex), n_elements + 1, axis=0)
+    symbols[:, :, :2] += phase[:, None, None] * block[:, 6:]
+    return symbols
+
+
+def _propagator(mesh, rule, alpha, dt):
+    """E(theta) = L(theta)^-1 D(theta) for the N + 1 Fourier modes of the mesh.
+
+    On a uniform mesh with symmetric collocation points the odd extension
+    of a state (_extend) steps by a block-circulant matrix (P. J. Davis,
+    Circulant Matrices, 1979), so a real FFT over the element index splits
+    a <- a + L^-1 (D a) into one 6 x 6 problem per mode.  D = (alpha**2 /
+    h**2) B is built directly rather than as R - L.
+
+    Raises SingularMatrix at the first row of L's element block that is
+    not finite (numpy's solve does not check; it is that row of L(0)), or
+    at the zero pivot of a singular L(theta), the symbols counted as one
+    block diagonal.
+    """
+    n = mesh.n_elements
+    table = build_basis_table(rule, mesh.h)
+    block = element_blocks(table, alpha, dt).left
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise SingularMatrix(int(np.argmin(finite)) + 1)
+    left = _symbols(block, n)
+    try:
+        propagator = np.linalg.solve(left, _symbols((alpha**2 / mesh.h**2) * table.B, n))
+    except np.linalg.LinAlgError:
+        for m, symbol in enumerate(left):
+            info = _lapack.zgetrf(symbol)[2]
+            if info > 0:
+                raise SingularMatrix(6 * m + info) from None
+        raise
+    return propagator
+
+
+def _extend(full, n):
+    """The 2N x 6 element states of full's odd extension past x_right.
+
+    Element k < N is full[6k : 6k + 6], ordered (v, s, u''L, u'''L, u'''R,
+    u''R).  Element N + j mirrors element N - 1 - j, whose ends swap and
+    whose value and u'' change sign: [-v, s] of node N - j, then
+    [-u''R, u'''R, u'''L, -u''L] of element N - 1 - j.
+    """
+    own = full[: 6 * n].reshape(n, 6)
+    mirrored = np.column_stack([full[6 * n : 0 : -6], full[6 * n + 1 : 1 : -6], own[::-1, :1:-1]])
+    return np.concatenate([own, mirrored * [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]])
+
+
+def _restrict(extended, n, time_index):
+    """The CoefficientVector of the first N elements and node N of an extended state.
+
+    The boundary values are set to exactly 0.0, as the extension holds them
+    only to rounding.
+    """
+    full = np.zeros(6 * n + 2)
+    full[: 6 * n] = extended[:n].ravel()
+    full[0] = 0.0
+    full[6 * n + 1] = extended[n, 1]
+    return CoefficientVector(full=full, time_index=time_index)
+
+
+def _power(propagator, modes, n_steps):
+    """Apply (I + E)^n_steps to the (N + 1) x 6 modes, in place.
+
+    I + F = (I + E)^(2^k) is squared in delta form, F <- 2F + F^2, which
+    keeps the digits of a small E (N. J. Higham, Functions of Matrices,
+    2008), and each F whose bit is set in n_steps is applied as
+    modes <- modes + F modes: log2(n_steps) batched products in all.
+    """
+    power, square = propagator, None
+    while True:
+        if n_steps & 1:
+            modes += (power @ modes[:, :, None])[:, :, 0]
+        n_steps >>= 1
+        if n_steps == 0:
+            return
+        if square is None:  # then square in place: new arrays cost more to fault in
+            power, square = power.copy(), np.empty_like(power)
+        np.matmul(power, power, out=square)
+        power *= 2.0
+        power += square
+
+
+def _advance_modes(propagator, a, n_steps, on_step=None):
+    """The CoefficientVector n_steps steps after a: one FFT, _power, one inverse FFT.
+
+    With on_step the modes step by E one level at a time (the n_steps = 1
+    case of _power), with one inverse FFT per level.  numpy.fft is reached
+    only here, so importing the package does not load it.
+    """
+    n = (len(a.full) - 2) // 6
+    modes = np.fft.rfft(_extend(a.full, n), axis=0)
+    if on_step is None:
+        _power(propagator, modes, n_steps)
+    else:
+        for k in range(1, n_steps + 1):
+            _power(propagator, modes, 1)
+            on_step(_restrict(np.fft.irfft(modes, 2 * n, axis=0), n, k))
+    return _restrict(np.fft.irfft(modes, 2 * n, axis=0), n, n_steps)
 
 
 def step(system, factors, a):
@@ -193,9 +266,9 @@ def step(system, factors, a):
 
     This is one step of the banded loop that run() uses for meshes with
     6N <= 1024 unknowns, so for those a hand-written loop of step()
-    reproduces run() bitwise.  Larger meshes run() steps through the
-    condensed kernel, which agrees with a loop of step() only to within
-    the banded solve's forward error (see below).
+    reproduces run() bitwise.  Larger meshes run() steps through their
+    Fourier modes, which agree with a loop of step() only to within the
+    banded solve's forward error (see below).
 
     Accuracy: the banded LU solve is backward stable, so the computed a_next
     exactly solves a system whose matrix differs from L by a small multiple
@@ -210,34 +283,32 @@ def step(system, factors, a):
     return _coefficients(reduced_to_full, x, a.time_index + 1)
 
 
-def _condensed(cfg):
-    """Whether cfg's mesh is too large to stack, and so steps condensed."""
+def _modal(cfg):
+    """Whether cfg's mesh is too large to stack, and so steps by Fourier modes."""
     return 6 * cfg.n_elements > _STACK_UNKNOWNS
 
 
 def _prepare(spec, cfg):
-    """Initial state, and for a run with steps its system and that system's factors.
+    """Initial state, and for a run with steps what its kernel steps with.
 
-    The system is the condensed one, with the factors of its interface
-    matrix, for meshes too large to stack; otherwise L and R with the
-    factors of L.  Raises ValueError if those factors have no permuted
-    form, which no matrix the package builds has been found to lack.
+    That is the propagator of the Fourier modes (and no factors) for a mesh
+    too large to stack, and otherwise L and R with the factors of L.
+    Raises ValueError if those factors have no permuted form, which no
+    matrix the package builds has been found to lack.
     """
     mesh = build_mesh(spec, cfg.n_elements)
     a = initial_coefficients(spec, mesh, cfg.rule)
     if cfg.n_steps == 0:
         return a, None, None
-    if _condensed(cfg):
-        system = assemble_condensed(mesh, cfg.rule, spec.alpha, cfg.dt)
-        matrix = system.interface
-    else:
-        system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
-        matrix = system.left
-    factors = band_lu_factor(matrix)
+    if _modal(cfg):
+        return a, _propagator(mesh, cfg.rule, spec.alpha, cfg.dt), None
+    system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
+    factors = band_lu_factor(system.left)
     if factors.lower is None:
+        left = system.left
         raise ValueError(
-            f"the row interchanges of the {matrix.n} x {matrix.n} step matrix widen "
-            f"its lower factor past kl + ku = {matrix.kl + matrix.ku}"
+            f"the row interchanges of the {left.n} x {left.n} step matrix widen "
+            f"its lower factor past kl + ku = {left.kl + left.ku}"
         )
     return a, system, factors
 
@@ -245,14 +316,22 @@ def _prepare(spec, cfg):
 def run(spec, cfg, on_step=None):
     """Run the whole pipeline and return the final coefficient vector.
 
-    The step's matrix is factored once and reused for all steps.  Meshes
-    with 6N <= 1024 unknowns advance the reduced 6N-vector through the
-    banded LU of L without building a CoefficientVector per step; larger
-    ones step through the condensed kernel, in 0.4 to 0.55 of the time.
+    Meshes with 6N <= 1024 unknowns factor L once and advance the reduced
+    6N-vector through its banded LU, without building a CoefficientVector
+    per step.  Larger ones step by their Fourier modes: M steps cost one
+    batched solve of the N + 1 symbols and log2(M) batched products (Table
+    4's N = 1000 row, M = 1000, takes about 19 ms on a shared 2-vCPU x86_64
+    host).  These agree with a loop of step() to within the banded solve's
+    forward error.
+
     If on_step is given it is called with a CoefficientVector of each new
     time level (time_index 1 .. n_steps); nothing is retained otherwise,
-    so million-step runs stay flat in memory.  run is run_batch's stack of
-    one member, and raises the exception that member's result would hold.
+    so million-step runs stay flat in memory.  Above the stacking line
+    on_step makes the modes step by E(theta) one level at a time, with one
+    inverse FFT per level, so the final state differs from a run without
+    on_step by rounding: 9.1e-12 of the largest coefficient at N = 180
+    after 25 steps.  run is run_batch's stack of one member, and raises
+    the exception that member's result would hold.
     """
     ((_, result),) = _run_stack(spec, [(0, cfg)], on_step)
     if isinstance(result, Exception):
@@ -284,10 +363,10 @@ def _run_stack(spec, members, on_step=None):
     """(index, result) of each (index, config) in members, which share a step count.
 
     Members whose (kl, ku) agree step as one block-diagonal system, and a
-    mesh too large to stack steps condensed.  A member whose preparation
-    raises gets that exception as its result, and one whose final state is
-    not finite a ValueError.  on_step is run()'s, passed only for its one
-    member.
+    mesh too large to stack steps by its Fourier modes.  A member whose
+    preparation raises gets that exception as its result, and one whose
+    final state is not finite a ValueError.  on_step is run()'s, passed only
+    for its one member.
     """
     n_steps = members[0][1].n_steps
     results = {}
@@ -300,8 +379,8 @@ def _run_stack(spec, members, on_step=None):
             continue
         if system is None:
             results[index] = a
-        elif _condensed(cfg):  # always alone in its stack
-            results[index] = _advance_condensed(system, factors, a, n_steps, on_step)
+        elif _modal(cfg):  # always alone in its stack
+            results[index] = _advance_modes(system, a, n_steps, on_step)
         else:
             right, reduced_to_full = system.right, system.reduced_to_full
             member = (index, right, factors, a.full[reduced_to_full], reduced_to_full)
@@ -342,8 +421,8 @@ def run_batch(spec, configs):
     run raised, and the other configurations still run.  Configurations
     with the same step count are stacked into one block-diagonal banded
     system of at most 1024 unknowns, which steps faster than separate
-    loops on small meshes; a larger mesh runs alone and condensed, as in
-    run().  A stack with a state that is not finite at the end steps its
+    loops on small meshes; a larger mesh runs alone, by its Fourier modes,
+    as in run().  A stack with a state that is not finite at the end steps its
     members again one by one, so a member that overflows gets a ValueError
     without changing the results of its stack mates.
     Results come stack by stack, and each stack's matrices and states are

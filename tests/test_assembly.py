@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from hermite_heat import (
     ProblemSpec,
@@ -14,12 +13,7 @@ from hermite_heat import (
     initial_coefficients,
     run,
 )
-from hermite_heat import assembly
-from hermite_heat.assembly import (
-    assemble_condensed,
-    assemble_initial_system,
-    element_blocks,
-)
+from hermite_heat.assembly import assemble_initial_system, element_blocks
 from hermite_heat.basis import RULES, build_basis_table
 from hermite_heat.linalg import band_lu_solve
 
@@ -171,53 +165,21 @@ def test_index_maps_omit_boundary_entries(legendre, control):
     assert np.array_equal(initial.reduced_to_full, np.delete(np.arange(26), [0, 24]))
 
 
-def test_condensed_system_shapes_and_interface_band(chebyshev, control):
-    """The interface matrix has two rows per element, bandwidths 2, and one
-    unknown per nodal value and slope except the two boundary values."""
-    for n in (2, 5, 200):
-        system = assemble_condensed(build_mesh(control, n), chebyshev, 1.0, 0.01)
-        assert system.element_rhs.shape == (6, 8)
-        assert system.local_solve.shape == (4, 8)
-        interface = system.interface
-        assert (interface.n, interface.kl, interface.ku) == (2 * n, 2, 2)
-        nodal = [p for j in range(n + 1) for p in (6 * j, 6 * j + 1) if p not in (0, 6 * n)]
-        assert system.interface_positions.tolist() == nodal
-
-
-@pytest.mark.parametrize("n_elements", [171, 200, 1000])
-@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
-@pytest.mark.parametrize("dt", [0.01, 1e-5])
-def test_condensed_system_solves_r_b_as_solve_triangular_does_bitwise(n_elements, kind, dt, monkeypatch):
-    """R_b^-1 is applied by LAPACK dtrtrs directly; the condensed system is
-    bitwise that of scipy.linalg.solve_triangular."""
-    mesh = build_mesh(ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0), n_elements)
-    rule = RULES[kind]()
-    system = assemble_condensed(mesh, rule, 1.0, dt)
-    monkeypatch.setattr(assembly, "_solve_upper", solve_triangular)
-    expected = assemble_condensed(mesh, rule, 1.0, dt)
-    assert np.array_equal(system.element_rhs, expected.element_rhs)
-    assert np.array_equal(system.local_solve, expected.local_solve)
-    assert np.array_equal(system.interface.bands, expected.interface.bands)
-
-
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_step_matrices_keep_their_permuted_lower_factor_within_kl_plus_ku(kind):
     """Runs refuse step matrices whose interchanges, moved to the front,
     widen L past kl + ku (solver._prepare), so pin the width here, on a
     subset of the grid alpha = 1e-6 ... 1e50, dt = 1e-12 ... 1e2 and
     N = 1 ... 3000.  That grid measured 5-9 for L (kl = ku = 5 at N = 1, 6
-    from N = 2) and 2-3 for S (kl = ku = 2; 1 at N = 1, where kl = ku = 1);
-    W measured 5-9 too."""
+    from N = 2); W measured 5-9 too."""
     rule = RULES[kind]()
     for n in (1, 2, 5, 40, 171, 1000):
         mesh = build_mesh(ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0), n)
         for alpha in (1e-6, 1.0, 1e50):
             for dt in (1e-12, 1e-3, 1e2):
-                left = assemble_crank_nicolson(mesh, rule, alpha, dt).left
-                interface = assemble_condensed(mesh, rule, alpha, dt).interface
-                for m in (left, interface):
-                    width = band_lu_factor(m).width
-                    assert width is not None and width <= m.kl + m.ku, (n, alpha, dt, m.n)
+                m = assemble_crank_nicolson(mesh, rule, alpha, dt).left
+                width = band_lu_factor(m).width
+                assert width is not None and width <= m.kl + m.ku, (n, alpha, dt, m.n)
 
 
 def test_band_sparsity_bound(legendre, control):

@@ -74,13 +74,15 @@ def test_solve_rejects_non_finite_flags_and_zero_steps(flag, value, code, messag
     assert message in capsys.readouterr().err
 
 
-def test_solve_reports_nan_pivots(capsys):
+@pytest.mark.parametrize("n, t_final", [("4", "1"), ("200", "0.01")])
+def test_solve_reports_nan_pivots(n, t_final, capsys):
     """alpha**2 / h**2 overflows to inf in L, whose factorization then holds
-    NaN pivots; they are reported, not stepped through."""
-    assert main(["solve", "--n", "4", "--dt", "0.01", "--t-final", "1", "--alpha", "1e154"]) == 1
+    NaN pivots (N = 4, banded), or whose element block is not finite (N =
+    200, Fourier modes); they are reported, not stepped through."""
+    assert main(["solve", "--n", n, "--dt", "0.01", "--t-final", t_final, "--alpha", "1e154"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert any(line.startswith("error:") for line in captured.err.splitlines())
+    assert any(line.startswith("error:") and "singular" in line for line in captured.err.splitlines())
 
 
 @pytest.mark.parametrize(

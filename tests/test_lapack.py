@@ -37,9 +37,11 @@ def run_python(code):
 
 
 def test_import_leaves_scipy_linalg_and_numpy_f2py_unloaded():
+    """numpy.fft too: the Fourier-mode kernel reaches it only when it runs."""
     code = "import json, sys, hermite_heat; print(json.dumps(sorted(sys.modules)))"
     modules = json.loads(run_python(code)[0])
     assert "scipy.linalg" not in modules and "numpy.f2py" not in modules
+    assert "numpy.fft" not in modules
     assert [m for m in modules if m.startswith("scipy.linalg")] == [
         "scipy.linalg._fblas",
         "scipy.linalg._flapack",
@@ -54,7 +56,8 @@ assert sys.modules["scipy.linalg._flapack"] is _lapack.lapack
 assert sys.modules["scipy.linalg._fblas"] is _lapack.blas
 import scipy.linalg
 assert scipy.linalg.lapack.dgbtrf is _lapack.lapack.dgbtrf
-assert scipy.linalg.lapack.dtrtrs is _lapack.lapack.dtrtrs
+assert scipy.linalg.lapack.dgbtrs is _lapack.lapack.dgbtrs
+assert scipy.linalg.lapack.zgetrf is _lapack.lapack.zgetrf
 assert scipy.linalg.blas.dgbmv is _lapack.blas.dgbmv
 assert scipy.linalg.blas.dtbsv is _lapack.blas.dtbsv
 print("ok")

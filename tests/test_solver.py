@@ -24,11 +24,11 @@ from hermite_heat import (
     step,
     table_spec,
 )
-from hermite_heat.assembly import assemble_condensed
-from hermite_heat.basis import RULES
+from hermite_heat.assembly import ElementBlocks, element_blocks
+from hermite_heat.basis import RULES, build_basis_table
 from hermite_heat.problem import collocation_abscissae
 from hermite_heat import solver
-from hermite_heat.solver import CoefficientVector, _advance_condensed, run_batch
+from hermite_heat.solver import CoefficientVector, run_batch
 
 
 def quadratic_problem():
@@ -259,9 +259,10 @@ def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_condensed_run_meets_the_closed_form_crank_nicolson_error(kind, control):
-    """N = 180 (1080 unknowns) steps condensed.  Its L2 error after 10**4
-    steps matched the closed form to 5.7e-6 (Legendre) and 6.2e-6
-    (Chebyshev) relative; the banded kernel missed it by 4.7e-4 and 2.1e-3."""
+    """N = 180 (1080 unknowns) steps by its Fourier modes.  Its L2 error
+    after 10**4 steps matched the closed form to 1.1e-5 (Legendre) and
+    8.0e-6 (Chebyshev) relative; the banded kernel missed it by 4.7e-4 and
+    2.1e-3."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=1e-5, t_final=0.1, n_elements=180, rule=rule)
     l2, _ = error_norms(control, build_mesh(control, 180), rule, run(control, cfg), cfg.t_final)
@@ -269,12 +270,15 @@ def test_condensed_run_meets_the_closed_form_crank_nicolson_error(kind, control)
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
-def test_condensed_run_agrees_with_a_loop_of_banded_step(kind, control):
-    """run() at N = 180 steps condensed, step() banded, so they agree to
-    rounding, not bitwise.  After 25 steps the largest difference measured
-    3.7e-7 (Legendre) and 3.4e-7 (Chebyshev) of the largest coefficient:
-    the banded solve's forward error, cond_inf(L) * eps = 1.5e-6 and 1.1e-6
-    here.  on_step still sees every level, boundary entries exactly zero."""
+def test_modal_run_agrees_with_a_loop_of_banded_step(kind, control):
+    """run() at N = 180 steps by its Fourier modes, step() banded, so they
+    agree to rounding, not bitwise.  After 25 steps the largest difference
+    measured 3.4e-7 (Legendre) and 2.3e-7 (Chebyshev) of the largest
+    coefficient: the banded solve's forward error, cond_inf(L) * eps = 1.5e-6
+    and 1.1e-6 here.  With on_step every level 1 .. 25 is reported, with its
+    boundary entries exactly zero, and the final state, stepped one level
+    at a time, differs from run() without on_step by 9.1e-12 (Legendre) and
+    2.9e-12 (Chebyshev) of the largest coefficient."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=180, rule=rule)
     mesh = build_mesh(control, 180)
@@ -294,6 +298,9 @@ def test_condensed_run_agrees_with_a_loop_of_banded_step(kind, control):
     assert final.time_index == 25
     assert final.full[0] == 0.0 and final.full[6 * 180] == 0.0
     assert np.max(np.abs(final.full - a.full)) <= 4e-6 * np.max(np.abs(a.full))
+    powered = run(control, cfg)
+    assert powered.time_index == 25
+    assert np.max(np.abs(final.full - powered.full)) <= 1e-10 * np.max(np.abs(powered.full))
 
 
 @pytest.mark.parametrize("n_elements", [1, 2, 4])
@@ -316,32 +323,150 @@ def test_banded_step_matches_a_dense_solve(n_elements, kind, control):
     assert np.max(np.abs(advanced.full - expected)) <= bound
 
 
-@pytest.mark.parametrize("n_elements", [1, 2, 3, 7, 16])
+def septic_problem(alpha):
+    """A degree-7 polynomial vanishing at both ends, which excites every mode."""
+    return ProblemSpec(
+        0.0, 1.0, alpha, lambda x: x * (1 - x) * (1 + 2 * x - x**2 + 0.3 * x**3 - 0.2 * x**4 + 0.1 * x**5)
+    )
+
+
+def bump_problem(alpha):
+    """A bump on the non-unit domain [-1, 2]."""
+    return ProblemSpec(-1.0, 2.0, alpha, lambda x: (x + 1) ** 2 * (2 - x) ** 2 * np.exp(x))
+
+
+def mirror_asymmetry(block):
+    """max |block - its mirror image| / max |block| for a 6 x 8 element block.
+
+    Mirroring the element (xi -> 1 - xi) reverses the collocation points and
+    swaps its ends; value and u'' keep their sign, slope and u''' change it.
+    The tabulated blocks are symmetric only to rounding.
+    """
+    mirrored = block[::-1][:, [6, 7, 5, 4, 3, 2, 0, 1]] * np.array([1, -1, 1, -1, -1, 1, 1, -1])
+    return np.max(np.abs(block - mirrored)) / np.max(np.abs(block))
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 3, 7, 16, 60, 180])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
-def test_condensed_step_matches_a_dense_solve(n_elements, kind, control):
-    """The condensed kernel on small meshes, against a + L^-1 (R - L) a by
-    dense elimination; both carry forward errors of order cond(L) * eps
-    (measured at most 1.3e-11 of the largest coefficient, N = 16)."""
+def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
+    """One step through the Fourier modes against a + L^-1 (R - L) a by
+    dense elimination and against banded step(), on the sine, a degree-7
+    polynomial and a bump on [-1, 2], for alpha in {1e-3, 1, 1e3} and dt in
+    {1e-8, 1e-2, 1e2}, within the modal step's forward error.
+
+    The modal step solves with the symbols L(theta), not L, and assumes the
+    element blocks mirror-symmetric, which they are only to within
+    mirror_asymmetry (1e-15 to 2.3e-14 here).  So its forward error is of
+    order max(cond(L), cond(L(theta))) * (eps + asymmetry) relative.  On
+    meshes above the stacking line the two condition numbers agree (0.999
+    at N = 180), while small meshes at large alpha**2 dt / h**2 have
+    symbols up to 6.6e5 times worse conditioned than L.  The largest
+    deviation measured 0.071 of the bound (N = 1), and 5e-4 at N = 180.
+    The boundary entries come out exactly zero."""
     rule = RULES[kind]()
-    mesh = build_mesh(control, n_elements)
-    banded = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
-    left, right = banded.left.to_dense(), banded.right.to_dense()
-    a = initial_coefficients(control, mesh, rule)
-    x = a.full[banded.reduced_to_full]
-    expected = np.zeros_like(a.full)
-    expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
-    system = assemble_condensed(mesh, rule, control.alpha, 0.01)
-    advanced = _advance_condensed(system, band_lu_factor(system.interface), a, 1)
-    assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
-    bound = np.linalg.cond(left, np.inf) * np.finfo(float).eps * np.max(np.abs(expected))
-    assert np.max(np.abs(advanced.full - expected)) <= bound
+    eps = np.finfo(float).eps
+    for alpha in (1e-3, 1.0, 1e3):
+        # the sine and the polynomial share the unit interval's mesh
+        for specs in ((control_problem(alpha), septic_problem(alpha)), (bump_problem(alpha),)):
+            mesh = build_mesh(specs[0], n_elements)
+            table = build_basis_table(rule, mesh.h)
+            states = [initial_coefficients(spec, mesh, rule) for spec in specs]
+            for dt in (1e-8, 1e-2, 1e2):
+                banded = assemble_crank_nicolson(mesh, rule, alpha, dt)
+                left, right = banded.left.to_dense(), banded.right.to_dense()
+                factors = band_lu_factor(banded.left)
+                propagator = solver._propagator(mesh, rule, alpha, dt)
+                block = element_blocks(table, alpha, dt).left
+                cond = max(
+                    np.linalg.cond(left, np.inf),
+                    np.max(np.linalg.cond(solver._symbols(block, n_elements), np.inf)),
+                )
+                asymmetry = max(mirror_asymmetry(block), mirror_asymmetry(table.B))
+                for a in states:
+                    x = a.full[banded.reduced_to_full]
+                    expected = np.zeros_like(a.full)
+                    expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
+                    stepped = step(banded, factors, a)
+                    advanced = solver._advance_modes(propagator, a, 1)
+                    assert advanced.time_index == 1
+                    assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
+                    bound = cond * (eps + asymmetry) * np.max(np.abs(expected))
+                    for other in (expected, stepped.full):
+                        assert np.max(np.abs(advanced.full - other)) <= bound, (alpha, dt)
 
 
-def test_condensed_run_reports_nan_pivots(legendre):
-    """alpha**2 / h**2 overflows in the element block, so R_b's diagonal is NaN."""
+def test_modal_run_reports_nan_pivots(legendre):
+    """alpha**2 / h**2 overflows in the element block, so L(theta) is not finite."""
     cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=200, rule=legendre)
     with pytest.raises(SingularMatrix):
         run(control_problem(alpha=1e154), cfg)
+
+
+def test_modal_run_reports_a_singular_symbol(legendre, control, monkeypatch):
+    """A finite L(theta) that numpy's solve finds singular is reported at
+    LAPACK's zero pivot: with column 2 of the block zero, pivot 3."""
+    block = np.eye(6, 8)
+    block[2, 2] = 0.0
+
+    def singular_blocks(table, alpha, dt):
+        return ElementBlocks(left=block, right=block)
+
+    monkeypatch.setattr(solver, "element_blocks", singular_blocks)
+    cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=200, rule=legendre)
+    with pytest.raises(SingularMatrix) as failure:
+        run(control, cfg)
+    assert failure.value.pivot_index == 3
+
+
+def mode_one_nodal_values(rule, n_elements, dt, n_steps):
+    """Nodal values of the sine after n_steps Crank-Nicolson steps, without FFT.
+
+    sin(pi x) holds the one Fourier mode theta = pi / N: its element states
+    are Im(e^{i theta k} c) for one complex 6-vector c, which solves
+    H(theta) c = e^{i pi h xi} at the collocation points xi.  Each step
+    multiplies c by I + E(theta), E = L(theta)^-1 D(theta), powered here in
+    delta form, F <- 2F + F^2.  The symbols are built from the element
+    blocks directly.
+    """
+    h = 1.0 / n_elements
+    table = build_basis_table(rule, h)
+    phase = np.exp(1j * math.pi / n_elements)
+
+    def symbol(block):
+        own = block[:, :6].astype(complex)
+        own[:, :2] += phase * block[:, 6:]
+        return own
+
+    c = np.linalg.solve(symbol(table.H), np.exp(1j * math.pi * h * rule.points))
+    left = element_blocks(table, 1.0, dt).left
+    power = np.linalg.solve(symbol(left), symbol(table.B / h**2))
+    while True:
+        if n_steps & 1:
+            c = c + power @ c
+        n_steps >>= 1
+        if n_steps == 0:
+            break
+        power = 2.0 * power + power @ power
+    return np.imag(phase ** np.arange(n_elements + 1) * c[0])
+
+
+@pytest.mark.parametrize("n_elements", [200, 1000])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, control):
+    """Table 4's rows at N = 200 and 1000 (dt = 1/N, M = N) against
+    mode_one_nodal_values.  The nodal values deviated by at most 6.0e-11 of
+    the largest (1.2e-11 at N = 200); the bound is 5e-10.  That reference
+    is itself within 1.9e-12 of the same computation in 50-digit mpmath.
+    The u'' and u''' coefficients are not compared: W a0 = b leaves their
+    stiff modes off by up to 3e-4 relative, and Crank-Nicolson does not damp
+    those, so every kernel ends several times the largest u''' away from
+    exact Crank-Nicolson there."""
+    rule = RULES[kind]()
+    dt = 1.0 / n_elements
+    cfg = RunConfig(dt=dt, t_final=1.0, n_elements=n_elements, rule=rule)
+    nodal = run(control, cfg).full[0::6]
+    expected = mode_one_nodal_values(rule, n_elements, dt, cfg.n_steps)
+    assert np.max(np.abs(nodal - expected)) <= 5e-10 * np.max(np.abs(expected))
 
 
 def batch_matches_solo_runs(spec, configs):
@@ -376,8 +501,8 @@ def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
     """N = 1 (kl = ku = 5) stacks with itself, and N = 2, 3 and 7 (kl = ku
     = 6) stack together, though N = 1 and 2 are narrower than their band.
     A 20-step run, a zero-step run and a mesh above the stack size (N =
-    200, 1200 unknowns) each run on their own; the last takes the condensed
-    kernel, and batch and solo still agree bitwise."""
+    200, 1200 unknowns) each run on their own; the last steps by its
+    Fourier modes, and batch and solo still agree bitwise."""
     configs = [
         RunConfig(dt=0.01, t_final=0.3, n_elements=n, rule=RULES[kind]())
         for n in (1, 3, 1, 2, 7)
@@ -417,7 +542,7 @@ def overflowing_problem(scale):
 @pytest.mark.parametrize("n_elements", [3, 200])
 def test_run_rejects_a_state_that_overflows(n_elements, legendre):
     """The initial coefficients of 1e307 x (1 - x) are finite, but one step
-    overflows them, on the banded (N = 3) and the condensed (N = 200) kernel."""
+    overflows them, on the banded (N = 3) and the Fourier-mode (N = 200) kernel."""
     cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=n_elements, rule=legendre)
     spec = overflowing_problem(1e307)
     assert np.all(np.isfinite(initial_coefficients(spec, build_mesh(spec, n_elements), legendre).full))
@@ -482,7 +607,8 @@ def test_runs_refuse_step_factors_without_the_permuted_form(legendre, control, m
     """No step matrix the package builds widens its permuted lower factor
     past kl + ku (see test_assembly), but one that did would be refused with
     a ValueError naming the cap, per member in run_batch.  W's factors
-    without it still solve, through dgbtrs."""
+    without it still solve, through dgbtrs.  Meshes above the stacking line
+    factor no step matrix."""
     factor = solver.band_lu_factor
 
     def interleaved_only(m):
@@ -492,10 +618,9 @@ def test_runs_refuse_step_factors_without_the_permuted_form(legendre, control, m
     mesh = build_mesh(control, 4)
     a0 = initial_coefficients(control, mesh, legendre)
     assert abs(evaluate(mesh, a0, 0.5) - 1.0) < 1e-9
-    for n_elements in (4, 180):
-        cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=n_elements, rule=legendre)
-        with pytest.raises(ValueError, match="kl \\+ ku = "):
-            run(control, cfg)
+    cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=4, rule=legendre)
+    with pytest.raises(ValueError, match="kl \\+ ku = "):
+        run(control, cfg)
     configs = [RunConfig(dt=0.01, t_final=t, n_elements=4, rule=legendre) for t in (0.0, 0.02)]
     outcomes = [state for _, state in run_batch(control, configs)]
     assert np.array_equal(outcomes[0].full, a0.full)
