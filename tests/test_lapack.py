@@ -48,6 +48,19 @@ def test_import_leaves_scipy_linalg_and_numpy_f2py_unloaded():
     ]
 
 
+def test_numpy_fft_loads_only_above_the_stacking_line():
+    """N = 170 (1020 unknowns) steps banded and leaves numpy.fft unloaded;
+    N = 171 (1026) steps by its Fourier modes and loads it."""
+    code = """
+import sys
+from hermite_heat import RunConfig, control_problem, legendre_rule, run
+for n in (170, 171):
+    run(control_problem(), RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre_rule()))
+    print(n, "numpy.fft" in sys.modules)
+"""
+    assert run_python(code) == ["170 False", "171 True"]
+
+
 def test_a_later_scipy_linalg_import_reuses_the_loaded_wrappers():
     code = """
 import sys
