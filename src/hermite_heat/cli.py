@@ -125,6 +125,7 @@ def cmd_convergence(args):
     configs = [RunConfig(dt=dt, t_final=args.t_final, n_elements=n, rule=rule) for n, dt in points]
     finals = dict(run_batch(problem, configs))
     records = []
+    pairs = []  # (step, l2): the order is in dt or h, not N, so refining gives a positive one
     for index, (cfg, param) in enumerate(zip(configs, params)):
         a = finals[index]
         if isinstance(a, Exception):
@@ -132,9 +133,10 @@ def cmd_convergence(args):
         mesh = build_mesh(problem, cfg.n_elements)
         l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
         records.append((param, l2, linf))
+        pairs.append((cfg.dt if args.sweep == "dt" else mesh.h, l2))
     orders = [None]
     if len(records) > 1:
-        orders += convergence_order([(p, l2) for p, l2, _ in records])
+        orders += convergence_order(pairs)
     if args.format == "csv":
         lines = ["param,l2,linf,order_l2"]
         for (param, l2, linf), order in zip(records, orders):

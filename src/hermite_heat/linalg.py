@@ -2,27 +2,27 @@
 
 Storage is the standard band layout: a matrix with lower bandwidth kl and
 upper bandwidth ku keeps entry (i, j) at bands[ku + i - j, j], using
-(kl + ku + 1) x n doubles.  Factorization appends kl extra rows for the
-fill-in produced by partial pivoting and is delegated to LAPACK dgbtrf.
-The layout is also that of BLAS dgbmv, which the solver calls directly for
-its matrix-vector products.
+(kl + ku + 1) x n doubles.  The layout is also that of BLAS dgbmv, which
+the solver calls directly for its matrix-vector products.  LAPACK's banded
+LU appends kl extra rows for the fill-in produced by partial pivoting
+(_lapack_layout).
 
-dgbtrf leaves its row interchanges interleaved with the columns of L, and
-LAPACK's dgbtrs applies them one column and one BLAS call at a time.
-band_lu_factor moves them all to the front once, A[perm] = L U (Golub and
-Van Loan, Matrix Computations, 4th ed., section 4.3), so that a solve is
-one gather and two BLAS dtbsv calls, each a single loop.  Every row then
-receives the same updates in the same order as under dgbtrs, and the
-result is bitwise equal to it.  Everything is stored in Fortran order so
-the hot time-stepping loop never copies.
+A matrix solved once goes to band_solve, one LAPACK dgbsv (dgbtrf, then
+dgbtrs).  A matrix solved repeatedly is factored by band_lu_factor into a
+single form: dgbtrf leaves its row interchanges interleaved with the
+columns of L, and LAPACK's dgbtrs applies them one column and one BLAS
+call at a time, so band_lu_factor moves them all to the front once,
+A[perm] = L U (Golub and Van Loan, Matrix Computations, 4th ed., section
+4.3).  A solve is then one gather and two BLAS dtbsv calls, each a single
+loop (solver._advance).  Every row receives the same updates in the same
+order as under dgbtrs, and the result is bitwise equal to it.  Everything
+is stored in Fortran order so the hot time-stepping loop never copies.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import blas as _blas
 from ._lapack import lapack as _lapack
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "BandedMatrix",
     "LUFactors",
     "band_lu_factor",
-    "band_lu_solve",
+    "band_solve",
     "block_diagonal",
     "check_pivots",
 ]
@@ -80,16 +80,6 @@ class BandedMatrix:
         m.bands[m.ku + rows - cols, cols] = values
         return m
 
-    def to_dense(self):
-        dense = np.zeros((self.n, self.n))
-        # only the diagonals that meet the matrix; kl or ku may pass n - 1
-        for d in range(max(-self.kl, 1 - self.n), min(self.ku, self.n - 1) + 1):
-            lo = max(0, d)
-            hi = min(self.n, self.n + d)
-            idx = np.arange(lo, hi)
-            dense[idx - d, idx] = self.bands[self.ku - d, lo:hi]
-        return dense
-
 
 @dataclass(frozen=True)
 class LUFactors:
@@ -101,8 +91,6 @@ class LUFactors:
     perm and lower hold the same factors with the interchanges moved to the
     front, A[perm] = L U: lower is the unit lower triangular L with entry
     (i, j) at lower[i - j, j] (dtbsv's lower band storage, k = width).
-    Both are None when L would be wider than kl + ku (see band_lu_factor),
-    and in factors made for a single solve.
     """
 
     n: int
@@ -110,13 +98,13 @@ class LUFactors:
     ku: int
     lu_bands: np.ndarray
     ipiv: np.ndarray
-    perm: Optional[np.ndarray]
-    lower: Optional[np.ndarray]
+    perm: np.ndarray
+    lower: np.ndarray
 
     @property
     def width(self):
-        """Lower bandwidth of L in the permuted form, or None without one."""
-        return None if self.lower is None else self.lower.shape[0] - 1
+        """Lower bandwidth of L in the permuted form."""
+        return self.lower.shape[0] - 1
 
 
 def check_pivots(diagonal):
@@ -143,10 +131,10 @@ def _front_interchanges(lu_bands, ipiv, n, kl, ku):
     and this keeps the factors of a block-diagonal matrix equal to its
     blocks' (see block_diagonal).
 
-    Returns (None, None) once L's lower bandwidth passes kl + ku, which
-    keeps the lower solve no costlier than the upper one; general band
-    matrices can pass it by far (n = 1600, kl = 3, ku = 2 and random
-    entries gave 1255), the matrices this package builds do not.
+    Raises ValueError once L's lower bandwidth passes kl + ku, which keeps
+    the lower solve no costlier than the upper one; general band matrices
+    can pass it by far (n = 1600, kl = 3, ku = 2 and random entries gave
+    1255), the matrices this package builds do not.
     """
     cap = kl + ku
     perm = _lapack.dlaswp(np.arange(n, dtype=float)[:, None], ipiv)[:, 0].astype(np.intp)
@@ -168,7 +156,10 @@ def _front_interchanges(lu_bands, ipiv, n, kl, ku):
         offset += down
     width = int(offset.max(initial=0))
     if width > cap:
-        return None, None
+        raise ValueError(
+            f"the row interchanges of the {n} x {n} matrix widen "
+            f"its lower factor past kl + ku = {cap}"
+        )
     lower = np.zeros((width + 1, n), order="F")
     # untracked multipliers land on the diagonal, which is then set to 1
     lower.reshape(-1, order="F")[columns * (width + 1) + offset] = multipliers
@@ -176,47 +167,50 @@ def _front_interchanges(lu_bands, ipiv, n, kl, ku):
     return perm, lower
 
 
-def _interleaved_factors(m):
-    """dgbtrf's factors of m, without the permuted form.
+def _lapack_layout(m):
+    """m's bands in the (2kl + ku + 1) x n layout of dgbtrf and dgbsv.
 
-    Enough for a single solve, which band_lu_solve passes to dgbtrs; the
-    permuted form costs more to build than it saves there.
+    The kl rows on top are left for the fill-in of the row interchanges.
     """
     ab = np.zeros((2 * m.kl + m.ku + 1, m.n), order="F")
     ab[m.kl :, :] = m.bands
-    lu_bands, ipiv, info = _lapack.dgbtrf(ab, m.kl, m.ku, overwrite_ab=1)
+    return ab
+
+
+def _check_factors(routine, info, pivots):
+    """Raise if dgbtrf or dgbsv failed, or at a pivot check_pivots refuses."""
     if info < 0:
-        raise ValueError(f"illegal argument {-info} passed to dgbtrf")
+        raise ValueError(f"illegal argument {-info} passed to {routine}")
     if info > 0:
         raise SingularMatrix(info)
-    check_pivots(lu_bands[m.kl + m.ku, :])
-    return LUFactors(n=m.n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=None, lower=None)
+    check_pivots(pivots)
 
 
 def band_lu_factor(m):
-    """Factor A[perm] = LU within band storage (partial pivoting)."""
-    factors = _interleaved_factors(m)
-    perm, lower = _front_interchanges(factors.lu_bands, factors.ipiv, m.n, m.kl, m.ku)
-    return replace(factors, perm=perm, lower=lower)
+    """Factor A[perm] = LU within band storage (partial pivoting).
+
+    Raises SingularMatrix at a vanishing pivot, and ValueError where the
+    interchanges widen L past kl + ku (see _front_interchanges).
+    """
+    lu_bands, ipiv, info = _lapack.dgbtrf(_lapack_layout(m), m.kl, m.ku, overwrite_ab=1)
+    _check_factors("dgbtrf", info, lu_bands[m.kl + m.ku])
+    perm, lower = _front_interchanges(lu_bands, ipiv, m.n, m.kl, m.ku)
+    return LUFactors(n=m.n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
 
 
-def band_lu_solve(factors, b):
-    """Solve A x = b using a previously computed factorization.
+def band_solve(m, b):
+    """Solve A x = b once, by one LAPACK dgbsv (dgbtrf, then dgbtrs).
 
     The solve is backward stable; its forward accuracy depends on the
-    conditioning of A (relative error of order cond(A) * eps).  Factors
-    without the permuted form are solved by LAPACK dgbtrs, bitwise equal.
+    conditioning of A (relative error of order cond(A) * eps).  Pivots are
+    checked as in band_lu_factor.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape != (factors.n,):
-        raise ValueError(f"vector of length {b.shape} does not match n = {factors.n}")
-    if factors.lower is None:
-        x, info = _lapack.dgbtrs(factors.lu_bands, factors.kl, factors.ku, b, factors.ipiv)
-        if info != 0:
-            raise ValueError(f"dgbtrs failed with info = {info}")
-        return x
-    y = _blas.dtbsv(factors.width, factors.lower, b[factors.perm], 1, 0, 1, 0, 1, 1)
-    return _blas.dtbsv(factors.kl + factors.ku, factors.lu_bands, y, 1, 0, 0, 0, 0, 1)
+    if b.shape != (m.n,):
+        raise ValueError(f"vector of length {b.shape} does not match n = {m.n}")
+    lu_bands, _, x, info = _lapack.dgbsv(m.kl, m.ku, _lapack_layout(m), b, overwrite_ab=1)
+    _check_factors("dgbsv", info, lu_bands[m.kl + m.ku])
+    return x
 
 
 def block_diagonal(matrices, factors):
@@ -238,11 +232,9 @@ def block_diagonal(matrices, factors):
     lu_bands = np.asfortranarray(np.concatenate([f.lu_bands for f in factors], axis=1))
     offsets = np.cumsum([0] + [m.n for m in matrices[:-1]]).tolist()
     ipiv = np.concatenate([f.ipiv + offset for f, offset in zip(factors, offsets)])
-    perm = lower = None
-    if all(f.lower is not None for f in factors):
-        perm = np.concatenate([f.perm + offset for f, offset in zip(factors, offsets)])
-        width = max(f.width for f in factors)
-        padded = [np.pad(f.lower, ((0, width - f.width), (0, 0))) for f in factors]
-        lower = np.asfortranarray(np.concatenate(padded, axis=1))
+    perm = np.concatenate([f.perm + offset for f, offset in zip(factors, offsets)])
+    width = max(f.width for f in factors)
+    padded = [np.pad(f.lower, ((0, width - f.width), (0, 0))) for f in factors]
+    lower = np.asfortranarray(np.concatenate(padded, axis=1))
     stacked = LUFactors(n=n, kl=kl, ku=ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
     return BandedMatrix(n, kl, ku, bands), stacked

@@ -26,8 +26,7 @@ from ._lapack import lapack as _lapack
 from .assembly import assemble_crank_nicolson, assemble_initial_system, element_blocks
 from .basis import CollocationRule, build_basis_table, hermite_values
 from .basis import hermite_first_derivs, hermite_second_derivs
-from .linalg import SingularMatrix, _interleaved_factors, band_lu_factor, band_lu_solve
-from .linalg import block_diagonal
+from .linalg import SingularMatrix, band_lu_factor, band_solve, block_diagonal
 from .problem import build_mesh
 
 __all__ = [
@@ -114,11 +113,11 @@ def _coefficients(reduced_to_full, x, time_index):
 def initial_coefficients(spec, mesh, rule):
     """Solve W a0 = b and scatter into the full coefficient layout.
 
-    W is solved once, so its factors skip the permuted form, which only
-    repeated solves pay back, and band_lu_solve hands them to dgbtrs.
+    W is solved once, so it is not factored into the permuted form, which
+    only repeated solves pay back: band_solve makes one LAPACK dgbsv call.
     """
     system = assemble_initial_system(mesh, rule, spec.initial_condition)
-    reduced = band_lu_solve(_interleaved_factors(system.W), system.b)
+    reduced = band_solve(system.W, system.b)
     return _coefficients(system.reduced_to_full, reduced, 0)
 
 
@@ -292,9 +291,8 @@ def _prepare(spec, cfg):
     """Initial state, and for a run with steps what its kernel steps with.
 
     That is the propagator of the Fourier modes (and no factors) for a mesh
-    too large to stack, and otherwise L and R with the factors of L.
-    Raises ValueError if those factors have no permuted form, which no
-    matrix the package builds has been found to lack.
+    too large to stack, and otherwise L and R with the permuted factors of L
+    (linalg.band_lu_factor).
     """
     mesh = build_mesh(spec, cfg.n_elements)
     a = initial_coefficients(spec, mesh, cfg.rule)
@@ -303,14 +301,7 @@ def _prepare(spec, cfg):
     if _modal(cfg):
         return a, _propagator(mesh, cfg.rule, spec.alpha, cfg.dt), None
     system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
-    factors = band_lu_factor(system.left)
-    if factors.lower is None:
-        left = system.left
-        raise ValueError(
-            f"the row interchanges of the {left.n} x {left.n} step matrix widen "
-            f"its lower factor past kl + ku = {left.kl + left.ku}"
-        )
-    return a, system, factors
+    return a, system, band_lu_factor(system.left)
 
 
 def run(spec, cfg, on_step=None):

@@ -28,7 +28,9 @@ from hermite_heat import (
     table_spec,
 )
 from hermite_heat.basis import B_COEFFS, H_POWERS
-from hermite_heat.linalg import BandedMatrix, band_lu_solve
+from hermite_heat.linalg import BandedMatrix, band_solve
+
+from conftest import dense, lu_solve
 
 REL_TABLE_TOL = 1e-2
 
@@ -178,9 +180,9 @@ def test_criterion_6_property_suite():
         bands[kw] += 2 * kw + 3.0
         m = BandedMatrix(n, kw, kw, bands)
         b = rng.normal(size=n)
-        x = band_lu_solve(band_lu_factor(m), b)
-        expected = _dense_gauss_solve(m.to_dense(), b)
-        assert np.allclose(x, expected, rtol=1e-10, atol=1e-12)
+        expected = _dense_gauss_solve(dense(m), b)
+        for x in (band_solve(m, b), lu_solve(band_lu_factor(m), b)):
+            assert np.allclose(x, expected, rtol=1e-10, atol=1e-12)
 
     # degree <= 7 interpolation exactness through the initial solve
     def poly(x):

@@ -15,7 +15,9 @@ from hermite_heat import (
 )
 from hermite_heat.assembly import assemble_initial_system, element_blocks
 from hermite_heat.basis import RULES, build_basis_table
-from hermite_heat.linalg import band_lu_solve
+from hermite_heat.linalg import band_solve
+
+from conftest import dense
 
 
 def dense_assembly(mesh, rule, block):
@@ -75,7 +77,7 @@ def test_single_element_system_is_six_by_six(legendre, control):
     table = build_basis_table(legendre, mesh.h)
     blocks = element_blocks(table, 1.0, 0.01)
     expected = np.delete(blocks.left, [0, 6], axis=1)
-    assert np.allclose(system.left.to_dense(), expected, rtol=0, atol=1e-15)
+    assert np.allclose(dense(system.left), expected, rtol=0, atol=1e-15)
 
 
 def test_three_element_row_occupancy(legendre, control):
@@ -84,9 +86,9 @@ def test_three_element_row_occupancy(legendre, control):
     mesh = build_mesh(control, 3)
     system = assemble_crank_nicolson(mesh, legendre, 1.0, 0.01)
     assert system.left.n == 18
-    dense = system.left.to_dense()
+    left = dense(system.left)
     for r in range(6, 12):
-        nonzero = np.nonzero(dense[r])[0]
+        nonzero = np.nonzero(left[r])[0]
         assert nonzero.min() >= 5 and nonzero.max() <= 12
 
 
@@ -96,10 +98,10 @@ def test_crank_nicolson_matches_dense_oracle(legendre, control):
     table = build_basis_table(legendre, mesh.h)
     blocks = element_blocks(table, 1.0, 0.01)
     assert np.allclose(
-        system.left.to_dense(), dense_assembly(mesh, legendre, blocks.left), atol=1e-15
+        dense(system.left), dense_assembly(mesh, legendre, blocks.left), atol=1e-15
     )
     assert np.allclose(
-        system.right.to_dense(), dense_assembly(mesh, legendre, blocks.right), atol=1e-15
+        dense(system.right), dense_assembly(mesh, legendre, blocks.right), atol=1e-15
     )
 
 
@@ -137,7 +139,7 @@ def test_initial_system_matches_dense_oracle(chebyshev, control):
         system = assemble_initial_system(mesh, chebyshev, control.initial_condition)
         table = build_basis_table(chebyshev, mesh.h)
         assert np.allclose(
-            system.W.to_dense(), dense_assembly(mesh, chebyshev, table.H), atol=1e-15
+            dense(system.W), dense_assembly(mesh, chebyshev, table.H), atol=1e-15
         )
         assert np.allclose(
             system.b, dense_rhs(mesh, chebyshev, control.initial_condition), atol=1e-15
@@ -149,10 +151,10 @@ def test_initial_system_boundary_block_structure(legendre, control):
     mesh = build_mesh(control, 3)
     system = assemble_initial_system(mesh, legendre, control.initial_condition)
     table = build_basis_table(legendre, mesh.h)
-    dense = system.W.to_dense()
-    assert np.allclose(dense[0:6, 0:7], table.H[:, 1:8], atol=1e-15)
-    assert np.allclose(dense[12:18, 11:17], table.H[:, 0:6], atol=1e-15)
-    assert np.allclose(dense[12:18, 17], table.H[:, 7], atol=1e-15)
+    W = dense(system.W)
+    assert np.allclose(W[0:6, 0:7], table.H[:, 1:8], atol=1e-15)
+    assert np.allclose(W[12:18, 11:17], table.H[:, 0:6], atol=1e-15)
+    assert np.allclose(W[12:18, 17], table.H[:, 7], atol=1e-15)
 
 
 def test_index_maps_omit_boundary_entries(legendre, control):
@@ -167,10 +169,9 @@ def test_index_maps_omit_boundary_entries(legendre, control):
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_step_matrices_keep_their_permuted_lower_factor_within_kl_plus_ku(kind):
-    """Runs refuse step matrices whose interchanges, moved to the front,
-    widen L past kl + ku (solver._prepare), so pin the width here, on a
-    subset of the grid alpha = 1e-6 ... 1e50, dt = 1e-12 ... 1e2 and
-    N = 1 ... 3000.  That grid measured 5-9 for L (kl = ku = 5 at N = 1, 6
+    """band_lu_factor refuses matrices whose interchanges, moved to the
+    front, widen L past kl + ku, so pin the width here, on a subset of the
+    grid alpha = 1e-6 ... 1e50, dt = 1e-12 ... 1e2 and N = 1 ... 3000.  That grid measured 5-9 for L (kl = ku = 5 at N = 1, 6
     from N = 2); W measured 5-9 too."""
     rule = RULES[kind]()
     for n in (1, 2, 5, 40, 171, 1000):
@@ -179,7 +180,7 @@ def test_step_matrices_keep_their_permuted_lower_factor_within_kl_plus_ku(kind):
             for dt in (1e-12, 1e-3, 1e2):
                 m = assemble_crank_nicolson(mesh, rule, alpha, dt).left
                 width = band_lu_factor(m).width
-                assert width is not None and width <= m.kl + m.ku, (n, alpha, dt, m.n)
+                assert width <= m.kl + m.ku, (n, alpha, dt, m.n)
 
 
 def test_band_sparsity_bound(legendre, control):
@@ -187,12 +188,8 @@ def test_band_sparsity_bound(legendre, control):
         mesh = build_mesh(control, n)
         system = assemble_crank_nicolson(mesh, legendre, 1.0, 0.01)
         initial = assemble_initial_system(mesh, legendre, control.initial_condition)
-        for dense in (
-            system.left.to_dense(),
-            system.right.to_dense(),
-            initial.W.to_dense(),
-        ):
-            rows, cols = np.nonzero(dense)
+        for matrix in (system.left, system.right, initial.W):
+            rows, cols = np.nonzero(dense(matrix))
             assert np.max(np.abs(rows - cols)) <= 8
 
 
@@ -201,8 +198,8 @@ def test_left_plus_right_is_twice_interpolation_matrix(legendre, control):
     dt = 0.02
     system = assemble_crank_nicolson(mesh, legendre, 1.0, dt)
     initial = assemble_initial_system(mesh, legendre, control.initial_condition)
-    combined = system.left.to_dense() + system.right.to_dense()
-    expected = (2.0 / dt) * initial.W.to_dense()
+    combined = dense(system.left) + dense(system.right)
+    expected = (2.0 / dt) * dense(initial.W)
     assert np.allclose(combined, expected, rtol=1e-13)
 
 
@@ -222,6 +219,6 @@ def test_initial_solve_collocates_exactly(legendre, control):
     """W a0 = b forces the interpolant through f at every collocation point."""
     mesh = build_mesh(control, 5)
     system = assemble_initial_system(mesh, legendre, control.initial_condition)
-    solution = band_lu_solve(band_lu_factor(system.W), system.b)
-    residual = system.W.to_dense() @ solution - system.b
+    solution = band_solve(system.W, system.b)
+    residual = dense(system.W) @ solution - system.b
     assert np.max(np.abs(residual)) < 1e-13

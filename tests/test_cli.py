@@ -178,6 +178,20 @@ def test_convergence_n_sweep_hits_roundoff_floor():
         assert float(row.split(",")[1]) <= 1e-11
 
 
+def test_convergence_n_sweep_orders_are_positive():
+    """Orders are taken in the element width h, which halves as N doubles,
+    so refining the mesh gives positive orders (l2 falls 300x, then 150x)."""
+    result = run_cli(
+        "convergence", "--sweep", "n", "--n", "1", "--dt", "1e-5",
+        "--count", "3", "--t-final", "0.01",
+    )
+    assert result.returncode == 0
+    rows = data_rows(result.stdout)
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "4"]
+    for row in rows[1:]:
+        assert 6.0 <= float(row.split(",")[3]) <= 9.0
+
+
 def test_convergence_single_row_sweep():
     result = run_cli(
         "convergence", "--sweep", "dt", "--n", "16", "--dt", "0.1",

@@ -15,16 +15,19 @@ import hermite_heat
 # the tree that holds the package under test, first on the child's path
 _SOURCE = str(Path(hermite_heat.__file__).resolve().parents[1])
 
-# a banded solve through dgbtrf, dlaswp and dtbsv, and one through dgbtrs,
-# printed bit for bit
+# a one-shot banded solve through dgbsv, and a step through dgbtrf, dlaswp,
+# dgbmv and dtbsv, printed bit for bit
 _SOLVE = """
 import numpy as np
-from hermite_heat import assemble_crank_nicolson, build_mesh, control_problem, legendre_rule
-from hermite_heat.linalg import _interleaved_factors, band_lu_factor, band_lu_solve
-m = assemble_crank_nicolson(build_mesh(control_problem(), 4), legendre_rule(), 1.0, 0.01).left
-b = np.sin(np.arange(m.n, dtype=float))
-print(band_lu_solve(band_lu_factor(m), b).tobytes().hex())
-print(band_lu_solve(_interleaved_factors(m), b).tobytes().hex())
+from hermite_heat import assemble_crank_nicolson, band_lu_factor, build_mesh, control_problem
+from hermite_heat import initial_coefficients, legendre_rule, step
+from hermite_heat.linalg import band_solve
+mesh = build_mesh(control_problem(), 4)
+system = assemble_crank_nicolson(mesh, legendre_rule(), 1.0, 0.01)
+b = np.sin(np.arange(system.left.n, dtype=float))
+print(band_solve(system.left, b).tobytes().hex())
+a = initial_coefficients(control_problem(), mesh, legendre_rule())
+print(step(system, band_lu_factor(system.left), a).full.tobytes().hex())
 """
 
 
@@ -69,7 +72,8 @@ assert sys.modules["scipy.linalg._flapack"] is _lapack.lapack
 assert sys.modules["scipy.linalg._fblas"] is _lapack.blas
 import scipy.linalg
 assert scipy.linalg.lapack.dgbtrf is _lapack.lapack.dgbtrf
-assert scipy.linalg.lapack.dgbtrs is _lapack.lapack.dgbtrs
+assert scipy.linalg.lapack.dgbsv is _lapack.lapack.dgbsv
+assert scipy.linalg.lapack.dlaswp is _lapack.lapack.dlaswp
 assert scipy.linalg.lapack.zgetrf is _lapack.lapack.zgetrf
 assert scipy.linalg.blas.dgbmv is _lapack.blas.dgbmv
 assert scipy.linalg.blas.dtbsv is _lapack.blas.dtbsv

@@ -8,12 +8,13 @@ from hermite_heat.assembly import assemble_crank_nicolson, assemble_initial_syst
 from hermite_heat.linalg import (
     BandedMatrix,
     SingularMatrix,
-    _interleaved_factors,
     band_lu_factor,
-    band_lu_solve,
+    band_solve,
     block_diagonal,
     check_pivots,
 )
+
+from conftest import dense, lu_solve
 
 
 def gauss_solve(a, b):
@@ -68,26 +69,32 @@ def test_to_dense_reads_the_band_slots_even_when_a_bandwidth_passes_n(n):
                 for j in range(n):
                     if -kl <= j - i <= ku:
                         expected[i, j] = m.bands[ku + i - j, j]
-            assert np.array_equal(m.to_dense(), expected), (kl, ku)
+            assert np.array_equal(dense(m), expected), (kl, ku)
 
 
 def test_factor_identity_solves_identity():
     factors = band_lu_factor(identity_band(2))
-    assert band_lu_solve(factors, np.array([5.0, 6.0])) == pytest.approx([5.0, 6.0])
+    assert lu_solve(factors, np.array([5.0, 6.0])) == pytest.approx([5.0, 6.0])
+
+
+# the two entry points that factor a matrix, each checked for singular pivots
+FACTORING = (band_lu_factor, lambda m: band_solve(m, np.ones(m.n)))
 
 
 def test_zero_one_by_one_matrix_is_singular():
     m = BandedMatrix(1, 0, 0)
-    with pytest.raises(SingularMatrix) as info:
-        band_lu_factor(m)
-    assert info.value.pivot_index == 1
+    for factoring in FACTORING:
+        with pytest.raises(SingularMatrix) as info:
+            factoring(m)
+        assert info.value.pivot_index == 1
 
 
 def test_subnormal_pivot_reported_singular():
     m = identity_band(3)
     m.bands[m.ku, 1] = 1e-310
-    with pytest.raises(SingularMatrix):
-        band_lu_factor(m)
+    for factoring in FACTORING:
+        with pytest.raises(SingularMatrix):
+            factoring(m)
 
 
 def test_nan_pivot_reported_singular():
@@ -95,9 +102,10 @@ def test_nan_pivot_reported_singular():
     An overflow in the matrix (inf - inf) leaves such pivots."""
     m = identity_band(3)
     m.bands[m.ku, 1] = np.nan
-    with pytest.raises(SingularMatrix) as info:
-        band_lu_factor(m)
-    assert info.value.pivot_index == 2
+    for factoring in FACTORING:
+        with pytest.raises(SingularMatrix) as info:
+            factoring(m)
+        assert info.value.pivot_index == 2
     with pytest.raises(SingularMatrix) as info:
         check_pivots(np.array([1.0, -2.0, np.nan, 0.0]))
     assert info.value.pivot_index == 3
@@ -108,8 +116,8 @@ def test_residual_on_diagonally_dominant_system():
     rng = np.random.default_rng(2)
     m = random_band(rng, 20, 4, 4)
     b = rng.normal(size=20)
-    x = band_lu_solve(band_lu_factor(m), b)
-    residual = m.to_dense() @ x - b
+    x = lu_solve(band_lu_factor(m), b)
+    residual = dense(m) @ x - b
     assert np.max(np.abs(residual)) / np.max(np.abs(b)) < 1e-12
 
 
@@ -117,22 +125,21 @@ def test_solve_recovers_known_vector():
     rng = np.random.default_rng(3)
     m = random_band(rng, 25, 3, 5)
     x0 = rng.normal(size=25)
-    b = m.to_dense() @ x0
-    x = band_lu_solve(band_lu_factor(m), b)
+    b = dense(m) @ x0
+    x = lu_solve(band_lu_factor(m), b)
     assert x == pytest.approx(x0, rel=1e-10)
 
 
 def test_zero_rhs_gives_zero_solution():
     rng = np.random.default_rng(4)
     m = random_band(rng, 12, 2, 2)
-    x = band_lu_solve(band_lu_factor(m), np.zeros(12))
+    x = lu_solve(band_lu_factor(m), np.zeros(12))
     assert np.max(np.abs(x)) == 0.0
 
 
 def test_solve_dimension_mismatch():
-    factors = band_lu_factor(identity_band(3))
     with pytest.raises(ValueError):
-        band_lu_solve(factors, np.ones(5))
+        band_solve(identity_band(3), np.ones(5))
 
 
 def test_band_solves_match_dense_oracle():
@@ -143,9 +150,9 @@ def test_band_solves_match_dense_oracle():
         kw = min(kw, n - 1)
         m = random_band(rng, n, kw, kw)
         b = rng.normal(size=n)
-        x = band_lu_solve(band_lu_factor(m), b)
-        expected = gauss_solve(m.to_dense(), b)
-        assert x == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        expected = gauss_solve(dense(m), b)
+        for x in (band_solve(m, b), lu_solve(band_lu_factor(m), b)):
+            assert x == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_factorization_is_reusable_bitwise():
@@ -154,10 +161,10 @@ def test_factorization_is_reusable_bitwise():
     b1 = rng.normal(size=30)
     b2 = rng.normal(size=30)
     factors = band_lu_factor(m)
-    x1 = band_lu_solve(factors, b1)
-    x2 = band_lu_solve(factors, b2)
-    y1 = band_lu_solve(band_lu_factor(m), b1)
-    y2 = band_lu_solve(band_lu_factor(m), b2)
+    x1 = lu_solve(factors, b1)
+    x2 = lu_solve(factors, b2)
+    y1 = lu_solve(band_lu_factor(m), b1)
+    y2 = lu_solve(band_lu_factor(m), b2)
     assert np.array_equal(x1, y1)
     assert np.array_equal(x2, y2)
 
@@ -168,24 +175,20 @@ def assert_stack_equals_a_fresh_factorization(blocks, rng):
     factors = [band_lu_factor(m) for m in blocks]
     stacked, stacked_factors = block_diagonal(blocks, factors)
     n = sum(m.n for m in blocks)
-    dense = np.zeros((n, n))
+    expected = np.zeros((n, n))
     start = 0
     for m in blocks:
-        dense[start : start + m.n, start : start + m.n] = m.to_dense()
+        expected[start : start + m.n, start : start + m.n] = dense(m)
         start += m.n
-    assert np.array_equal(stacked.to_dense(), dense)
+    assert np.array_equal(dense(stacked), expected)
     fresh = band_lu_factor(stacked)
-    assert np.array_equal(stacked_factors.lu_bands, fresh.lu_bands)
-    assert np.array_equal(stacked_factors.ipiv, fresh.ipiv)
-    for name in ("perm", "lower"):
-        ours, theirs = getattr(stacked_factors, name), getattr(fresh, name)
-        assert (ours is None) == (theirs is None) == any(getattr(f, name) is None for f in factors)
-        assert ours is None or np.array_equal(ours, theirs)
+    for name in ("lu_bands", "ipiv", "perm", "lower"):
+        assert np.array_equal(getattr(stacked_factors, name), getattr(fresh, name)), name
     b = rng.normal(size=n)
-    x = band_lu_solve(stacked_factors, b)
-    assert np.array_equal(x, band_lu_solve(fresh, b))
+    x = lu_solve(stacked_factors, b)
+    assert np.array_equal(x, lu_solve(fresh, b))
     pieces = np.split(b, np.cumsum([m.n for m in blocks])[:-1])
-    assert np.array_equal(x, np.concatenate([band_lu_solve(f, p) for f, p in zip(factors, pieces)]))
+    assert np.array_equal(x, np.concatenate([lu_solve(f, p) for f, p in zip(factors, pieces)]))
     return stacked_factors
 
 
@@ -196,10 +199,9 @@ def test_block_diagonal_factors_equal_a_fresh_factorization_bitwise():
     zero multipliers (here those that cross into the next block) are not
     carried by the interchanges."""
     rng = np.random.default_rng(7)
-    blocks = [random_band(rng, n, 3, 2, dominant=False) for n in (7, 2, 30, 12)]
-    # these random blocks pivot past the width cap, so only the
-    # interleaved factors stack
-    assert assert_stack_equals_a_fresh_factorization(blocks, rng).lower is None
+    # random blocks of n <= kl + ku + 1 rows pivot freely and stay within the cap
+    blocks = [random_band(rng, n, 3, 2, dominant=False) for n in (5, 2, 6, 4)]
+    assert assert_stack_equals_a_fresh_factorization(blocks, rng).width > 0
     problem = control_problem()
     steps = [
         assemble_crank_nicolson(build_mesh(problem, n), legendre_rule(), 1.0, dt).left
@@ -209,17 +211,18 @@ def test_block_diagonal_factors_equal_a_fresh_factorization_bitwise():
     widths = [band_lu_factor(m).width for m in steps]
     assert stacked.width == max(widths) > min(widths)
     assert stacked.lower.flags.f_contiguous
-    factors = band_lu_factor(blocks[0])
+    mixed = [steps[0], identity_band(3)]
+    factors = [band_lu_factor(m) for m in mixed]
     with pytest.raises(ValueError):
-        block_diagonal([blocks[0], identity_band(3)], [factors, band_lu_factor(identity_band(3))])
+        block_diagonal(mixed, factors)
 
 
 def dense_factors(factors):
     """Dense L and U of the permuted form, from its band storage."""
     n, width = factors.n, factors.width
-    lower = BandedMatrix(n, width, 0, factors.lower).to_dense()
+    lower = dense(BandedMatrix(n, width, 0, factors.lower))
     k = factors.kl + factors.ku
-    upper = BandedMatrix(n, 0, k, factors.lu_bands[: k + 1]).to_dense()
+    upper = dense(BandedMatrix(n, 0, k, factors.lu_bands[: k + 1]))
     return lower, upper
 
 
@@ -236,8 +239,8 @@ RANDOM_SHAPES = [(1, 0, 0), (5, 0, 2), (3, 1, 1), (4, 2, 1), (6, 2, 1), (7, 3, 3
 def test_permuted_factors_reproduce_the_matrix():
     """A[perm] = L U to rounding, with L unit lower triangular.  perm and L
     are those of a dense partial-pivoting LU, which picks the same pivots,
-    and the permuted form is stored exactly when that L is at most kl + ku
-    wide.  Random non-dominant matrices mostly pass that width (their
+    and band_lu_factor refuses the matrix exactly when that L is more than
+    kl + ku wide.  Random non-dominant matrices mostly pass that width (their
     interchanges carry multipliers far down); the dominant ones never pivot."""
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
@@ -245,20 +248,21 @@ def test_permuted_factors_reproduce_the_matrix():
     for n, kl, ku in RANDOM_SHAPES:
         for dominant in (True, False, False, False):
             m = random_band(rng, n, kl, ku, dominant=dominant)
-            factors = band_lu_factor(m)
-            dense = m.to_dense()
-            p, dense_lower, dense_upper = scipy.linalg.lu(dense)
-            if factors.lower is None:
-                assert lower_width(dense_lower) > kl + ku
+            matrix = dense(m)
+            p, dense_lower, dense_upper = scipy.linalg.lu(matrix)
+            if lower_width(dense_lower) > kl + ku:
+                with pytest.raises(ValueError, match=f"kl \\+ ku = {kl + ku}$"):
+                    band_lu_factor(m)
                 past_cap += 1
                 continue
+            factors = band_lu_factor(m)
             stored += 1
             assert factors.width == lower_width(dense_lower) <= kl + ku
             assert factors.lower.shape == (factors.width + 1, n) and factors.lower.flags.f_contiguous
             lower, upper = dense_factors(factors)
             assert np.array_equal(np.diag(lower), np.ones(n))
             bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
-            assert np.all(np.abs(dense[factors.perm] - lower @ upper) <= bound)
+            assert np.all(np.abs(matrix[factors.perm] - lower @ upper) <= bound)
             assert np.array_equal(factors.perm, np.argmax(p, axis=0))
             assert lower == pytest.approx(dense_lower, rel=1e-12, abs=1e-12)
             assert upper == pytest.approx(dense_upper, rel=1e-12, abs=1e-12)
@@ -279,21 +283,21 @@ def package_matrices(n_elements):
 def test_permuted_solve_equals_dgbtrs_bitwise_on_the_package_matrices(n_elements):
     """Each row receives the same updates in the same order as under dgbtrs.
     These matrices pivot (L and W move a half to all of their rows at
-    N = 1000) and stay within the cap."""
+    N = 1000) and stay within the cap.  band_solve's dgbsv is dgbtrf and
+    dgbtrs, so it matches too, sign bits included."""
     rng = np.random.default_rng(n_elements)
     eps = np.finfo(float).eps
     for name, m in package_matrices(n_elements):
         factors = band_lu_factor(m)
-        assert factors.lower is not None, name
         if n_elements <= 4:
             lower, upper = dense_factors(factors)
             bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
-            assert np.all(np.abs(m.to_dense()[factors.perm] - lower @ upper) <= bound), name
+            assert np.all(np.abs(dense(m)[factors.perm] - lower @ upper) <= bound), name
         b = rng.normal(size=m.n)
         expected, info = lapack.dgbtrs(factors.lu_bands, m.kl, m.ku, b, factors.ipiv)
         assert info == 0
-        assert np.array_equal(band_lu_solve(factors, b), expected), name
-        assert np.array_equal(band_lu_solve(_interleaved_factors(m), b), expected), name
+        assert np.array_equal(lu_solve(factors, b), expected), name
+        assert band_solve(m, b).tobytes() == expected.tobytes(), name
 
 
 def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
@@ -302,31 +306,37 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
     for n, kl, ku in RANDOM_SHAPES:
         for dominant in (True, False, False, False):
             m = random_band(rng, n, kl, ku, dominant=dominant)
-            factors = band_lu_factor(m)
-            solved += factors.lower is not None
-            for b in (rng.normal(size=n), rng.normal(size=n) * 1e-300, np.zeros(n)):
+            rhs = (rng.normal(size=n), rng.normal(size=n) * 1e-300, np.zeros(n))
+            try:
+                factors = band_lu_factor(m)
+            except ValueError:  # past the width cap, see the test above
+                continue
+            solved += 1
+            for b in rhs:
                 expected, _ = lapack.dgbtrs(factors.lu_bands, kl, ku, b, factors.ipiv)
-                assert np.array_equal(band_lu_solve(factors, b), expected)
+                assert np.array_equal(lu_solve(factors, b), expected)
     assert solved >= 20
 
 
 def test_matrix_past_the_width_cap_keeps_the_interleaved_solve():
     """Interchanges can carry a multiplier far down a general band matrix:
-    here the dense LU's L is 1255 wide.  The factors then store no permuted
-    form, and band_lu_solve takes dgbtrs, still backward stable (the
-    normwise backward error measured 0.23 eps)."""
+    here the dense LU's L is 1255 wide.  band_lu_factor then refuses the
+    matrix, naming the cap, while band_solve, whose dgbtrs applies the
+    interchanges where dgbtrf left them, still solves it backward stably
+    (the normwise backward error measured 0.23 eps)."""
     rng = np.random.default_rng(10)
     m = random_band(rng, 1600, 3, 2, dominant=False)
-    factors = band_lu_factor(m)
-    assert factors.perm is None and factors.lower is None and factors.width is None
-    dense = m.to_dense()
-    assert lower_width(scipy.linalg.lu(dense)[1]) > m.kl + m.ku
+    with pytest.raises(ValueError, match="1600 x 1600 .* kl \\+ ku = 5$"):
+        band_lu_factor(m)
+    matrix = dense(m)
+    assert lower_width(scipy.linalg.lu(matrix)[1]) > m.kl + m.ku
     b = rng.normal(size=m.n)
-    x = band_lu_solve(factors, b)
-    expected, _ = lapack.dgbtrs(factors.lu_bands, m.kl, m.ku, b, factors.ipiv)
-    assert np.array_equal(x, expected)
-    residual = np.max(np.abs(dense @ x - b))
-    scale = np.max(np.abs(dense) @ np.abs(x) + np.abs(b))
+    x = band_solve(m, b)
+    ab = np.zeros((2 * m.kl + m.ku + 1, m.n))
+    ab[m.kl :] = m.bands
+    lu_bands, ipiv, _ = lapack.dgbtrf(ab, m.kl, m.ku)
+    expected, _ = lapack.dgbtrs(lu_bands, m.kl, m.ku, b, ipiv)
+    assert x.tobytes() == expected.tobytes()
+    residual = np.max(np.abs(matrix @ x - b))
+    scale = np.max(np.abs(matrix) @ np.abs(x) + np.abs(b))
     assert residual <= 10 * (m.kl + m.ku + 1) * np.finfo(float).eps * scale
-    blocks = [m, identity_band(4, 3, 2)]
-    assert block_diagonal(blocks, [factors, band_lu_factor(blocks[1])])[1].lower is None

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -26,9 +25,12 @@ from hermite_heat import (
 )
 from hermite_heat.assembly import ElementBlocks, element_blocks
 from hermite_heat.basis import RULES, build_basis_table
+from hermite_heat.linalg import BandedMatrix
 from hermite_heat.problem import collocation_abscissae
 from hermite_heat import solver
 from hermite_heat.solver import CoefficientVector, run_batch
+
+from conftest import dense
 
 
 def quadratic_problem():
@@ -134,7 +136,7 @@ def test_step_is_linear(legendre, control):
     # backward deviation |L d| that banded LU keeps small instead (2.3e-17 here).
     twice = step(system, factors, CoefficientVector(full=3.5 * a0.full, time_index=0))
     deviation = (twice.full - 3.5 * once.full)[system.reduced_to_full]
-    left = system.left.to_dense()
+    left = dense(system.left)
     residual = np.max(np.abs(left @ deviation))
     left_norm = np.linalg.norm(left, np.inf)
     assert residual <= 1e-12 * left_norm * np.max(np.abs(3.5 * once.full))
@@ -313,7 +315,7 @@ def test_banded_step_matches_a_dense_solve(n_elements, kind, control):
     rule = RULES[kind]()
     mesh = build_mesh(control, n_elements)
     system = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
-    left, right = system.left.to_dense(), system.right.to_dense()
+    left, right = dense(system.left), dense(system.right)
     a = initial_coefficients(control, mesh, rule)
     expected = np.zeros_like(a.full)
     expected[system.reduced_to_full] = np.linalg.solve(left, right @ a.full[system.reduced_to_full])
@@ -373,7 +375,7 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
             states = [initial_coefficients(spec, mesh, rule) for spec in specs]
             for dt in (1e-8, 1e-2, 1e2):
                 banded = assemble_crank_nicolson(mesh, rule, alpha, dt)
-                left, right = banded.left.to_dense(), banded.right.to_dense()
+                left, right = dense(banded.left), dense(banded.right)
                 factors = band_lu_factor(banded.left)
                 propagator = solver._propagator(mesh, rule, alpha, dt)
                 block = element_blocks(table, alpha, dt).left
@@ -672,26 +674,28 @@ def test_banded_run_equals_the_interleaved_lapack_loop_bitwise(n_elements, kind,
 
 def test_runs_refuse_step_factors_without_the_permuted_form(legendre, control, monkeypatch):
     """No step matrix the package builds widens its permuted lower factor
-    past kl + ku (see test_assembly), but one that did would be refused with
-    a ValueError naming the cap, per member in run_batch.  W's factors
-    without it still solve, through dgbtrs.  Meshes above the stacking line
-    factor no step matrix."""
+    past kl + ku (see test_assembly), but band_lu_factor would refuse one
+    that did with a ValueError naming the cap, and run_batch reports it per
+    member.  Meshes above the stacking line factor no step matrix."""
     factor = solver.band_lu_factor
+    # lower bidiagonal, pivoting at every column: each interchange carries
+    # the multipliers above it one row further down, past kl + ku = 1
+    widening = BandedMatrix(3, 1, 0, np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
 
-    def interleaved_only(m):
-        return dataclasses.replace(factor(m), perm=None, lower=None)
+    def past_the_cap(m):
+        return factor(widening)
 
-    monkeypatch.setattr(solver, "band_lu_factor", interleaved_only)
+    monkeypatch.setattr(solver, "band_lu_factor", past_the_cap)
     mesh = build_mesh(control, 4)
     a0 = initial_coefficients(control, mesh, legendre)
     assert abs(evaluate(mesh, a0, 0.5) - 1.0) < 1e-9
     cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=4, rule=legendre)
-    with pytest.raises(ValueError, match="kl \\+ ku = "):
+    with pytest.raises(ValueError, match="kl \\+ ku = 1$"):
         run(control, cfg)
     configs = [RunConfig(dt=0.01, t_final=t, n_elements=4, rule=legendre) for t in (0.0, 0.02)]
     outcomes = [state for _, state in run_batch(control, configs)]
     assert np.array_equal(outcomes[0].full, a0.full)
-    assert isinstance(outcomes[1], ValueError)
+    assert isinstance(outcomes[1], ValueError) and str(outcomes[1]).endswith("kl + ku = 1")
 
 
 def test_evaluate_at_boundaries_and_nodes(legendre, control):
