@@ -11,12 +11,14 @@ A matrix solved once goes to band_solve, one LAPACK dgbsv (dgbtrf, then
 dgbtrs).  A matrix solved repeatedly is factored by band_lu_factor into a
 single form: dgbtrf leaves its row interchanges interleaved with the
 columns of L, and LAPACK's dgbtrs applies them one column and one BLAS
-call at a time, so band_lu_factor moves them all to the front once,
-A[perm] = L U (Golub and Van Loan, Matrix Computations, 4th ed., section
-4.3).  A solve is then one gather and two BLAS dtbsv calls, each a single
-loop (solver._advance).  Every row receives the same updates in the same
-order as under dgbtrs, and the result is bitwise equal to it.  Everything
-is stored in Fortran order so the hot time-stepping loop never copies.
+call at a time, so band_lu_factor moves them all to the front,
+A[perm] = L U.  Once PA = LU is known, PA needs no interchange (Golub and
+Van Loan, Matrix Computations, 4th ed., section 4.3), so a second dgbtrf,
+on A[perm], returns that L directly.  A solve is then one gather and two
+BLAS dtbsv calls, each a single loop (solver._advance).  Every row
+receives the same updates in the same order as under dgbtrs, and the
+result is bitwise equal to it.  Everything is stored in Fortran order so
+the hot time-stepping loop never copies.
 """
 
 from dataclasses import dataclass
@@ -118,55 +120,6 @@ def check_pivots(diagonal):
         raise SingularMatrix(int(bad[0]) + 1)
 
 
-def _front_interchanges(lu_bands, ipiv, n, kl, ku):
-    """(perm, lower) of dgbtrf's factors with every interchange moved to the front.
-
-    perm is dlaswp applied to 0 .. n-1.  The multiplier of row j + r in
-    column j is stored where swap j left it; each later swap j + s (s >= 1)
-    exchanges two rows at or below j + s and carries it along.  offset
-    tracks, per multiplier, its row relative to j, and swap j + s is
-    replayed on every column at once.  A multiplier at offset below s is
-    in place for good, as later swaps touch only rows below it.  Zero
-    multipliers (and those past row n) are not tracked: they add nothing,
-    and this keeps the factors of a block-diagonal matrix equal to its
-    blocks' (see block_diagonal).
-
-    Raises ValueError once L's lower bandwidth passes kl + ku, which keeps
-    the lower solve no costlier than the upper one; general band matrices
-    can pass it by far (n = 1600, kl = 3, ku = 2 and random entries gave
-    1255), the matrices this package builds do not.
-    """
-    cap = kl + ku
-    perm = _lapack.dlaswp(np.arange(n, dtype=float)[:, None], ipiv)[:, 0].astype(np.intp)
-    columns = np.arange(n)
-    r = np.arange(1, kl + 1)[:, None]
-    small = np.min_scalar_type(cap + kl)
-    offset = np.repeat(r.astype(small), n, axis=1)
-    multipliers = np.ascontiguousarray(lu_bands[cap + 1 :, :])
-    offset[(columns + r >= n) | (multipliers == 0.0)] = 0
-    # swap j + s exchanges the rows at offsets s and s + shift[j + s] from j
-    shift = (ipiv - columns).astype(small)
-    for s in range(1, cap + 1):
-        if not (offset >= s).any():
-            break
-        moved = np.zeros(n, dtype=small)
-        moved[: n - s] = shift[s:]
-        down = moved * (offset == s)
-        offset -= moved * (offset == moved + s)
-        offset += down
-    width = int(offset.max(initial=0))
-    if width > cap:
-        raise ValueError(
-            f"the row interchanges of the {n} x {n} matrix widen "
-            f"its lower factor past kl + ku = {cap}"
-        )
-    lower = np.zeros((width + 1, n), order="F")
-    # untracked multipliers land on the diagonal, which is then set to 1
-    lower.reshape(-1, order="F")[columns * (width + 1) + offset] = multipliers
-    lower[0] = 1.0
-    return perm, lower
-
-
 def _lapack_layout(m):
     """m's bands in the (2kl + ku + 1) x n layout of dgbtrf and dgbsv.
 
@@ -186,16 +139,62 @@ def _check_factors(routine, info, pivots):
     check_pivots(pivots)
 
 
+def _permuted(m, perm):
+    """The BandedMatrix of A[perm], whose row i is row perm[i] of A.
+
+    Its bandwidths are kl + max(i - perm[i]) and ku + max(perm[i] - i).
+    """
+    n = m.n
+    moved = np.empty(n, dtype=np.intp)
+    moved[perm] = np.arange(n)
+    moved -= np.arange(n)  # row p of A is row p + moved[p] of A[perm]
+    permuted = BandedMatrix(n, m.kl + int(moved.max()), m.ku - int(moved.min()))
+    columns = np.arange(n)
+    rows = columns + np.arange(-m.ku, m.kl + 1)[:, None]  # of each band slot
+    inside = (rows >= 0) & (rows < n)
+    rows, columns = rows[inside], np.broadcast_to(columns, inside.shape)[inside]
+    permuted.bands[permuted.ku + rows + moved[rows] - columns, columns] = m.bands[inside]
+    return permuted
+
+
 def band_lu_factor(m):
     """Factor A[perm] = LU within band storage (partial pivoting).
 
-    Raises SingularMatrix at a vanishing pivot, and ValueError where the
-    interchanges widen L past kl + ku (see _front_interchanges).
+    dgbtrf on A gives U, the interchanges and perm (dlaswp of 0 .. n-1).
+    A second dgbtrf, on A[perm], then needs no interchange and returns L's
+    multipliers with the interchanges already at the front: at each column
+    the pivot row is on top and a largest candidate, so idamax keeps it,
+    and every row receives the same updates in the same order as in the
+    first call.  lower is that L, trimmed to its last nonzero subdiagonal,
+    with -0.0 (a zero multiplier over a negative pivot) stored as 0.0.
+
+    Raises SingularMatrix at a vanishing pivot, and ValueError once L's
+    lower bandwidth passes kl + ku, which keeps the lower solve no costlier
+    than the upper one; general band matrices can pass it by far (n = 1600,
+    kl = 3, ku = 2 and random entries gave 1255), the matrices this package
+    builds do not.  Raises RuntimeError should the second dgbtrf interchange
+    rows after all, as a NaN below a pivot can make it do.
     """
+    n, cap = m.n, m.kl + m.ku
     lu_bands, ipiv, info = _lapack.dgbtrf(_lapack_layout(m), m.kl, m.ku, overwrite_ab=1)
-    _check_factors("dgbtrf", info, lu_bands[m.kl + m.ku])
-    perm, lower = _front_interchanges(lu_bands, ipiv, m.n, m.kl, m.ku)
-    return LUFactors(n=m.n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
+    _check_factors("dgbtrf", info, lu_bands[cap])
+    perm = _lapack.dlaswp(np.arange(n, dtype=float)[:, None], ipiv)[:, 0].astype(np.intp)
+    permuted = _permuted(m, perm)
+    lu, pivots, info = _lapack.dgbtrf(_lapack_layout(permuted), permuted.kl, permuted.ku, overwrite_ab=1)
+    if info != 0 or np.any(pivots != np.arange(n)):
+        raise RuntimeError(f"dgbtrf interchanged rows of the {n} x {n} matrix in pivot order")
+    multipliers = lu[permuted.kl + permuted.ku + 1 :]  # row r holds the multiplier of row j + 1 + r in column j
+    used = np.flatnonzero(multipliers.any(axis=1))
+    width = int(used[-1]) + 1 if used.size else 0
+    if width > cap:
+        raise ValueError(
+            f"the row interchanges of the {n} x {n} matrix widen "
+            f"its lower factor past kl + ku = {cap}"
+        )
+    lower = np.empty((width + 1, n), order="F")
+    lower[0] = 1.0
+    lower[1:] = multipliers[:width] + 0.0  # -0.0 + 0.0 is 0.0
+    return LUFactors(n=n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
 
 
 def band_solve(m, b):
@@ -213,28 +212,16 @@ def band_solve(m, b):
     return x
 
 
-def block_diagonal(matrices, factors):
-    """Block-diagonal matrix of matrices with equal bandwidths, and its factors.
+def block_diagonal(matrices):
+    """Block-diagonal matrix of matrices, their band columns side by side.
 
-    factors[i] is the LU factorization of matrices[i].  Band columns are
-    placed side by side, each block's pivots and permutation are offset by
-    the rows before it, and the lower factors are padded with zero bands to
-    the widest.  No pivot crosses a block, so the factors equal those of
-    band_lu_factor on the stacked matrix, bitwise.
+    Each block's bands are padded with zero rows to the widest kl and ku.
+    No pivot crosses a block, so band_lu_factor of the stack solves each
+    block bitwise as that block's own factors do.
     """
     if len(matrices) == 1:
-        return matrices[0], factors[0]
-    kl, ku = matrices[0].kl, matrices[0].ku
-    if any((m.kl, m.ku) != (kl, ku) for m in matrices):
-        raise ValueError("blocks must share their bandwidths")
-    n = sum(m.n for m in matrices)
-    bands = np.concatenate([m.bands for m in matrices], axis=1)
-    lu_bands = np.asfortranarray(np.concatenate([f.lu_bands for f in factors], axis=1))
-    offsets = np.cumsum([0] + [m.n for m in matrices[:-1]]).tolist()
-    ipiv = np.concatenate([f.ipiv + offset for f, offset in zip(factors, offsets)])
-    perm = np.concatenate([f.perm + offset for f, offset in zip(factors, offsets)])
-    width = max(f.width for f in factors)
-    padded = [np.pad(f.lower, ((0, width - f.width), (0, 0))) for f in factors]
-    lower = np.asfortranarray(np.concatenate(padded, axis=1))
-    stacked = LUFactors(n=n, kl=kl, ku=ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
-    return BandedMatrix(n, kl, ku, bands), stacked
+        return matrices[0]
+    kl = max(m.kl for m in matrices)
+    ku = max(m.ku for m in matrices)
+    padded = [np.pad(m.bands, ((ku - m.ku, kl - m.kl), (0, 0))) for m in matrices]
+    return BandedMatrix(sum(m.n for m in matrices), kl, ku, np.concatenate(padded, axis=1))

@@ -7,12 +7,13 @@ boundary entries pinned at zero so that evaluation code can index elements
 uniformly.
 
 Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
-L, factored once, and run_batch stacks them; each step is one dgbmv, one
-gather and two BLAS dtbsv calls (linalg.LUFactors).  Larger meshes step
-alone, through their Fourier modes: one real FFT of the state's odd
-extension splits the run into N + 1 independent 6 x 6 complex problems,
-each powered in log2(M) batched products, and one inverse FFT returns the
-final state (_propagator, _advance_modes).
+L, and run_batch stacks them, factoring each stack once; each step is one
+dgbmv, one gather and two BLAS dtbsv calls (linalg.LUFactors).  Larger
+meshes step alone, through their Fourier modes: one real FFT of the
+state's odd extension splits the run into N + 1 independent 6 x 6 complex
+problems, each powered in log2(M) batched products, and one inverse FFT
+returns the final state (_propagator, _advance_modes).  A stiff mesh whose
+symbols round to singular steps banded instead.
 """
 
 import math
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import blas as _blas
-from ._lapack import lapack as _lapack
 from .assembly import assemble_crank_nicolson, assemble_initial_system, element_blocks
 from .basis import CollocationRule, build_basis_table, hermite_values
 from .basis import hermite_first_derivs, hermite_second_derivs
@@ -172,9 +172,11 @@ def _propagator(mesh, rule, alpha, dt):
     h**2) B is built directly rather than as R - L.
 
     Raises SingularMatrix at the first row of L's element block that is
-    not finite (numpy's solve does not check; it is that row of L(0)), or
-    at the zero pivot of a singular L(theta), the symbols counted as one
-    block diagonal.
+    not finite (numpy's solve does not check; it is that row of L(0)), and
+    numpy.linalg.LinAlgError where an L(theta) is singular to working
+    precision.  Once alpha**2 dt / h**2 passes about 1e17, the H / dt term
+    of L(0) is lost to rounding and L(0) is singular though L is not, so
+    _prepare then steps the mesh by its banded L instead.
     """
     n = mesh.n_elements
     table = build_basis_table(rule, mesh.h)
@@ -182,16 +184,7 @@ def _propagator(mesh, rule, alpha, dt):
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise SingularMatrix(int(np.argmin(finite)) + 1)
-    left = _symbols(block, n)
-    try:
-        propagator = np.linalg.solve(left, _symbols((alpha**2 / mesh.h**2) * table.B, n))
-    except np.linalg.LinAlgError:
-        for m, symbol in enumerate(left):
-            info = _lapack.zgetrf(symbol)[2]
-            if info > 0:
-                raise SingularMatrix(6 * m + info) from None
-        raise
-    return propagator
+    return np.linalg.solve(_symbols(block, n), _symbols((alpha**2 / mesh.h**2) * table.B, n))
 
 
 def _extend(full, n):
@@ -267,7 +260,9 @@ def step(system, factors, a):
     6N <= 1024 unknowns, so for those a hand-written loop of step()
     reproduces run() bitwise.  Larger meshes run() steps through their
     Fourier modes, which agree with a loop of step() only to within the
-    banded solve's forward error (see below).
+    banded solve's forward error (see below), except for a stiff mesh whose
+    symbol L(0) rounds to singular: run() steps that one banded too, and a
+    loop of step() reproduces it bitwise.
 
     Accuracy: the banded LU solve is backward stable, so the computed a_next
     exactly solves a system whose matrix differs from L by a small multiple
@@ -282,26 +277,25 @@ def step(system, factors, a):
     return _coefficients(reduced_to_full, x, a.time_index + 1)
 
 
-def _modal(cfg):
-    """Whether cfg's mesh is too large to stack, and so steps by Fourier modes."""
-    return 6 * cfg.n_elements > _STACK_UNKNOWNS
-
-
 def _prepare(spec, cfg):
     """Initial state, and for a run with steps what its kernel steps with.
 
-    That is the propagator of the Fourier modes (and no factors) for a mesh
-    too large to stack, and otherwise L and R with the permuted factors of L
-    (linalg.band_lu_factor).
+    That is the propagator of the Fourier modes for a mesh too large to
+    stack, and otherwise the system of L and R, unfactored: a stack
+    factors its members' L as one (_advance_stack).  A mesh too large to
+    stack whose symbol L(0) rounds to singular (_propagator) gets its
+    system too, and steps alone through the banded LU of L.
     """
     mesh = build_mesh(spec, cfg.n_elements)
     a = initial_coefficients(spec, mesh, cfg.rule)
     if cfg.n_steps == 0:
-        return a, None, None
-    if _modal(cfg):
-        return a, _propagator(mesh, cfg.rule, spec.alpha, cfg.dt), None
-    system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
-    return a, system, band_lu_factor(system.left)
+        return a, None
+    if 6 * cfg.n_elements > _STACK_UNKNOWNS:
+        try:
+            return a, _propagator(mesh, cfg.rule, spec.alpha, cfg.dt)
+        except np.linalg.LinAlgError:
+            pass
+    return a, assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
 
 
 def run(spec, cfg, on_step=None):
@@ -313,7 +307,9 @@ def run(spec, cfg, on_step=None):
     batched solve of the N + 1 symbols and log2(M) batched products (Table
     4's N = 1000 row, M = 1000, takes about 19 ms on a shared 2-vCPU x86_64
     host).  These agree with a loop of step() to within the banded solve's
-    forward error.
+    forward error.  Where alpha**2 dt / h**2 is so large (above about 1e17)
+    that L(0) rounds to singular, a larger mesh steps through the banded
+    LU of L instead, as a small one does.
 
     If on_step is given it is called with a CoefficientVector of each new
     time level (time_index 1 .. n_steps); nothing is retained otherwise,
@@ -353,55 +349,63 @@ def _plan_stacks(configs):
 def _run_stack(spec, members, on_step=None):
     """(index, result) of each (index, config) in members, which share a step count.
 
-    Members whose (kl, ku) agree step as one block-diagonal system, and a
-    mesh too large to stack steps by its Fourier modes.  A member whose
-    preparation raises gets that exception as its result, and one whose
-    final state is not finite a ValueError.  on_step is run()'s, passed only
-    for its one member.
+    The banded members step as one block-diagonal system, and a mesh too
+    large to stack steps by its Fourier modes (or, where its symbol is
+    singular, banded and alone).  A member whose preparation raises gets
+    that exception as its result, and one whose final state is not finite
+    a ValueError.  on_step is run()'s, passed only for its one member.
     """
     n_steps = members[0][1].n_steps
     results = {}
-    groups = {}
+    banded = []
     for index, cfg in members:
         try:
-            a, system, factors = _prepare(spec, cfg)
+            a, kernel = _prepare(spec, cfg)
         except Exception as exc:  # reported per member; the others still run
             results[index] = exc
             continue
-        if system is None:
+        if kernel is None:
             results[index] = a
-        elif _modal(cfg):  # always alone in its stack
-            results[index] = _advance_modes(system, a, n_steps, on_step)
+        elif isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
+            results[index] = _advance_modes(kernel, a, n_steps, on_step)
         else:
-            right, reduced_to_full = system.right, system.reduced_to_full
-            member = (index, right, factors, a.full[reduced_to_full], reduced_to_full)
-            groups.setdefault((right.kl, right.ku), []).append(member)
-    for group in groups.values():
-        results.update(_advance_group(group, n_steps, on_step))
+            banded.append((index, kernel, a.full[kernel.reduced_to_full]))
+    if banded:
+        results.update(_advance_stack(banded, n_steps, on_step))
     for index, result in results.items():
         if isinstance(result, CoefficientVector) and not np.all(np.isfinite(result.full)):
             results[index] = ValueError(f"the solution is not finite after step {n_steps}")
     return [(index, results[index]) for index, _ in members]
 
 
-def _advance_group(group, n_steps, on_step):
-    """(index, final state) of each banded member of group, stepped as one.
+def _advance_stack(stack, n_steps, on_step):
+    """(index, final state or exception) of each (index, system, x) in stack.
 
-    Where a state overflows, dgbmv's 0 * inf in the band slots between the
-    blocks makes NaN of its neighbours too, so a group of several members
-    that ends not finite steps each member again alone.
+    The members' L are stacked and factored once, and their R stacked, by
+    linalg.block_diagonal.  Where that factorization raises, a stack of one
+    member gets the exception as its result.  Where a state overflows,
+    dgbmv's 0 * inf in the band slots between the blocks makes NaN of its
+    neighbours too.  So a stack of several members whose factorization
+    raises or whose state ends not finite steps each member again alone.
     """
-    stacked, rights, factor_list, xs, maps = zip(*group)
-    right, factors = block_diagonal(rights, factor_list)
-    report = None if on_step is None else lambda k, x: on_step(_coefficients(maps[0], x, k))
-    x = _advance(right, factors, np.concatenate(xs), n_steps, report)
-    if len(group) > 1 and not np.all(np.isfinite(x)):
-        return [pair for member in group for pair in _advance_group([member], n_steps, None)]
-    parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
-    return [
-        (index, _coefficients(reduced_to_full, part, n_steps))
-        for index, reduced_to_full, part in zip(stacked, maps, parts)
-    ]
+    indices, systems, xs = zip(*stack)
+    try:
+        factors = band_lu_factor(block_diagonal([system.left for system in systems]))
+    except Exception as exc:  # reported per member, as its own factorization raises it
+        if len(stack) == 1:
+            return [(indices[0], exc)]
+    else:
+        right = block_diagonal([system.right for system in systems])
+        maps = [system.reduced_to_full for system in systems]
+        report = None if on_step is None else lambda k, x: on_step(_coefficients(maps[0], x, k))
+        x = _advance(right, factors, np.concatenate(xs), n_steps, report)
+        if len(stack) == 1 or np.all(np.isfinite(x)):
+            parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
+            return [
+                (index, _coefficients(reduced_to_full, part, n_steps))
+                for index, reduced_to_full, part in zip(indices, maps, parts)
+            ]
+    return [pair for member in stack for pair in _advance_stack([member], n_steps, None)]
 
 
 def run_batch(spec, configs):
@@ -411,11 +415,11 @@ def run_batch(spec, configs):
     bitwise equal to run(spec, configs[index]), or the exception that its
     run raised, and the other configurations still run.  Configurations
     with the same step count are stacked into one block-diagonal banded
-    system of at most 1024 unknowns, which steps faster than separate
-    loops on small meshes; a larger mesh runs alone, by its Fourier modes,
-    as in run().  A stack with a state that is not finite at the end steps its
-    members again one by one, so a member that overflows gets a ValueError
-    without changing the results of its stack mates.
+    system of at most 1024 unknowns, factored once, which steps faster than
+    separate loops on small meshes; a larger mesh runs alone, as in run().
+    A stack whose factorization raises, or whose state is not finite at the
+    end, steps its members again one by one, so a member that overflows
+    gets a ValueError without changing the results of its stack mates.
     Results come stack by stack, and each stack's matrices and states are
     freed before the next one is assembled, so a caller that reduces each
     state as it arrives holds only one stack at a time.

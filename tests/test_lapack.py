@@ -74,7 +74,6 @@ import scipy.linalg
 assert scipy.linalg.lapack.dgbtrf is _lapack.lapack.dgbtrf
 assert scipy.linalg.lapack.dgbsv is _lapack.lapack.dgbsv
 assert scipy.linalg.lapack.dlaswp is _lapack.lapack.dlaswp
-assert scipy.linalg.lapack.zgetrf is _lapack.lapack.zgetrf
 assert scipy.linalg.blas.dgbmv is _lapack.blas.dgbmv
 assert scipy.linalg.blas.dtbsv is _lapack.blas.dtbsv
 print("ok")

@@ -169,52 +169,45 @@ def test_factorization_is_reusable_bitwise():
     assert np.array_equal(x2, y2)
 
 
-def assert_stack_equals_a_fresh_factorization(blocks, rng):
-    """Stack blocks with block_diagonal, check it against band_lu_factor of
-    the stacked matrix and against solo solves, bitwise; return its factors."""
+def assert_stack_solves_each_block_bitwise(blocks, rng):
+    """Stack blocks with block_diagonal and check that band_lu_factor of the
+    stack solves bitwise as each block's own factors do, with a lower factor
+    as wide as the widest block's; return the stack's factors."""
+    stacked = block_diagonal(blocks)
+    assert np.array_equal(dense(stacked), scipy.linalg.block_diag(*[dense(m) for m in blocks]))
     factors = [band_lu_factor(m) for m in blocks]
-    stacked, stacked_factors = block_diagonal(blocks, factors)
-    n = sum(m.n for m in blocks)
-    expected = np.zeros((n, n))
-    start = 0
-    for m in blocks:
-        expected[start : start + m.n, start : start + m.n] = dense(m)
-        start += m.n
-    assert np.array_equal(dense(stacked), expected)
-    fresh = band_lu_factor(stacked)
-    for name in ("lu_bands", "ipiv", "perm", "lower"):
-        assert np.array_equal(getattr(stacked_factors, name), getattr(fresh, name)), name
-    b = rng.normal(size=n)
-    x = lu_solve(stacked_factors, b)
-    assert np.array_equal(x, lu_solve(fresh, b))
+    stacked_factors = band_lu_factor(stacked)
+    assert stacked_factors.width == max(f.width for f in factors)
+    b = rng.normal(size=stacked.n)
     pieces = np.split(b, np.cumsum([m.n for m in blocks])[:-1])
-    assert np.array_equal(x, np.concatenate([lu_solve(f, p) for f, p in zip(factors, pieces)]))
+    alone = np.concatenate([lu_solve(f, p) for f, p in zip(factors, pieces)])
+    assert lu_solve(stacked_factors, b).tobytes() == alone.tobytes()
     return stacked_factors
 
 
-def test_block_diagonal_factors_equal_a_fresh_factorization_bitwise():
-    """Pivots never cross blocks, so side-by-side LU bands with offset
-    pivots are exactly the factorization of the stacked matrix.  So are the
-    offset permutations and the lower factors padded to the widest, as
-    zero multipliers (here those that cross into the next block) are not
-    carried by the interchanges."""
+def test_block_diagonal_factors_solve_each_block_bitwise():
+    """Pivots never cross blocks, so one factorization of the stacked matrix
+    solves every block as that block's own does.  Blocks of other
+    bandwidths are padded with zero bands to the widest: N = 1's L (kl = ku
+    = 5) stacks with those of N >= 2 (6, 6)."""
     rng = np.random.default_rng(7)
     # random blocks of n <= kl + ku + 1 rows pivot freely and stay within the cap
     blocks = [random_band(rng, n, 3, 2, dominant=False) for n in (5, 2, 6, 4)]
-    assert assert_stack_equals_a_fresh_factorization(blocks, rng).width > 0
+    assert assert_stack_solves_each_block_bitwise(blocks, rng).width > 0
     problem = control_problem()
     steps = [
         assemble_crank_nicolson(build_mesh(problem, n), legendre_rule(), 1.0, dt).left
         for n, dt in ((2, 1e-5), (4, 1e-2), (7, 1e-3), (3, 1e-5))
     ]
-    stacked = assert_stack_equals_a_fresh_factorization(steps, rng)
+    stacked = assert_stack_solves_each_block_bitwise(steps, rng)
     widths = [band_lu_factor(m).width for m in steps]
     assert stacked.width == max(widths) > min(widths)
     assert stacked.lower.flags.f_contiguous
-    mixed = [steps[0], identity_band(3)]
-    factors = [band_lu_factor(m) for m in mixed]
-    with pytest.raises(ValueError):
-        block_diagonal(mixed, factors)
+    one = assemble_crank_nicolson(build_mesh(problem, 1), legendre_rule(), 1.0, 1e-3).left
+    assert (one.kl, one.ku) == (5, 5) and (steps[0].kl, steps[0].ku) == (6, 6)
+    mixed = [one, steps[0], identity_band(3), random_band(rng, 5, 1, 3, dominant=False), one]
+    assert_stack_solves_each_block_bitwise(mixed, rng)
+    assert (block_diagonal(mixed).kl, block_diagonal(mixed).ku) == (6, 6)
 
 
 def dense_factors(factors):
@@ -224,6 +217,13 @@ def dense_factors(factors):
     k = factors.kl + factors.ku
     upper = dense(BandedMatrix(n, 0, k, factors.lu_bands[: k + 1]))
     return lower, upper
+
+
+def assert_no_negative_zero(factors):
+    """A zero multiplier over a negative pivot comes out of dgbtrf as -0.0;
+    band_lu_factor stores it as 0.0."""
+    lower = factors.lower
+    assert not np.any(np.signbit(lower) & (lower == 0.0))
 
 
 def lower_width(dense_lower):
@@ -289,6 +289,7 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_the_package_matrices(n_elements
     eps = np.finfo(float).eps
     for name, m in package_matrices(n_elements):
         factors = band_lu_factor(m)
+        assert_no_negative_zero(factors)
         if n_elements <= 4:
             lower, upper = dense_factors(factors)
             bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
@@ -312,10 +313,34 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
             except ValueError:  # past the width cap, see the test above
                 continue
             solved += 1
+            assert_no_negative_zero(factors)
             for b in rhs:
                 expected, _ = lapack.dgbtrs(factors.lu_bands, kl, ku, b, factors.ipiv)
                 assert np.array_equal(lu_solve(factors, b), expected)
     assert solved >= 20
+    # kl >= 32 takes dgbtrf's blocked path; this band pivots and widens L to 47
+    wide = random_band(np.random.default_rng(0), 300, 40, 40, dominant=False)
+    wide.bands[wide.ku] += 10.0
+    factors = band_lu_factor(wide)
+    assert np.any(factors.perm != np.arange(wide.n)) and factors.width > wide.kl
+    assert_no_negative_zero(factors)
+    b = rng.normal(size=wide.n)
+    expected, _ = lapack.dgbtrs(factors.lu_bands, wide.kl, wide.ku, b, factors.ipiv)
+    assert np.array_equal(lu_solve(factors, b), expected)
+
+
+def test_second_factorization_that_interchanges_is_refused():
+    """band_lu_factor's second dgbtrf, on A[perm], must keep every pivot in
+    place.  A NaN below the first pivot breaks that with OpenBLAS 0.3.30
+    (x86_64), whose idamax ranks a NaN by where it stands: the first call
+    pivots on 2 rather than 3, and the second, whose column is in another
+    order, on the NaN.  band_lu_factor raises rather than return an L that
+    disagrees with dgbtrf's."""
+    matrix = np.array([[2.0, 0, 0, 0], [3.0, 1.0, 0, 0], [2.0, 1.0, 3.0, 0], [np.nan, 2.0, 2.0, 1.0]])
+    rows, cols = np.tril_indices(4)
+    m = BandedMatrix.from_entries(4, rows, cols, matrix[rows, cols])
+    with pytest.raises(RuntimeError, match="interchanged rows of the 4 x 4 matrix"):
+        band_lu_factor(m)
 
 
 def test_matrix_past_the_width_cap_keeps_the_interleaved_solve():

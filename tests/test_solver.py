@@ -471,9 +471,22 @@ def test_modal_run_reports_nan_pivots(legendre):
         run(control_problem(alpha=1e154), cfg)
 
 
-def test_modal_run_reports_a_singular_symbol(legendre, control, monkeypatch):
-    """A finite L(theta) that numpy's solve finds singular is reported at
-    LAPACK's zero pivot: with column 2 of the block zero, pivot 3."""
+def banded_step_loop(spec, cfg):
+    """The final CoefficientVector of cfg's run as a loop of banded step()."""
+    mesh = build_mesh(spec, cfg.n_elements)
+    system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
+    factors = band_lu_factor(system.left)
+    a = initial_coefficients(spec, mesh, cfg.rule)
+    for _ in range(cfg.n_steps):
+        a = step(system, factors, a)
+    return a
+
+
+def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, monkeypatch):
+    """A finite L(theta) that numpy's solve finds singular (here column 2 of
+    the patched block is zero) sends the mesh to the banded LU of L, built
+    by assembly from the true blocks: the run equals a loop of banded
+    step(), bitwise."""
     block = np.eye(6, 8)
     block[2, 2] = 0.0
 
@@ -481,10 +494,29 @@ def test_modal_run_reports_a_singular_symbol(legendre, control, monkeypatch):
         return ElementBlocks(left=block, right=block)
 
     monkeypatch.setattr(solver, "element_blocks", singular_blocks)
-    cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=200, rule=legendre)
-    with pytest.raises(SingularMatrix) as failure:
-        run(control, cfg)
-    assert failure.value.pivot_index == 3
+    mesh = build_mesh(control, 200)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._propagator(mesh, legendre, control.alpha, 0.01)
+    cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=200, rule=legendre)
+    final, looped = run(control, cfg), banded_step_loop(control, cfg)
+    assert final.full.tobytes() == looped.full.tobytes()
+    assert final.time_index == looped.time_index == 3
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
+    """At alpha = 1e10, N = 171 and dt = 0.01, alpha**2 dt / h**2 is 2.9e22:
+    the H / dt term of L(0) is lost to rounding, and numpy's solve finds the
+    symbol singular though L is not.  run() then steps through the banded
+    LU of L, and equals a loop of step(), bitwise."""
+    spec = control_problem(alpha=1e10)
+    rule = RULES[kind]()
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._propagator(build_mesh(spec, 171), rule, spec.alpha, 0.01)
+    cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=171, rule=rule)
+    final, looped = run(spec, cfg), banded_step_loop(spec, cfg)
+    assert np.all(np.isfinite(final.full))
+    assert final.full.tobytes() == looped.full.tobytes()
 
 
 def mode_one_nodal_values(rule, n_elements, dt, n_steps):
@@ -567,8 +599,8 @@ def test_run_batch_equals_solo_runs_on_the_floor_tables(table_id, t_final, contr
 
 
 def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
-    """N = 1 (kl = ku = 5) stacks with itself, and N = 2, 3 and 7 (kl = ku
-    = 6) stack together, though N = 1 and 2 are narrower than their band.
+    """N = 1 (kl = ku = 5) stacks with N = 2, 3 and 7 (kl = ku = 6), its
+    bands padded to theirs, though N = 1 and 2 are narrower than their band.
     A 20-step run, a zero-step run and a mesh above the stack size (N =
     200, 1200 unknowns) each run on their own; the last steps by its
     Fourier modes, and batch and solo still agree bitwise."""
@@ -650,6 +682,26 @@ def test_an_overflowing_member_leaves_its_stack_mates_as_their_solo_runs(legendr
     assert isinstance(outcomes[4], ValueError)
     for index in range(4):
         assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+
+
+def test_a_stack_whose_factorization_raises_factors_each_member_alone(legendre, control, monkeypatch):
+    """band_lu_factor is patched to refuse the stack of N = 2, 3 and 4 (54
+    unknowns) and N = 3's L alone (18).  The stack then steps each member
+    alone: N = 3 gets the error, and N = 2 and 4 equal their solo runs."""
+    factor = solver.band_lu_factor
+
+    def refusing(m):
+        if m.n in (18, 54):
+            raise ValueError(f"refused {m.n}")
+        return factor(m)
+
+    configs = [RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre) for n in (2, 3, 4)]
+    solo = [run(control, cfg) for cfg in configs[::2]]
+    monkeypatch.setattr(solver, "band_lu_factor", refusing)
+    outcomes = dict(run_batch(control, configs))
+    assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "refused 18"
+    assert np.array_equal(outcomes[0].full, solo[0].full)
+    assert np.array_equal(outcomes[2].full, solo[1].full)
 
 
 @pytest.mark.parametrize("n_elements", [4, 10, 40])
