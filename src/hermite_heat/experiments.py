@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import RULES, build_basis_table
 from .problem import _sample, build_mesh, collocation_abscissae, control_problem
-from .solver import RunConfig, run_batch
+from .solver import RunConfig, _check_layout, run_batch
 
 __all__ = [
     "MissingExactSolution",
@@ -50,6 +50,7 @@ def error_norms(spec, mesh, rule, a, t):
     """(L2, Linf) of exact minus numerical at the collocation points."""
     if spec.exact_solution is None:
         raise MissingExactSolution("problem has no exact solution to compare against")
+    _check_layout(mesh, a)
     abscissae = collocation_abscissae(mesh, rule.points)
     exact = _sample("exact_solution", spec.exact_solution, abscissae, t)
     errors = exact - _solution_at_collocation_points(mesh, rule, a)

@@ -202,13 +202,16 @@ def band_solve(m, b):
 
     The solve is backward stable; its forward accuracy depends on the
     conditioning of A (relative error of order cond(A) * eps).  Pivots are
-    checked as in band_lu_factor.
+    checked as in band_lu_factor, and a solution that is not finite raises
+    ValueError: a NaN below a finite pivot passes the pivot check.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (m.n,):
         raise ValueError(f"vector of length {b.shape} does not match n = {m.n}")
     lu_bands, _, x, info = _lapack.dgbsv(m.kl, m.ku, _lapack_layout(m), b, overwrite_ab=1)
     _check_factors("dgbsv", info, lu_bands[m.kl + m.ku])
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the solution of the {m.n} x {m.n} system is not finite")
     return x
 
 

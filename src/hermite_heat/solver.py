@@ -60,13 +60,14 @@ class NonIntegralStepCount(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """All 6N + 2 coefficients at one time level.
+    """All 6N + 2 coefficients of a state on a mesh of N elements.
 
     full[0] and full[6N] (the boundary value coefficients) stay exactly zero.
+    It records no time level: run() returns the last one, and a loop of
+    step() gives those in between.
     """
 
     full: np.ndarray
-    time_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,11 @@ class RunConfig:
         return round(self.t_final / self.dt)
 
 
-def _coefficients(reduced_to_full, x, time_index):
+def _coefficients(reduced_to_full, x):
     """Scatter the reduced vector x into the full layout, boundary entries zero."""
     full = np.zeros(len(x) + 2)
     full[reduced_to_full] = x
-    return CoefficientVector(full=full, time_index=time_index)
+    return CoefficientVector(full=full)
 
 
 def initial_coefficients(spec, mesh, rule):
@@ -118,17 +119,16 @@ def initial_coefficients(spec, mesh, rule):
     """
     system = assemble_initial_system(mesh, rule, spec.initial_condition)
     reduced = band_solve(system.W, system.b)
-    return _coefficients(system.reduced_to_full, reduced, 0)
+    return _coefficients(system.reduced_to_full, reduced)
 
 
-def _advance(right, factors, x, n_steps, on_step=None):
+def _advance(right, factors, x, n_steps):
     """Solve L x_next = R x n_steps times on the reduced vector x; return the last x.
 
     right is R and factors is the LU factorization of L, in its permuted
     form.  BLAS is called directly with positional arguments bound once,
     since per-step Python work costs as much as the solve itself on small
-    meshes: one dgbmv, one gather and two dtbsv per step.  on_step, if
-    given, is called as on_step(k, x) after step k.
+    meshes: one dgbmv, one gather and two dtbsv per step, and nothing else.
 
     scipy's dgbmv wrapper wants at least kl + ku + 1 rows, more than n at
     N = 1 and 2, where BLAS asks only for that many band rows (Dongarra et
@@ -141,12 +141,10 @@ def _advance(right, factors, x, n_steps, on_step=None):
     perm, lower, width = factors.perm, factors.lower, factors.width
     upper, upper_width = factors.lu_bands, factors.kl + factors.ku
     dgbmv, dtbsv = _blas.dgbmv, _blas.dtbsv
-    for k in range(1, n_steps + 1):
+    for _ in range(n_steps):
         rhs = dgbmv(rows, n, kl, ku, 1.0, bands, x)
         y = dtbsv(width, lower, rhs[perm], 1, 0, 1, 0, 1, 1)
         x = dtbsv(upper_width, upper, y, 1, 0, 0, 0, 0, 1)
-        if on_step is not None:
-            on_step(k, x)
     return x
 
 
@@ -200,7 +198,7 @@ def _extend(full, n):
     return np.concatenate([own, mirrored * [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]])
 
 
-def _restrict(extended, n, time_index):
+def _restrict(extended, n):
     """The CoefficientVector of the first N elements and node N of an extended state.
 
     The boundary values are set to exactly 0.0, as the extension holds them
@@ -210,7 +208,7 @@ def _restrict(extended, n, time_index):
     full[: 6 * n] = extended[:n].ravel()
     full[0] = 0.0
     full[6 * n + 1] = extended[n, 1]
-    return CoefficientVector(full=full, time_index=time_index)
+    return CoefficientVector(full=full)
 
 
 def _power(propagator, modes, n_steps):
@@ -235,22 +233,15 @@ def _power(propagator, modes, n_steps):
         power += square
 
 
-def _advance_modes(propagator, a, n_steps, on_step=None):
+def _advance_modes(propagator, a, n_steps):
     """The CoefficientVector n_steps steps after a: one FFT, _power, one inverse FFT.
 
-    With on_step the modes step by E one level at a time (the n_steps = 1
-    case of _power), with one inverse FFT per level.  numpy.fft is reached
-    only here, so importing the package does not load it.
+    numpy.fft is reached only here, so importing the package does not load it.
     """
     n = (len(a.full) - 2) // 6
     modes = np.fft.rfft(_extend(a.full, n), axis=0)
-    if on_step is None:
-        _power(propagator, modes, n_steps)
-    else:
-        for k in range(1, n_steps + 1):
-            _power(propagator, modes, 1)
-            on_step(_restrict(np.fft.irfft(modes, 2 * n, axis=0), n, k))
-    return _restrict(np.fft.irfft(modes, 2 * n, axis=0), n, n_steps)
+    _power(propagator, modes, n_steps)
+    return _restrict(np.fft.irfft(modes, 2 * n, axis=0), n)
 
 
 def step(system, factors, a):
@@ -258,7 +249,8 @@ def step(system, factors, a):
 
     This is one step of the banded loop that run() uses for meshes with
     6N <= 1024 unknowns, so for those a hand-written loop of step()
-    reproduces run() bitwise.  Larger meshes run() steps through their
+    reproduces run() bitwise, and gives the intermediate levels, which
+    run() does not keep.  Larger meshes run() steps through their
     Fourier modes, which agree with a loop of step() only to within the
     banded solve's forward error (see below), except for a stiff mesh whose
     symbol L(0) rounds to singular: run() steps that one banded too, and a
@@ -274,7 +266,7 @@ def step(system, factors, a):
     """
     reduced_to_full = system.reduced_to_full
     x = _advance(system.right, factors, a.full[reduced_to_full], 1)
-    return _coefficients(reduced_to_full, x, a.time_index + 1)
+    return _coefficients(reduced_to_full, x)
 
 
 def _prepare(spec, cfg):
@@ -298,29 +290,25 @@ def _prepare(spec, cfg):
     return a, assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
 
 
-def run(spec, cfg, on_step=None):
+def run(spec, cfg):
     """Run the whole pipeline and return the final coefficient vector.
 
     Meshes with 6N <= 1024 unknowns factor L once and advance the reduced
     6N-vector through its banded LU, without building a CoefficientVector
-    per step.  Larger ones step by their Fourier modes: M steps cost one
-    batched solve of the N + 1 symbols and log2(M) batched products (Table
-    4's N = 1000 row, M = 1000, takes about 19 ms on a shared 2-vCPU x86_64
+    per step, so million-step runs stay flat in memory; a loop of step()
+    reproduces the final state, and the levels before it, bitwise.
+    Larger ones step by their Fourier modes: M steps cost one batched
+    solve of the N + 1 symbols and log2(M) batched products (Table 4's
+    N = 1000 row, M = 1000, takes about 19 ms on a shared 2-vCPU x86_64
     host).  These agree with a loop of step() to within the banded solve's
     forward error.  Where alpha**2 dt / h**2 is so large (above about 1e17)
     that L(0) rounds to singular, a larger mesh steps through the banded
     LU of L instead, as a small one does.
 
-    If on_step is given it is called with a CoefficientVector of each new
-    time level (time_index 1 .. n_steps); nothing is retained otherwise,
-    so million-step runs stay flat in memory.  Above the stacking line
-    on_step makes the modes step by E(theta) one level at a time, with one
-    inverse FFT per level, so the final state differs from a run without
-    on_step by rounding: 9.1e-12 of the largest coefficient at N = 180
-    after 25 steps.  run is run_batch's stack of one member, and raises
-    the exception that member's result would hold.
+    run is run_batch's stack of one member, and raises the exception that
+    member's result would hold.
     """
-    ((_, result),) = _run_stack(spec, [(0, cfg)], on_step)
+    ((_, result),) = _run_stack(spec, [(0, cfg)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -346,14 +334,14 @@ def _plan_stacks(configs):
     return stacks
 
 
-def _run_stack(spec, members, on_step=None):
+def _run_stack(spec, members):
     """(index, result) of each (index, config) in members, which share a step count.
 
     The banded members step as one block-diagonal system, and a mesh too
     large to stack steps by its Fourier modes (or, where its symbol is
     singular, banded and alone).  A member whose preparation raises gets
     that exception as its result, and one whose final state is not finite
-    a ValueError.  on_step is run()'s, passed only for its one member.
+    a ValueError.
     """
     n_steps = members[0][1].n_steps
     results = {}
@@ -367,18 +355,18 @@ def _run_stack(spec, members, on_step=None):
         if kernel is None:
             results[index] = a
         elif isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
-            results[index] = _advance_modes(kernel, a, n_steps, on_step)
+            results[index] = _advance_modes(kernel, a, n_steps)
         else:
             banded.append((index, kernel, a.full[kernel.reduced_to_full]))
     if banded:
-        results.update(_advance_stack(banded, n_steps, on_step))
+        results.update(_advance_stack(banded, n_steps))
     for index, result in results.items():
         if isinstance(result, CoefficientVector) and not np.all(np.isfinite(result.full)):
             results[index] = ValueError(f"the solution is not finite after step {n_steps}")
     return [(index, results[index]) for index, _ in members]
 
 
-def _advance_stack(stack, n_steps, on_step):
+def _advance_stack(stack, n_steps):
     """(index, final state or exception) of each (index, system, x) in stack.
 
     The members' L are stacked and factored once, and their R stacked, by
@@ -396,16 +384,14 @@ def _advance_stack(stack, n_steps, on_step):
             return [(indices[0], exc)]
     else:
         right = block_diagonal([system.right for system in systems])
-        maps = [system.reduced_to_full for system in systems]
-        report = None if on_step is None else lambda k, x: on_step(_coefficients(maps[0], x, k))
-        x = _advance(right, factors, np.concatenate(xs), n_steps, report)
+        x = _advance(right, factors, np.concatenate(xs), n_steps)
         if len(stack) == 1 or np.all(np.isfinite(x)):
             parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
             return [
-                (index, _coefficients(reduced_to_full, part, n_steps))
-                for index, reduced_to_full, part in zip(indices, maps, parts)
+                (index, _coefficients(system.reduced_to_full, part))
+                for index, system, part in zip(indices, systems, parts)
             ]
-    return [pair for member in stack for pair in _advance_stack([member], n_steps, None)]
+    return [pair for member in stack for pair in _advance_stack([member], n_steps)]
 
 
 def run_batch(spec, configs):
@@ -428,26 +414,35 @@ def run_batch(spec, configs):
         yield from _run_stack(spec, members)
 
 
-def _locate(mesh, x):
+def _check_layout(mesh, a):
+    """Raise ValueError unless a holds the 6N + 2 coefficients of mesh's N elements."""
+    if len(a.full) != 6 * mesh.n_elements + 2:
+        raise ValueError(
+            f"the state holds {len(a.full)} coefficients, but a mesh of "
+            f"{mesh.n_elements} elements needs {6 * mesh.n_elements + 2}"
+        )
+
+
+def _element(mesh, a, x):
+    """The 8 coefficients of the element holding x, and x's local coordinate there."""
+    _check_layout(mesh, a)
     # written so that NaN fails too
     if not (mesh.nodes[0] <= x <= mesh.nodes[-1]):
         raise ValueError(f"x = {x} lies outside [{mesh.nodes[0]}, {mesh.nodes[-1]}]")
     k = min(max(int(math.floor((x - mesh.nodes[0]) / mesh.h)), 0), mesh.n_elements - 1)
     xi = min(max((x - mesh.nodes[k]) / mesh.h, 0.0), 1.0)
-    return k, xi
+    return a.full[6 * k : 6 * k + 8], xi
 
 
 def evaluate(mesh, a, x):
     """Value of the numerical solution at abscissa x."""
-    k, xi = _locate(mesh, x)
-    coeffs = a.full[6 * k : 6 * k + 8]
+    coeffs, xi = _element(mesh, a, x)
     return float(coeffs @ hermite_values(xi, mesh.h))
 
 
 def evaluate_derivatives(mesh, a, x):
     """First and second x-derivatives of the numerical solution at x."""
-    k, xi = _locate(mesh, x)
-    coeffs = a.full[6 * k : 6 * k + 8]
+    coeffs, xi = _element(mesh, a, x)
     first = float(coeffs @ hermite_first_derivs(xi, mesh.h)) / mesh.h
     second = float(coeffs @ hermite_second_derivs(xi, mesh.h)) / mesh.h**2
     return first, second

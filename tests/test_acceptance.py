@@ -11,6 +11,7 @@ from numpy.polynomial.polynomial import polyder, polyval
 from hermite_heat import (
     ProblemSpec,
     RunConfig,
+    assemble_crank_nicolson,
     band_lu_factor,
     build_mesh,
     chebyshev_rule,
@@ -25,6 +26,7 @@ from hermite_heat import (
     legendre_rule,
     run,
     run_table,
+    step,
     table_spec,
 )
 from hermite_heat.basis import B_COEFFS, H_POWERS
@@ -194,15 +196,18 @@ def test_criterion_6_property_suite():
     for x in rng.uniform(0.0, 1.0, 50):
         assert evaluate(mesh, a0, x) == pytest.approx(poly(x), rel=1e-10, abs=1e-12)
 
-    # boundary pinning after every step
+    # boundary pinning after every step of a loop of step(), which below
+    # the stacking line is run()'s loop, bitwise
     problem = control_problem()
-
-    def pinned(state):
+    cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=8, rule=legendre_rule())
+    mesh = build_mesh(problem, 8)
+    system = assemble_crank_nicolson(mesh, cfg.rule, problem.alpha, cfg.dt)
+    factors = band_lu_factor(system.left)
+    state = initial_coefficients(problem, mesh, cfg.rule)
+    for _ in range(cfg.n_steps):
+        state = step(system, factors, state)
         assert state.full[0] == 0.0
         assert state.full[6 * 8] == 0.0
-
-    cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=8, rule=legendre_rule())
-    run(problem, cfg, on_step=pinned)
 
     # bitwise determinism of repeated runs
     first = run(problem, cfg)

@@ -329,6 +329,13 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
     assert np.array_equal(lu_solve(factors, b), expected)
 
 
+def nan_below_a_pivot():
+    """A 4 x 4 lower triangular band matrix with a NaN below its first pivot."""
+    matrix = np.array([[2.0, 0, 0, 0], [3.0, 1.0, 0, 0], [2.0, 1.0, 3.0, 0], [np.nan, 2.0, 2.0, 1.0]])
+    rows, cols = np.tril_indices(4)
+    return BandedMatrix.from_entries(4, rows, cols, matrix[rows, cols])
+
+
 def test_second_factorization_that_interchanges_is_refused():
     """band_lu_factor's second dgbtrf, on A[perm], must keep every pivot in
     place.  A NaN below the first pivot breaks that with OpenBLAS 0.3.30
@@ -336,11 +343,15 @@ def test_second_factorization_that_interchanges_is_refused():
     pivots on 2 rather than 3, and the second, whose column is in another
     order, on the NaN.  band_lu_factor raises rather than return an L that
     disagrees with dgbtrf's."""
-    matrix = np.array([[2.0, 0, 0, 0], [3.0, 1.0, 0, 0], [2.0, 1.0, 3.0, 0], [np.nan, 2.0, 2.0, 1.0]])
-    rows, cols = np.tril_indices(4)
-    m = BandedMatrix.from_entries(4, rows, cols, matrix[rows, cols])
     with pytest.raises(RuntimeError, match="interchanged rows of the 4 x 4 matrix"):
-        band_lu_factor(m)
+        band_lu_factor(nan_below_a_pivot())
+
+
+def test_band_solve_refuses_a_solution_that_is_not_finite():
+    """nan_below_a_pivot passes dgbsv's pivot check, as its NaN lies below
+    a finite pivot, yet the solution is all NaN: band_solve raises."""
+    with pytest.raises(ValueError, match="4 x 4 system is not finite"):
+        band_solve(nan_below_a_pivot(), np.ones(4))
 
 
 def test_matrix_past_the_width_cap_keeps_the_interleaved_solve():

@@ -37,6 +37,19 @@ def quadratic_problem():
     return ProblemSpec(0.0, 1.0, 1.0, lambda x: x * (1.0 - x))
 
 
+def step_levels(spec, cfg):
+    """The CoefficientVectors of levels 1 .. M of cfg's run as a loop of banded step()."""
+    mesh = build_mesh(spec, cfg.n_elements)
+    system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
+    factors = band_lu_factor(system.left)
+    a = initial_coefficients(spec, mesh, cfg.rule)
+    levels = []
+    for _ in range(cfg.n_steps):
+        a = step(system, factors, a)
+        levels.append(a)
+    return levels
+
+
 def test_run_config_rejects_non_integral_step_count(legendre):
     with pytest.raises(NonIntegralStepCount):
         RunConfig(dt=0.3, t_final=1.0, n_elements=4, rule=legendre)
@@ -93,7 +106,6 @@ def test_initial_coefficients_zero_data(legendre):
     a0 = initial_coefficients(spec, mesh, legendre)
     assert a0.full.shape == (20,)
     assert np.max(np.abs(a0.full)) == 0.0
-    assert a0.time_index == 0
 
 
 def test_initial_coefficients_reproduce_quadratic(legendre):
@@ -115,10 +127,9 @@ def test_step_preserves_zero(legendre, control):
     mesh = build_mesh(control, 4)
     system = assemble_crank_nicolson(mesh, legendre, 1.0, 0.01)
     factors = band_lu_factor(system.left)
-    zero = CoefficientVector(full=np.zeros(26), time_index=0)
+    zero = CoefficientVector(full=np.zeros(26))
     advanced = step(system, factors, zero)
     assert np.max(np.abs(advanced.full)) == 0.0
-    assert advanced.time_index == 1
 
 
 def test_step_is_linear(legendre, control):
@@ -129,12 +140,12 @@ def test_step_is_linear(legendre, control):
     once = step(system, factors, a0)
     # scaling by a power of two commutes with every IEEE rounding, so the
     # step is homogeneous bitwise whatever order the BLAS kernel sums in
-    quadrupled = step(system, factors, CoefficientVector(full=4.0 * a0.full, time_index=0))
+    quadrupled = step(system, factors, CoefficientVector(full=4.0 * a0.full))
     assert np.array_equal(quadrupled.full, 4.0 * once.full)
     # For other factors two solves differ by their forward errors, of order
     # cond(L) * eps / 2 = 1.8e-11 here (and growing like h**-3), so bound the
     # backward deviation |L d| that banded LU keeps small instead (2.3e-17 here).
-    twice = step(system, factors, CoefficientVector(full=3.5 * a0.full, time_index=0))
+    twice = step(system, factors, CoefficientVector(full=3.5 * a0.full))
     deviation = (twice.full - 3.5 * once.full)[system.reduced_to_full]
     left = dense(system.left)
     residual = np.max(np.abs(left @ deviation))
@@ -164,46 +175,42 @@ def test_run_zero_horizon_returns_initial_state(legendre, control):
     a = run(control, cfg)
     a0 = initial_coefficients(control, mesh, legendre)
     assert np.array_equal(a.full, a0.full)
-    assert a.time_index == 0
+
+
+# Below the stacking line every level of step_levels is run()'s, bitwise
+# (test_run_equals_a_loop_of_step_bitwise), so these hold for run() too.
 
 
 def test_boundary_entries_pinned_every_step(legendre, control):
-    seen = []
-
-    def check(state):
-        seen.append(state.time_index)
+    cfg = RunConfig(dt=0.01, t_final=0.2, n_elements=8, rule=legendre)
+    levels = step_levels(control, cfg)
+    assert len(levels) == 20
+    for state in levels:
         assert state.full[0] == 0.0
         assert state.full[6 * 8] == 0.0
-
-    cfg = RunConfig(dt=0.01, t_final=0.2, n_elements=8, rule=legendre)
-    run(control, cfg, on_step=check)
-    assert seen == list(range(1, 21))
 
 
 def test_peak_decays_monotonically(legendre, control):
     mesh = build_mesh(control, 4)
-    peaks = []
-
-    def record(state):
-        peaks.append(max(abs(evaluate(mesh, state, x)) for x in mesh.nodes))
-
     cfg = RunConfig(dt=0.1, t_final=1.0, n_elements=4, rule=legendre)
-    run(control, cfg, on_step=record)
+    peaks = [
+        max(abs(evaluate(mesh, state, x)) for x in mesh.nodes) for state in step_levels(control, cfg)
+    ]
+    assert len(peaks) == 10
     assert all(b <= a * (1 + 1e-12) for a, b in zip(peaks, peaks[1:]))
 
 
 def test_symmetry_preserved(legendre, control):
     mesh = build_mesh(control, 8)
     xs = np.linspace(0.05, 0.45, 5)
-
-    def check(state):
+    cfg = RunConfig(dt=0.01, t_final=0.1, n_elements=8, rule=legendre)
+    levels = step_levels(control, cfg)
+    assert len(levels) == 10
+    for state in levels:
         for x in xs:
             left = evaluate(mesh, state, x)
             right = evaluate(mesh, state, 1.0 - x)
             assert abs(left - right) < 1e-10
-
-    cfg = RunConfig(dt=0.01, t_final=0.1, n_elements=8, rule=legendre)
-    run(control, cfg, on_step=check)
 
 
 def test_runs_are_bitwise_deterministic(legendre, control):
@@ -217,26 +224,15 @@ def test_runs_are_bitwise_deterministic(legendre, control):
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
     """run() and step() share one kernel, also at N = 1 and 2, whose
-    matrices are narrower than their band; every state run() reports
-    through on_step is the loop's state at that step, bitwise."""
+    matrices are narrower than their band: run() to t_final = k dt is the
+    loop's level k, bitwise, for every k = 1 .. 25."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=n_elements, rule=rule)
-    mesh = build_mesh(control, n_elements)
-    system = assemble_crank_nicolson(mesh, rule, control.alpha, cfg.dt)
-    factors = band_lu_factor(system.left)
-    a = initial_coefficients(control, mesh, rule)
-    looped = []
-    for _ in range(cfg.n_steps):
-        a = step(system, factors, a)
-        looped.append(a)
-    reported = []
-    final = run(control, cfg, on_step=reported.append)
-    assert np.array_equal(final.full, a.full)
-    assert final.time_index == a.time_index == 25
-    assert len(reported) == len(looped) == 25
-    for got, expected in zip(reported, looped):
-        assert got.time_index == expected.time_index
-        assert np.array_equal(got.full, expected.full)
+    levels = step_levels(control, cfg)
+    assert len(levels) == 25
+    for k, expected in enumerate(levels, start=1):
+        ran = run(control, RunConfig(dt=cfg.dt, t_final=k * cfg.dt, n_elements=n_elements, rule=rule))
+        assert np.array_equal(ran.full, expected.full), k
 
 
 def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
@@ -277,32 +273,14 @@ def test_modal_run_agrees_with_a_loop_of_banded_step(kind, control):
     agree to rounding, not bitwise.  After 25 steps the largest difference
     measured 3.4e-7 (Legendre) and 2.3e-7 (Chebyshev) of the largest
     coefficient: the banded solve's forward error, cond_inf(L) * eps = 1.5e-6
-    and 1.1e-6 here.  With on_step every level 1 .. 25 is reported, with its
-    boundary entries exactly zero, and the final state, stepped one level
-    at a time, differs from run() without on_step by 9.1e-12 (Legendre) and
-    2.9e-12 (Chebyshev) of the largest coefficient."""
+    and 1.1e-6 here.  The single levels are held to banded step() by
+    test_modal_power_agrees_with_stepping_one_level_at_a_time."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=180, rule=rule)
-    mesh = build_mesh(control, 180)
-    system = assemble_crank_nicolson(mesh, rule, control.alpha, cfg.dt)
-    factors = band_lu_factor(system.left)
-    a = initial_coefficients(control, mesh, rule)
-    for _ in range(cfg.n_steps):
-        a = step(system, factors, a)
-    seen = []
-
-    def check(state):
-        seen.append(state.time_index)
-        assert state.full[0] == 0.0 and state.full[6 * 180] == 0.0
-
-    final = run(control, cfg, on_step=check)
-    assert seen == list(range(1, 26))
-    assert final.time_index == 25
+    a = banded_step_loop(control, cfg)
+    final = run(control, cfg)
     assert final.full[0] == 0.0 and final.full[6 * 180] == 0.0
     assert np.max(np.abs(final.full - a.full)) <= 4e-6 * np.max(np.abs(a.full))
-    powered = run(control, cfg)
-    assert powered.time_index == 25
-    assert np.max(np.abs(final.full - powered.full)) <= 1e-10 * np.max(np.abs(powered.full))
 
 
 @pytest.mark.parametrize("n_elements", [1, 2, 4])
@@ -390,7 +368,6 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
                     expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
                     stepped = step(banded, factors, a)
                     advanced = solver._advance_modes(propagator, a, 1)
-                    assert advanced.time_index == 1
                     assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
                     bound = cond * (eps + asymmetry) * np.max(np.abs(expected))
                     for other in (expected, stepped.full):
@@ -415,7 +392,7 @@ def test_extension_is_the_odd_reflection_of_the_state(spec, kind):
     extended = solver._extend(a.full, n)
     span = spec.x_right - spec.x_left
     wide = build_mesh(ProblemSpec(spec.x_left, spec.x_right + span, 1.0, lambda x: 0.0), 2 * n)
-    reflected = CoefficientVector(full=np.concatenate([extended.ravel(), [0.0, a.full[1]]]), time_index=0)
+    reflected = CoefficientVector(full=np.concatenate([extended.ravel(), [0.0, a.full[1]]]))
     xs = np.linspace(spec.x_left, spec.x_right, 37)
 
     def values(m, state, points):
@@ -425,31 +402,34 @@ def test_extension_is_the_odd_reflection_of_the_state(spec, kind):
     mirrored = values(wide, reflected, 2 * spec.x_right - xs)
     deviation = np.max(np.abs(mirrored + own * [1.0, -1.0, 1.0]), axis=0) / np.max(np.abs(own), axis=0)
     assert np.all(deviation <= [1e-13, 1e-13, 1e-12]), deviation
-    restricted = solver._restrict(extended, n, 3)
-    assert np.array_equal(restricted.full, a.full) and restricted.time_index == 3
+    assert np.array_equal(solver._restrict(extended, n).full, a.full)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3, 32, 63])
 def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
     """_power applies (I + E)**M through the bits of M: only the top bit is
-    set at M = 32, all of them at M = 63.  Against M single steps (the
-    on_step path) at N = 180, dt = 0.01, the final states agreed to 3.6e-13
-    (M = 8) and 1.9e-9 (M = 64, Legendre) of the largest coefficient, the
-    undamped stiff modes accumulating the products' rounding; one step
-    more or less moves the state by 0.10 of it.  The first level is held to
-    banded step() (measured 2.1e-8 Legendre, 1.3e-8 Chebyshev; the bound
-    is that of the 25-step comparison above), so the two paths cannot
-    agree by both skipping the single step."""
+    set at M = 32, all of them at M = 63.  Against M single steps (each
+    mode stepped by E, then one inverse FFT per level) at N = 180, dt =
+    0.01, the final states agreed to 3.6e-13 (M = 8) and 1.9e-9 (M = 64,
+    Legendre) of the largest coefficient, the undamped stiff modes
+    accumulating the products' rounding; one step more or less moves the
+    state by 0.10 of it.  Every level's boundary entries are exactly zero.
+    The first level is held to banded step() (measured 2.1e-8 Legendre,
+    1.3e-8 Chebyshev; the bound is that of the 25-step comparison above),
+    so the two paths cannot agree by both skipping the single step."""
     mesh = build_mesh(control, 180)
     for kind in ("legendre", "chebyshev"):
         rule = RULES[kind]()
         a = initial_coefficients(control, mesh, rule)
         propagator = solver._propagator(mesh, rule, control.alpha, 0.01)
         powered = solver._advance_modes(propagator, a, n_steps)
+        modes = np.fft.rfft(solver._extend(a.full, 180), axis=0)
         levels = []
-        stepped = solver._advance_modes(propagator, a, n_steps, on_step=levels.append)
-        assert [level.time_index for level in levels] == list(range(1, n_steps + 1))
-        assert powered.time_index == stepped.time_index == n_steps
+        for _ in range(n_steps):
+            solver._power(propagator, modes, 1)
+            levels.append(solver._restrict(np.fft.irfft(modes, 2 * 180, axis=0), 180))
+            assert levels[-1].full[0] == 0.0 and levels[-1].full[6 * 180] == 0.0
+        stepped = levels[-1]
         banded = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
         first = step(banded, band_lu_factor(banded.left), a).full
         assert np.max(np.abs(levels[0].full - first)) <= 4e-6 * np.max(np.abs(first)), kind
@@ -473,13 +453,7 @@ def test_modal_run_reports_nan_pivots(legendre):
 
 def banded_step_loop(spec, cfg):
     """The final CoefficientVector of cfg's run as a loop of banded step()."""
-    mesh = build_mesh(spec, cfg.n_elements)
-    system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
-    factors = band_lu_factor(system.left)
-    a = initial_coefficients(spec, mesh, cfg.rule)
-    for _ in range(cfg.n_steps):
-        a = step(system, factors, a)
-    return a
+    return step_levels(spec, cfg)[-1]
 
 
 def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, monkeypatch):
@@ -500,7 +474,6 @@ def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, mo
     cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=200, rule=legendre)
     final, looped = run(control, cfg), banded_step_loop(control, cfg)
     assert final.full.tobytes() == looped.full.tobytes()
-    assert final.time_index == looped.time_index == 3
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
@@ -576,7 +549,6 @@ def batch_matches_solo_runs(spec, configs):
     for index, state in outcomes:
         solo = run(spec, configs[index])
         assert np.array_equal(state.full, solo.full), configs[index]
-        assert state.time_index == solo.time_index
 
 
 @pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
@@ -777,6 +749,23 @@ def test_evaluate_rejects_a_nan_abscissa(legendre, control):
     for evaluator in (evaluate, evaluate_derivatives):
         with pytest.raises(ValueError, match="lies outside"):
             evaluator(mesh, a0, math.nan)
+
+
+@pytest.mark.parametrize("n_elements", [1, 4, 16])
+def test_evaluation_rejects_a_state_from_another_mesh(n_elements, legendre, control):
+    """An N = 8 state holds 50 coefficients.  Read on another mesh it gave
+    wrong numbers silently (0.9845 at x = 0.9 on N = 4, where its own mesh
+    gives 0.3090; norms of 3.74 and 0.95 on N = 1), or failed by accident
+    in numpy's broadcasting (error_norms on N = 4); every evaluation names
+    both sizes instead."""
+    a8 = initial_coefficients(control, build_mesh(control, 8), legendre)
+    mesh = build_mesh(control, n_elements)
+    expected = f"holds 50 coefficients, but a mesh of {n_elements} elements needs {6 * n_elements + 2}$"
+    for evaluator in (evaluate, evaluate_derivatives):
+        with pytest.raises(ValueError, match=expected):
+            evaluator(mesh, a8, 0.9)
+    with pytest.raises(ValueError, match=expected):
+        error_norms(control, mesh, legendre, a8, 0.1)
 
 
 def test_element_boundary_evaluations_agree_bitwise(legendre, control):
