@@ -10,8 +10,8 @@ at assembly time leaves square 6N x 6N banded systems:
   * initial interpolation     W a^0 = b  with b = f at the collocation
     abscissae.
 
-All matrices here use reduced (post-elimination) column indexing; the index
-maps between full and reduced coefficient numbering travel with the systems.
+All matrices here use reduced (post-elimination) column indexing; each
+system carries reduced_to_full, the full coefficient number of each column.
 """
 
 from dataclasses import dataclass
@@ -55,16 +55,6 @@ def element_blocks(table, alpha, dt):
     return ElementBlocks(left=mass - diffusion, right=mass + diffusion)
 
 
-def _eliminate_ends(n):
-    """Index maps of n + 2 full entries whose entries 0 and n are eliminated."""
-    full_to_reduced = np.full(n + 2, -1, dtype=np.int64)
-    reduced_to_full = np.concatenate([np.arange(1, n), [n + 1]])
-    full_to_reduced[reduced_to_full] = np.arange(n)
-    reduced_to_full.setflags(write=False)
-    full_to_reduced.setflags(write=False)
-    return reduced_to_full, full_to_reduced
-
-
 @dataclass(frozen=True)
 class GlobalSystem:
     """Banded Crank-Nicolson recursion matrices with their index maps."""
@@ -90,21 +80,27 @@ class InitialSystem:
 def _scatter(n_elements, *blocks):
     """Banded 6N x 6N matrices repeating each 6 x 8 block over all elements.
 
-    Element k holds rows 6k .. 6k + 5 and full columns 6k .. 6k + 7, so
-    neighbouring elements share two columns.  Block entries whose full
-    column is an eliminated boundary value (0 or 6N) are dropped.
+    Element k holds rows 6k .. 6k + 5 and full columns 6k .. 6k + 7, and
+    block column j fills one strided slice of the full 6N x (6N + 2)
+    matrix's bands (kl = 5, ku = 7).  Deleting the boundary columns 0 and
+    6N moves every other column left by one, which under ku = 6 keeps each
+    entry in its band row, except column 6N + 1: it moves by two, so one
+    band row down.  One element has kl = ku = 5, without the outer rows.
     Returns the matrices and the reduced_to_full index map.
     """
     n = 6 * n_elements
-    reduced_to_full, full_to_reduced = _eliminate_ends(n)
-    offsets = 6 * np.arange(n_elements)
-    local_rows, local_cols = np.meshgrid(np.arange(6), np.arange(8), indexing="ij")
-    rows = (offsets[:, None, None] + local_rows[None, :, :]).ravel()
-    cols = full_to_reduced[(offsets[:, None, None] + local_cols[None, :, :]).ravel()]
-    slots = np.tile((local_rows * 8 + local_cols).ravel(), n_elements)
-    keep = cols >= 0
-    rows, cols, slots = rows[keep], cols[keep], slots[keep]
-    matrices = [BandedMatrix.from_entries(n, rows, cols, block.ravel()[slots]) for block in blocks]
+    reduced_to_full = np.concatenate([np.arange(1, n), [n + 1]])
+    reduced_to_full.setflags(write=False)
+    width = 5 if n_elements == 1 else 6
+    matrices = []
+    for block in blocks:
+        full = np.zeros((13, n + 2))
+        for j in range(8):
+            full[7 - j : 13 - j, j : j + n : 6] = block[:, j : j + 1]
+        bands = np.zeros((13, n), order="F")
+        bands[:, :-1] = full[:, 1:n]
+        bands[1:, -1] = full[:-1, n + 1]
+        matrices.append(BandedMatrix(n, width, width, bands[6 - width : 7 + width]))
     return matrices, reduced_to_full
 
 

@@ -82,16 +82,22 @@ B_COEFFS.setflags(write=False)
 H_POWERS.setflags(write=False)
 
 
+def _check_width(h):
+    # written so that NaN fails too
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"element width h must be positive and finite, got {h}")
+
+
 def _check_point(xi, h):
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"local coordinate xi must lie in [0, 1], got {xi}")
-    if h <= 0.0:
-        raise ValueError(f"element width h must be positive, got {h}")
+    _check_width(h)
 
 
 def _eval_family(coeffs, xi, h):
-    # polyval consumes coefficients along the first axis (Horner's scheme)
-    return polyval(xi, coeffs.T) * h ** H_POWERS
+    # polyval consumes coefficients along the first axis (Horner's scheme);
+    # a column of points gives one C-ordered row of eight values per point
+    return polyval(xi, coeffs.T, tensor=False) * h ** H_POWERS
 
 
 def hermite_values(xi, h):
@@ -175,8 +181,9 @@ class BasisTable:
 
 def build_basis_table(rule, h):
     """Tabulate H and B at the rule's points for element width h."""
-    H = np.stack([hermite_values(xi, h) for xi in rule.points])
-    B = np.stack([hermite_second_derivs(xi, h) for xi in rule.points])
+    _check_width(h)
+    H = _eval_family(H_COEFFS, rule.points[:, None], h)
+    B = _eval_family(B_COEFFS, rule.points[:, None], h)
     for arr in (H, B):
         arr.setflags(write=False)
     return BasisTable(h=h, H=H, B=B)

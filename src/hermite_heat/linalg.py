@@ -71,17 +71,6 @@ class BandedMatrix:
                 raise ValueError("band storage must have shape (kl + ku + 1, n)")
         self.bands = bands
 
-    @classmethod
-    def from_entries(cls, n, rows, cols, values):
-        """Build from parallel index/value arrays (each position set once)."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        kl = max(int(np.max(rows - cols)), 0)
-        ku = max(int(np.max(cols - rows)), 0)
-        m = cls(n, kl, ku)
-        m.bands[m.ku + rows - cols, cols] = values
-        return m
-
 
 @dataclass(frozen=True)
 class LUFactors:

@@ -5,6 +5,7 @@ Dirichlet boundary values and initial state u(x, 0) = f(x).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,8 +46,9 @@ class ProblemSpec:
     exact_solution: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_left) and math.isfinite(self.x_right)):
-            raise ValueError("x_left and x_right must be finite")
+        # also NaN or inf for a NaN or infinite end, or on overflow (1e308 - -1e308)
+        if not math.isfinite(self.x_right - self.x_left):
+            raise ValueError("x_left, x_right and the width between them must be finite")
         if not self.x_right > self.x_left:
             raise ValueError("x_right must exceed x_left")
         # alpha * alpha rather than alpha**2, which raises OverflowError
@@ -91,14 +93,21 @@ class Mesh:
     n_elements: int
 
 
+def _check_element_count(n_elements):
+    """Raise ValueError unless n_elements is an integer of at least 1 (bool is refused)."""
+    if isinstance(n_elements, bool) or not isinstance(n_elements, numbers.Integral):
+        raise ValueError(f"n_elements must be an integer, got {n_elements!r}")
+    if n_elements < 1:
+        raise ValueError("n_elements must be at least 1")
+
+
 def build_mesh(spec, n_elements):
     """Split the problem domain into n_elements equal width elements.
 
     Node j is computed as x_left + j * (x_right - x_left) / n_elements so
     that nodes carry no accumulated summation error.
     """
-    if n_elements < 1:
-        raise ValueError("n_elements must be at least 1")
+    _check_element_count(n_elements)
     width = (spec.x_right - spec.x_left) / n_elements
     nodes = spec.x_left + np.arange(n_elements + 1) * width
     nodes.setflags(write=False)

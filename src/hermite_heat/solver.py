@@ -17,7 +17,6 @@ symbols round to singular steps banded instead.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .assembly import assemble_crank_nicolson, assemble_initial_system, element_
 from .basis import CollocationRule, build_basis_table, hermite_values
 from .basis import hermite_first_derivs, hermite_second_derivs
 from .linalg import SingularMatrix, band_lu_factor, band_solve, block_diagonal
-from .problem import build_mesh
+from .problem import _check_element_count, build_mesh
 
 __all__ = [
     "NonIntegralStepCount",
@@ -84,10 +83,7 @@ class RunConfig:
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError("t_final must be nonnegative and finite")
-        if isinstance(self.n_elements, bool) or not isinstance(self.n_elements, numbers.Integral):
-            raise ValueError(f"n_elements must be an integer, got {self.n_elements!r}")
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be at least 1")
+        _check_element_count(self.n_elements)
         ratio = self.t_final / self.dt
         tolerance = _STEP_COUNT_RTOL * max(1.0, ratio)
         if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= tolerance):

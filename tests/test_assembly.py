@@ -92,17 +92,19 @@ def test_three_element_row_occupancy(legendre, control):
         assert nonzero.min() >= 5 and nonzero.max() <= 12
 
 
-def test_crank_nicolson_matches_dense_oracle(legendre, control):
-    mesh = build_mesh(control, 2)
-    system = assemble_crank_nicolson(mesh, legendre, 1.0, 0.01)
-    table = build_basis_table(legendre, mesh.h)
-    blocks = element_blocks(table, 1.0, 0.01)
-    assert np.allclose(
-        dense(system.left), dense_assembly(mesh, legendre, blocks.left), atol=1e-15
-    )
-    assert np.allclose(
-        dense(system.right), dense_assembly(mesh, legendre, blocks.right), atol=1e-15
-    )
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+@pytest.mark.parametrize("n_elements", [1, 2, 3, 7])
+def test_crank_nicolson_matches_dense_oracle(n_elements, kind, control):
+    """The bands equal the dense scatter exactly; one element has
+    kl = ku = 5, more have kl = ku = 6."""
+    rule = RULES[kind]()
+    mesh = build_mesh(control, n_elements)
+    system = assemble_crank_nicolson(mesh, rule, 1.0, 0.01)
+    blocks = element_blocks(build_basis_table(rule, mesh.h), 1.0, 0.01)
+    width = 5 if n_elements == 1 else 6
+    for matrix, block in ((system.left, blocks.left), (system.right, blocks.right)):
+        assert (matrix.kl, matrix.ku) == (width, width)
+        assert np.array_equal(dense(matrix), dense_assembly(mesh, rule, block))
 
 
 def test_initial_system_zero_forcing(legendre):

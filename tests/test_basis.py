@@ -61,11 +61,13 @@ def test_domain_error_on_xi(bad_xi):
             func(bad_xi, 0.1)
 
 
-@pytest.mark.parametrize("bad_h", [0.0, -1.0])
-def test_domain_error_on_h(bad_h):
+@pytest.mark.parametrize("bad_h", [0.0, -1.0, np.nan, np.inf])
+def test_domain_error_on_h(bad_h, legendre):
     for func in (hermite_values, hermite_first_derivs, hermite_second_derivs):
         with pytest.raises(ValueError):
             func(0.5, bad_h)
+    with pytest.raises(ValueError):
+        build_basis_table(legendre, bad_h)
 
 
 def test_first_derivs_match_finite_differences():
@@ -166,6 +168,21 @@ def test_basis_table_first_entry(legendre):
     direct = 1 - 35 * xi**4 + 84 * xi**5 - 70 * xi**6 + 20 * xi**7
     assert table.H[0, 0] == pytest.approx(direct, abs=1e-14)
     assert table.H[0, 0] == pytest.approx(0.9999580906, abs=1e-9)
+
+
+@pytest.mark.parametrize("rule_factory", [legendre_rule, chebyshev_rule])
+@pytest.mark.parametrize("n_elements", [1, 3, 5, 16, 171, 1000])
+def test_basis_table_equals_per_point_evaluation_bitwise(n_elements, rule_factory):
+    """One polyval call per family gives bitwise the per-point values, in a
+    C-contiguous, read-only table."""
+    rule = rule_factory()
+    h = 1.0 / n_elements
+    table = build_basis_table(rule, h)
+    assert np.array_equal(table.H, [hermite_values(xi, h) for xi in rule.points])
+    assert np.array_equal(table.B, [hermite_second_derivs(xi, h) for xi in rule.points])
+    for arr in (table.H, table.B):
+        assert arr.shape == (6, 8)
+        assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 def test_basis_table_partition_rows(chebyshev):

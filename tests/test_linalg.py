@@ -332,8 +332,10 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
 def nan_below_a_pivot():
     """A 4 x 4 lower triangular band matrix with a NaN below its first pivot."""
     matrix = np.array([[2.0, 0, 0, 0], [3.0, 1.0, 0, 0], [2.0, 1.0, 3.0, 0], [np.nan, 2.0, 2.0, 1.0]])
-    rows, cols = np.tril_indices(4)
-    return BandedMatrix.from_entries(4, rows, cols, matrix[rows, cols])
+    bands = np.zeros((4, 4))
+    for d in range(4):  # entry (j + d, j) at bands[d, j]
+        bands[d, : 4 - d] = np.diagonal(matrix, -d)
+    return BandedMatrix(4, 3, 0, bands)
 
 
 def test_second_factorization_that_interchanges_is_refused():

@@ -39,6 +39,9 @@ def test_mesh_uniformity():
 def test_mesh_rejects_zero_elements():
     with pytest.raises(ValueError):
         build_mesh(control_problem(), 0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="n_elements must be an integer"):
+            build_mesh(control_problem(), bad)
 
 
 def test_problem_rejects_incompatible_initial_condition():
@@ -73,6 +76,9 @@ def test_problem_rejects_bad_domain_and_alpha():
             ProblemSpec(0.0, bad, 1.0, f)
         with pytest.raises(ValueError):
             ProblemSpec(-bad, 1.0, 1.0, f)
+    # each end is finite, the width overflows to inf
+    with pytest.raises(ValueError, match="width between them must be finite"):
+        ProblemSpec(-1e308, 1e308, 1.0, lambda x: 0.0 * x)
 
 
 def test_alpha_whose_square_overflows_is_rejected():

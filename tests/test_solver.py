@@ -256,7 +256,7 @@ def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
-def test_condensed_run_meets_the_closed_form_crank_nicolson_error(kind, control):
+def test_modal_run_meets_the_closed_form_crank_nicolson_error(kind, control):
     """N = 180 (1080 unknowns) steps by its Fourier modes.  Its L2 error
     after 10**4 steps matched the closed form to 1.1e-5 (Legendre) and
     8.0e-6 (Chebyshev) relative; the banded kernel missed it by 4.7e-4 and
