@@ -46,10 +46,11 @@ class ElementBlocks:
 
 def element_blocks(table, alpha, dt):
     """Crank-Nicolson blocks for one element of width table.h."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    # written so that NaN fails too; alpha * alpha, as alpha**2 raises OverflowError
+    if not (0.0 < dt < np.inf):
+        raise ValueError("dt must be positive and finite")
+    if not (alpha > 0.0 and np.isfinite(alpha * alpha)):
+        raise ValueError("alpha must be positive with a finite square")
     mass = table.H / dt
     diffusion = (alpha**2 / (2.0 * table.h**2)) * table.B
     return ElementBlocks(left=mass - diffusion, right=mass + diffusion)

@@ -75,6 +75,7 @@ B_COEFFS = np.array([
 
 # Power of the element width h multiplying each shape function.
 H_POWERS = np.array([0, 1, 2, 3, 3, 2, 0, 1])
+_WIDEST = np.finfo(float).max ** (1 / 3)  # the widest h whose h**3 is finite
 
 H_COEFFS.setflags(write=False)
 A_COEFFS.setflags(write=False)
@@ -84,8 +85,8 @@ H_POWERS.setflags(write=False)
 
 def _check_width(h):
     # written so that NaN fails too
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"element width h must be positive and finite, got {h}")
+    if not 0.0 < h <= _WIDEST:
+        raise ValueError(f"element width h must be positive with a finite cube, got {h}")
 
 
 def _check_point(xi, h):

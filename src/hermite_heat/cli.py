@@ -32,9 +32,13 @@ def _fmt(value):
 def _write(path, text):
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:  # an invalid flag: exit 2, as argparse does
+        print(f"error: cannot write --output: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _solve_rows(args):

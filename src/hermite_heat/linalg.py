@@ -9,16 +9,16 @@ LU appends kl extra rows for the fill-in produced by partial pivoting
 
 A matrix solved once goes to band_solve, one LAPACK dgbsv (dgbtrf, then
 dgbtrs).  A matrix solved repeatedly is factored by band_lu_factor into a
-single form: dgbtrf leaves its row interchanges interleaved with the
-columns of L, and LAPACK's dgbtrs applies them one column and one BLAS
-call at a time, so band_lu_factor moves them all to the front,
+single form, LUFactors: dgbtrf leaves its row interchanges interleaved
+with the columns of L, and LAPACK's dgbtrs applies them one column and one
+BLAS call at a time, so band_lu_factor moves them all to the front,
 A[perm] = L U.  Once PA = LU is known, PA needs no interchange (Golub and
 Van Loan, Matrix Computations, 4th ed., section 4.3), so a second dgbtrf,
 on A[perm], returns that L directly.  A solve is then one gather and two
-BLAS dtbsv calls, each a single loop (solver._advance).  Every row
-receives the same updates in the same order as under dgbtrs, and the
-result is bitwise equal to it.  Everything is stored in Fortran order so
-the hot time-stepping loop never copies.
+BLAS dtbsv calls on the factors' nonzero diagonals (solver._advance).
+Every row receives the same nonzero updates in the same order as under
+dgbtrs, and the result is bitwise equal to it.  Everything is stored in
+Fortran order so the hot time-stepping loop never copies.
 """
 
 from dataclasses import dataclass
@@ -74,23 +74,17 @@ class BandedMatrix:
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Pivoted LU factorization of a BandedMatrix, ready for repeated solves.
+    """Pivoted LU factorization A[perm] = L U of a BandedMatrix, for repeated solves.
 
-    lu_bands and ipiv are dgbtrf's output: U in rows 0 .. kl + ku of
-    lu_bands (dtbsv's upper band storage with k = kl + ku), the multipliers
-    of column j below it, and the interchanges interleaved with them.
-    perm and lower hold the same factors with the interchanges moved to the
-    front, A[perm] = L U: lower is the unit lower triangular L with entry
-    (i, j) at lower[i - j, j] (dtbsv's lower band storage, k = width).
+    Both factors are in dtbsv's band storage, Fortran-ordered, and end at
+    their last nonzero diagonal: lower is the unit lower triangular L, entry
+    (i, j) at lower[i - j, j], and upper is U, entry (i, j) at
+    upper[k + i - j, j] with k = upper.shape[0] - 1.
     """
 
-    n: int
-    kl: int
-    ku: int
-    lu_bands: np.ndarray
-    ipiv: np.ndarray
     perm: np.ndarray
     lower: np.ndarray
+    upper: np.ndarray
 
     @property
     def width(self):
@@ -146,6 +140,12 @@ def _permuted(m, perm):
     return permuted
 
 
+def _used(diagonals):
+    """Rows of diagonals, ordered outward from the main one, up to its last nonzero."""
+    used = np.flatnonzero(diagonals.any(axis=1))
+    return int(used[-1]) + 1 if used.size else 0
+
+
 def band_lu_factor(m):
     """Factor A[perm] = LU within band storage (partial pivoting).
 
@@ -154,36 +154,28 @@ def band_lu_factor(m):
     multipliers with the interchanges already at the front: at each column
     the pivot row is on top and a largest candidate, so idamax keeps it,
     and every row receives the same updates in the same order as in the
-    first call.  lower is that L, trimmed to its last nonzero subdiagonal,
-    with -0.0 (a zero multiplier over a negative pivot) stored as 0.0.
+    first call.  upper is the first call's U, and lower that L with -0.0
+    (a zero multiplier over a negative pivot) stored as 0.0, each trimmed
+    to its last nonzero diagonal.  L can be far wider than kl + ku on a
+    general band matrix (n = 1600, kl = 3, ku = 2 and random entries gave
+    1255); the matrices this package builds keep it within kl + ku.
 
-    Raises SingularMatrix at a vanishing pivot, and ValueError once L's
-    lower bandwidth passes kl + ku, which keeps the lower solve no costlier
-    than the upper one; general band matrices can pass it by far (n = 1600,
-    kl = 3, ku = 2 and random entries gave 1255), the matrices this package
-    builds do not.  Raises RuntimeError should the second dgbtrf interchange
-    rows after all, as a NaN below a pivot can make it do.
+    Raises SingularMatrix at a vanishing pivot, and RuntimeError should the
+    second dgbtrf interchange rows after all (a NaN below a pivot can).
     """
-    n, cap = m.n, m.kl + m.ku
+    n, k = m.n, m.kl + m.ku
     lu_bands, ipiv, info = _lapack.dgbtrf(_lapack_layout(m), m.kl, m.ku, overwrite_ab=1)
-    _check_factors("dgbtrf", info, lu_bands[cap])
+    _check_factors("dgbtrf", info, lu_bands[k])
     perm = _lapack.dlaswp(np.arange(n, dtype=float)[:, None], ipiv)[:, 0].astype(np.intp)
     permuted = _permuted(m, perm)
     lu, pivots, info = _lapack.dgbtrf(_lapack_layout(permuted), permuted.kl, permuted.ku, overwrite_ab=1)
     if info != 0 or np.any(pivots != np.arange(n)):
         raise RuntimeError(f"dgbtrf interchanged rows of the {n} x {n} matrix in pivot order")
     multipliers = lu[permuted.kl + permuted.ku + 1 :]  # row r holds the multiplier of row j + 1 + r in column j
-    used = np.flatnonzero(multipliers.any(axis=1))
-    width = int(used[-1]) + 1 if used.size else 0
-    if width > cap:
-        raise ValueError(
-            f"the row interchanges of the {n} x {n} matrix widen "
-            f"its lower factor past kl + ku = {cap}"
-        )
-    lower = np.empty((width + 1, n), order="F")
-    lower[0] = 1.0
-    lower[1:] = multipliers[:width] + 0.0  # -0.0 + 0.0 is 0.0
-    return LUFactors(n=n, kl=m.kl, ku=m.ku, lu_bands=lu_bands, ipiv=ipiv, perm=perm, lower=lower)
+    used = multipliers[: _used(multipliers)] + 0.0  # -0.0 + 0.0 is 0.0
+    lower = np.asfortranarray(np.vstack([np.ones(n), used]))
+    upper = np.array(lu_bands[k + 1 - _used(lu_bands[k::-1]) : k + 1], order="F")
+    return LUFactors(perm=perm, lower=lower, upper=upper)
 
 
 def band_solve(m, b):

@@ -134,12 +134,12 @@ def _advance(right, factors, x, n_steps):
     """
     n, kl, ku, bands = right.n, right.kl, right.ku, right.bands
     rows = max(n, kl + ku + 1)
-    perm, lower, width = factors.perm, factors.lower, factors.width
-    upper, upper_width = factors.lu_bands, factors.kl + factors.ku
+    perm, lower, upper = factors.perm, factors.lower, factors.upper
+    lower_width, upper_width = lower.shape[0] - 1, upper.shape[0] - 1
     dgbmv, dtbsv = _blas.dgbmv, _blas.dtbsv
     for _ in range(n_steps):
         rhs = dgbmv(rows, n, kl, ku, 1.0, bands, x)
-        y = dtbsv(width, lower, rhs[perm], 1, 0, 1, 0, 1, 1)
+        y = dtbsv(lower_width, lower, rhs[perm], 1, 0, 1, 0, 1, 1)
         x = dtbsv(upper_width, upper, y, 1, 0, 0, 0, 0, 1)
     return x
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.linalg import lapack
 
 from hermite_heat import chebyshev_rule, control_problem, legendre_rule
 from hermite_heat.linalg import BandedMatrix
@@ -19,8 +20,27 @@ def lu_solve(factors, b):
     One step of the solver's banded kernel with R = I, so that the solve is
     its gather and two dtbsv calls.
     """
-    identity = BandedMatrix(factors.n, 0, 0, np.ones((1, factors.n)))
+    n = len(factors.perm)
+    identity = BandedMatrix(n, 0, 0, np.ones((1, n)))
     return _advance(identity, factors, np.asarray(b, dtype=float), 1)
+
+
+def dgbtrf(m):
+    """LAPACK dgbtrf on m's own bands: its interleaved (lu_bands, ipiv)."""
+    ab = np.zeros((2 * m.kl + m.ku + 1, m.n), order="F")
+    ab[m.kl :] = m.bands
+    lu_bands, ipiv, info = lapack.dgbtrf(ab, m.kl, m.ku)
+    assert info == 0
+    return lu_bands, ipiv
+
+
+def dgbtrs_solve(m, b):
+    """Solve A x = b by LAPACK dgbtrf, then dgbtrs, on m's own bands: the
+    interleaved reference that band_lu_factor's permuted form reproduces."""
+    lu_bands, ipiv = dgbtrf(m)
+    x, info = lapack.dgbtrs(lu_bands, m.kl, m.ku, np.asarray(b, dtype=float), ipiv)
+    assert info == 0
+    return x
 
 
 @pytest.fixture(scope="session")

@@ -61,11 +61,16 @@ def test_blocks_first_entry_scalar(legendre):
 
 
 def test_blocks_reject_bad_parameters(legendre):
+    """dt must be positive and finite, and alpha positive with a finite
+    square, as RunConfig and ProblemSpec require: dt = inf would leave a
+    finite L = -cB that factors, a nonsense system."""
     table = build_basis_table(legendre, 0.2)
-    with pytest.raises(ValueError):
-        element_blocks(table, alpha=1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        element_blocks(table, alpha=0.0, dt=0.1)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            element_blocks(table, alpha=1.0, dt=dt)
+    for alpha in (0.0, math.nan, math.inf, 1e200):
+        with pytest.raises(ValueError, match="alpha must be positive with a finite square"):
+            element_blocks(table, alpha=alpha, dt=0.1)
 
 
 def test_single_element_system_is_six_by_six(legendre, control):
@@ -171,18 +176,26 @@ def test_index_maps_omit_boundary_entries(legendre, control):
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_step_matrices_keep_their_permuted_lower_factor_within_kl_plus_ku(kind):
-    """band_lu_factor refuses matrices whose interchanges, moved to the
-    front, widen L past kl + ku, so pin the width here, on a subset of the
-    grid alpha = 1e-6 ... 1e50, dt = 1e-12 ... 1e2 and N = 1 ... 3000.  That grid measured 5-9 for L (kl = ku = 5 at N = 1, 6
-    from N = 2); W measured 5-9 too."""
+    """Each triangular solve of a step costs one multiply-add per stored
+    diagonal of its factor, and band_lu_factor keeps each factor to its last
+    nonzero diagonal.  So the widths are the step's cost: L's, with the
+    interchanges moved to the front, stays within kl + ku, and U uses at
+    most 7 of the kl + ku superdiagonals dgbtrf reserves for it.  Pinned on
+    a subset of the grid alpha = 1e-6 ... 1e50, dt = 1e-12 ... 1e2 and
+    N = 1 ... 3000, which measured 5-9 for L (kl = ku = 5 at N = 1, 6 from
+    N = 2) and 5-9 for W's L; U measured 5-7 on this subset, on L and W."""
     rule = RULES[kind]()
+    problem = ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0 * x)
     for n in (1, 2, 5, 40, 171, 1000):
-        mesh = build_mesh(ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0), n)
+        mesh = build_mesh(problem, n)
         for alpha in (1e-6, 1.0, 1e50):
             for dt in (1e-12, 1e-3, 1e2):
                 m = assemble_crank_nicolson(mesh, rule, alpha, dt).left
-                width = band_lu_factor(m).width
-                assert width <= m.kl + m.ku, (n, alpha, dt, m.n)
+                factors = band_lu_factor(m)
+                assert factors.width <= m.kl + m.ku, (n, alpha, dt, m.n)
+                assert factors.upper.shape[0] - 1 <= 7, (n, alpha, dt, m.n)
+        w = band_lu_factor(assemble_initial_system(mesh, rule, problem.initial_condition).W)
+        assert w.upper.shape[0] - 1 <= 7, (n, m.n)
 
 
 def test_band_sparsity_bound(legendre, control):

@@ -1,15 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyder, polyval
 
 from hermite_heat import (
+    ProblemSpec,
+    RunConfig,
     chebyshev_rule,
     hermite_first_derivs,
     hermite_second_derivs,
     hermite_values,
     legendre_rule,
+    run,
 )
-from hermite_heat.basis import A_COEFFS, B_COEFFS, H_COEFFS, H_POWERS, build_basis_table
+from hermite_heat.basis import _WIDEST, A_COEFFS, B_COEFFS, H_COEFFS, H_POWERS, build_basis_table
 
 
 def five_point_derivative(func, xi, h, eps=0.001):
@@ -61,13 +66,38 @@ def test_domain_error_on_xi(bad_xi):
             func(bad_xi, 0.1)
 
 
-@pytest.mark.parametrize("bad_h", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad_h", [0.0, -1.0, np.nan, np.inf, 1e200])
 def test_domain_error_on_h(bad_h, legendre):
-    for func in (hermite_values, hermite_first_derivs, hermite_second_derivs):
+    """h must be positive with a finite cube (h**3 scales two shape
+    functions), and a bad h raises before any power can overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for func in (hermite_values, hermite_first_derivs, hermite_second_derivs):
+            with pytest.raises(ValueError, match="h must be positive with a finite cube"):
+                func(0.5, bad_h)
+        with pytest.raises(ValueError, match="h must be positive with a finite cube"):
+            build_basis_table(legendre, bad_h)
+
+
+def test_widest_element_has_a_finite_cube(legendre):
+    """_WIDEST is the last h whose cube is finite: its table builds with no
+    warning, and the next float up is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(build_basis_table(legendre, _WIDEST).H))
         with pytest.raises(ValueError):
-            func(0.5, bad_h)
-    with pytest.raises(ValueError):
-        build_basis_table(legendre, bad_h)
+            build_basis_table(legendre, np.nextafter(_WIDEST, np.inf))
+
+
+def test_run_on_a_domain_too_wide_for_the_basis_table_names_h(legendre):
+    """A 1e200 wide element would overflow h**3 in the table and end in a
+    misleading SingularMatrix; the run stops at the width check instead."""
+    spec = ProblemSpec(0.0, 1e200, 1.0, lambda x: np.sin(np.pi * x / 1e200))
+    cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=1, rule=legendre)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got 1e\\+200$"):
+            run(spec, cfg)
 
 
 def test_first_derivs_match_finite_differences():

@@ -126,6 +126,18 @@ def test_solve_output_is_deterministic(tmp_path):
     assert b"\r" not in (tmp_path / "a.csv").read_bytes()
 
 
+def test_output_that_cannot_be_opened_is_an_invalid_flag(tmp_path):
+    """One error line and exit 2, not a traceback and the exit code of a
+    numerical failure."""
+    target = tmp_path / "missing" / "x.csv"
+    result = run_cli("solve", "--n", "2", "--dt", "0.01", "--t-final", "0.01", "--output", str(target))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: cannot write --output: ")
+    assert result.stderr.count("\n") == 1 and str(target) in result.stderr
+    assert not target.parent.exists()
+
+
 def test_table_coupled_refinement():
     result = run_cli("table", "--id", "4")
     assert result.returncode == 0

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import lapack
 
 from hermite_heat import build_mesh, chebyshev_rule, control_problem, legendre_rule
 from hermite_heat.assembly import assemble_crank_nicolson, assemble_initial_system
@@ -14,7 +13,7 @@ from hermite_heat.linalg import (
     check_pivots,
 )
 
-from conftest import dense, lu_solve
+from conftest import dense, dgbtrf, dgbtrs_solve, lu_solve
 
 
 def gauss_solve(a, b):
@@ -191,7 +190,7 @@ def test_block_diagonal_factors_solve_each_block_bitwise():
     bandwidths are padded with zero bands to the widest: N = 1's L (kl = ku
     = 5) stacks with those of N >= 2 (6, 6)."""
     rng = np.random.default_rng(7)
-    # random blocks of n <= kl + ku + 1 rows pivot freely and stay within the cap
+    # random blocks of n <= kl + ku + 1 rows pivot freely
     blocks = [random_band(rng, n, 3, 2, dominant=False) for n in (5, 2, 6, 4)]
     assert assert_stack_solves_each_block_bitwise(blocks, rng).width > 0
     problem = control_problem()
@@ -212,10 +211,9 @@ def test_block_diagonal_factors_solve_each_block_bitwise():
 
 def dense_factors(factors):
     """Dense L and U of the permuted form, from its band storage."""
-    n, width = factors.n, factors.width
-    lower = dense(BandedMatrix(n, width, 0, factors.lower))
-    k = factors.kl + factors.ku
-    upper = dense(BandedMatrix(n, 0, k, factors.lu_bands[: k + 1]))
+    n = len(factors.perm)
+    lower = dense(BandedMatrix(n, factors.width, 0, factors.lower))
+    upper = dense(BandedMatrix(n, 0, factors.upper.shape[0] - 1, factors.upper))
     return lower, upper
 
 
@@ -231,34 +229,31 @@ def lower_width(dense_lower):
     return int(np.max(rows - cols, initial=0))
 
 
-# (n, kl, ku): n <= 3 kl, kl = 0, and n <= kl + ku + 1, where no width can
-# pass the cap, among them
+# (n, kl, ku): n <= 3 kl, kl = 0, and n <= kl + ku + 1, where L cannot be
+# wider than kl + ku, among them
 RANDOM_SHAPES = [(1, 0, 0), (5, 0, 2), (3, 1, 1), (4, 2, 1), (6, 2, 1), (7, 3, 3), (9, 3, 3), (12, 4, 2), (40, 3, 2), (60, 6, 6)]
 
 
 def test_permuted_factors_reproduce_the_matrix():
     """A[perm] = L U to rounding, with L unit lower triangular.  perm and L
     are those of a dense partial-pivoting LU, which picks the same pivots,
-    and band_lu_factor refuses the matrix exactly when that L is more than
-    kl + ku wide.  Random non-dominant matrices mostly pass that width (their
-    interchanges carry multipliers far down); the dominant ones never pivot."""
+    and both factors end at their last nonzero diagonal.  Random
+    non-dominant matrices mostly widen L past kl + ku (their interchanges
+    carry multipliers far down); the dominant ones never pivot."""
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
-    stored = past_cap = 0
+    past_kl_plus_ku = 0
     for n, kl, ku in RANDOM_SHAPES:
         for dominant in (True, False, False, False):
             m = random_band(rng, n, kl, ku, dominant=dominant)
             matrix = dense(m)
             p, dense_lower, dense_upper = scipy.linalg.lu(matrix)
-            if lower_width(dense_lower) > kl + ku:
-                with pytest.raises(ValueError, match=f"kl \\+ ku = {kl + ku}$"):
-                    band_lu_factor(m)
-                past_cap += 1
-                continue
             factors = band_lu_factor(m)
-            stored += 1
-            assert factors.width == lower_width(dense_lower) <= kl + ku
+            assert factors.width == lower_width(dense_lower)
+            past_kl_plus_ku += factors.width > kl + ku
             assert factors.lower.shape == (factors.width + 1, n) and factors.lower.flags.f_contiguous
+            assert factors.upper.shape[0] <= kl + ku + 1 and factors.upper.flags.f_contiguous
+            assert factors.upper[0].any()
             lower, upper = dense_factors(factors)
             assert np.array_equal(np.diag(lower), np.ones(n))
             bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
@@ -266,7 +261,7 @@ def test_permuted_factors_reproduce_the_matrix():
             assert np.array_equal(factors.perm, np.argmax(p, axis=0))
             assert lower == pytest.approx(dense_lower, rel=1e-12, abs=1e-12)
             assert upper == pytest.approx(dense_upper, rel=1e-12, abs=1e-12)
-    assert stored >= 20 and past_cap >= 5
+    assert past_kl_plus_ku >= 5
 
 
 def package_matrices(n_elements):
@@ -283,41 +278,38 @@ def package_matrices(n_elements):
 def test_permuted_solve_equals_dgbtrs_bitwise_on_the_package_matrices(n_elements):
     """Each row receives the same updates in the same order as under dgbtrs.
     These matrices pivot (L and W move a half to all of their rows at
-    N = 1000) and stay within the cap.  band_solve's dgbsv is dgbtrf and
-    dgbtrs, so it matches too, sign bits included."""
+    N = 1000).  upper is dgbtrf's U from its last nonzero superdiagonal
+    down, sign bits included, and band_solve's dgbsv is dgbtrf and dgbtrs,
+    so it matches too."""
     rng = np.random.default_rng(n_elements)
     eps = np.finfo(float).eps
     for name, m in package_matrices(n_elements):
         factors = band_lu_factor(m)
         assert_no_negative_zero(factors)
+        k, used = m.kl + m.ku, factors.upper.shape[0]
+        lu_bands = dgbtrf(m)[0]
+        assert not lu_bands[: k + 1 - used].any() and factors.upper[0].any(), name
+        assert factors.upper.tobytes() == lu_bands[k + 1 - used : k + 1].tobytes(), name
         if n_elements <= 4:
             lower, upper = dense_factors(factors)
             bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
             assert np.all(np.abs(dense(m)[factors.perm] - lower @ upper) <= bound), name
         b = rng.normal(size=m.n)
-        expected, info = lapack.dgbtrs(factors.lu_bands, m.kl, m.ku, b, factors.ipiv)
-        assert info == 0
+        expected = dgbtrs_solve(m, b)
         assert np.array_equal(lu_solve(factors, b), expected), name
         assert band_solve(m, b).tobytes() == expected.tobytes(), name
 
 
 def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
     rng = np.random.default_rng(9)
-    solved = 0
     for n, kl, ku in RANDOM_SHAPES:
         for dominant in (True, False, False, False):
             m = random_band(rng, n, kl, ku, dominant=dominant)
             rhs = (rng.normal(size=n), rng.normal(size=n) * 1e-300, np.zeros(n))
-            try:
-                factors = band_lu_factor(m)
-            except ValueError:  # past the width cap, see the test above
-                continue
-            solved += 1
+            factors = band_lu_factor(m)
             assert_no_negative_zero(factors)
             for b in rhs:
-                expected, _ = lapack.dgbtrs(factors.lu_bands, kl, ku, b, factors.ipiv)
-                assert np.array_equal(lu_solve(factors, b), expected)
-    assert solved >= 20
+                assert np.array_equal(lu_solve(factors, b), dgbtrs_solve(m, b))
     # kl >= 32 takes dgbtrf's blocked path; this band pivots and widens L to 47
     wide = random_band(np.random.default_rng(0), 300, 40, 40, dominant=False)
     wide.bands[wide.ku] += 10.0
@@ -325,8 +317,7 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
     assert np.any(factors.perm != np.arange(wide.n)) and factors.width > wide.kl
     assert_no_negative_zero(factors)
     b = rng.normal(size=wide.n)
-    expected, _ = lapack.dgbtrs(factors.lu_bands, wide.kl, wide.ku, b, factors.ipiv)
-    assert np.array_equal(lu_solve(factors, b), expected)
+    assert np.array_equal(lu_solve(factors, b), dgbtrs_solve(wide, b))
 
 
 def nan_below_a_pivot():
@@ -356,25 +347,19 @@ def test_band_solve_refuses_a_solution_that_is_not_finite():
         band_solve(nan_below_a_pivot(), np.ones(4))
 
 
-def test_matrix_past_the_width_cap_keeps_the_interleaved_solve():
+def test_lower_factor_far_past_kl_plus_ku_factors_and_solves_bitwise():
     """Interchanges can carry a multiplier far down a general band matrix:
-    here the dense LU's L is 1255 wide.  band_lu_factor then refuses the
-    matrix, naming the cap, while band_solve, whose dgbtrs applies the
-    interchanges where dgbtrf left them, still solves it backward stably
-    (the normwise backward error measured 0.23 eps)."""
+    here L is 1255 wide, against kl + ku = 5.  band_lu_factor still factors
+    it, and its solve equals dgbtrs bitwise, as band_solve's does; both are
+    backward stable (the normwise backward error measured 0.23 eps)."""
     rng = np.random.default_rng(10)
     m = random_band(rng, 1600, 3, 2, dominant=False)
-    with pytest.raises(ValueError, match="1600 x 1600 .* kl \\+ ku = 5$"):
-        band_lu_factor(m)
+    factors = band_lu_factor(m)
     matrix = dense(m)
-    assert lower_width(scipy.linalg.lu(matrix)[1]) > m.kl + m.ku
+    assert factors.width == lower_width(scipy.linalg.lu(matrix)[1]) == 1255
     b = rng.normal(size=m.n)
-    x = band_solve(m, b)
-    ab = np.zeros((2 * m.kl + m.ku + 1, m.n))
-    ab[m.kl :] = m.bands
-    lu_bands, ipiv, _ = lapack.dgbtrf(ab, m.kl, m.ku)
-    expected, _ = lapack.dgbtrs(lu_bands, m.kl, m.ku, b, ipiv)
-    assert x.tobytes() == expected.tobytes()
+    x = lu_solve(factors, b)
+    assert x.tobytes() == dgbtrs_solve(m, b).tobytes() == band_solve(m, b).tobytes()
     residual = np.max(np.abs(matrix @ x - b))
     scale = np.max(np.abs(matrix) @ np.abs(x) + np.abs(b))
     assert residual <= 10 * (m.kl + m.ku + 1) * np.finfo(float).eps * scale

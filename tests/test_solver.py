@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 
 from hermite_heat import (
     NonIntegralStepCount,
@@ -25,12 +25,11 @@ from hermite_heat import (
 )
 from hermite_heat.assembly import ElementBlocks, element_blocks
 from hermite_heat.basis import RULES, build_basis_table
-from hermite_heat.linalg import BandedMatrix
 from hermite_heat.problem import collocation_abscissae
 from hermite_heat import solver
 from hermite_heat.solver import CoefficientVector, run_batch
 
-from conftest import dense
+from conftest import dense, dgbtrs_solve
 
 
 def quadratic_problem():
@@ -686,40 +685,13 @@ def test_banded_run_equals_the_interleaved_lapack_loop_bitwise(n_elements, kind,
     cfg = RunConfig(dt=1e-3, t_final=0.05, n_elements=n_elements, rule=rule)
     mesh = build_mesh(control, n_elements)
     system = assemble_crank_nicolson(mesh, rule, 1.0, cfg.dt)
-    factors = band_lu_factor(system.left)
     right = system.right
     n, kl, ku = right.n, right.kl, right.ku
     x = initial_coefficients(control, mesh, rule).full[system.reduced_to_full]
     for _ in range(cfg.n_steps):
         rhs = blas.dgbmv(n, n, kl, ku, 1.0, right.bands, x)
-        x, _ = lapack.dgbtrs(factors.lu_bands, kl, ku, rhs, factors.ipiv)
+        x = dgbtrs_solve(system.left, rhs)
     assert np.array_equal(run(control, cfg).full[system.reduced_to_full], x)
-
-
-def test_runs_refuse_step_factors_without_the_permuted_form(legendre, control, monkeypatch):
-    """No step matrix the package builds widens its permuted lower factor
-    past kl + ku (see test_assembly), but band_lu_factor would refuse one
-    that did with a ValueError naming the cap, and run_batch reports it per
-    member.  Meshes above the stacking line factor no step matrix."""
-    factor = solver.band_lu_factor
-    # lower bidiagonal, pivoting at every column: each interchange carries
-    # the multipliers above it one row further down, past kl + ku = 1
-    widening = BandedMatrix(3, 1, 0, np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
-
-    def past_the_cap(m):
-        return factor(widening)
-
-    monkeypatch.setattr(solver, "band_lu_factor", past_the_cap)
-    mesh = build_mesh(control, 4)
-    a0 = initial_coefficients(control, mesh, legendre)
-    assert abs(evaluate(mesh, a0, 0.5) - 1.0) < 1e-9
-    cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=4, rule=legendre)
-    with pytest.raises(ValueError, match="kl \\+ ku = 1$"):
-        run(control, cfg)
-    configs = [RunConfig(dt=0.01, t_final=t, n_elements=4, rule=legendre) for t in (0.0, 0.02)]
-    outcomes = [state for _, state in run_batch(control, configs)]
-    assert np.array_equal(outcomes[0].full, a0.full)
-    assert isinstance(outcomes[1], ValueError) and str(outcomes[1]).endswith("kl + ku = 1")
 
 
 def test_evaluate_at_boundaries_and_nodes(legendre, control):
