@@ -83,10 +83,12 @@ def _scatter(n_elements, *blocks):
 
     Element k holds rows 6k .. 6k + 5 and full columns 6k .. 6k + 7, and
     block column j fills one strided slice of the full 6N x (6N + 2)
-    matrix's bands (kl = 5, ku = 7).  Deleting the boundary columns 0 and
-    6N moves every other column left by one, which under ku = 6 keeps each
-    entry in its band row, except column 6N + 1: it moves by two, so one
-    band row down.  One element has kl = ku = 5, without the outer rows.
+    matrix's Fortran-ordered bands (kl = 5, ku = 7).  Deleting columns 0
+    and 6N moves every other column left by one, which under ku = 6 keeps
+    each entry in its band row, except column 6N + 1: it moves by two, so
+    one band row down, into column 6N (whose row 0 is zero), and the matrix
+    is the view of columns 1 .. 6N.  One element has kl = ku = 5, without
+    the outer rows.
     Returns the matrices and the reduced_to_full index map.
     """
     n = 6 * n_elements
@@ -95,13 +97,11 @@ def _scatter(n_elements, *blocks):
     width = 5 if n_elements == 1 else 6
     matrices = []
     for block in blocks:
-        full = np.zeros((13, n + 2))
+        full = np.zeros((13, n + 2), order="F")
         for j in range(8):
             full[7 - j : 13 - j, j : j + n : 6] = block[:, j : j + 1]
-        bands = np.zeros((13, n), order="F")
-        bands[:, :-1] = full[:, 1:n]
-        bands[1:, -1] = full[:-1, n + 1]
-        matrices.append(BandedMatrix(n, width, width, bands[6 - width : 7 + width]))
+        full[1:, n] = full[:-1, n + 1]
+        matrices.append(BandedMatrix(n, width, width, full[6 - width : 7 + width, 1 : n + 1]))
     return matrices, reduced_to_full
 
 

@@ -13,14 +13,14 @@ than xi-derivatives.
 
 Three polynomial families are provided: H (values), A = dH/dxi and
 B = dA/dxi.  All are evaluated by Horner's scheme on fixed monomial
-coefficient tables.
+coefficient tables, B's differentiated from A's.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 __all__ = [
     "H_COEFFS",
@@ -50,6 +50,7 @@ H_COEFFS = np.array([
     [0.0, 0.0, 0.0, 0.0, -15.0, 39.0, -34.0, 10.0],
 ])
 
+# Typed, not polyder(H_COEFFS): that gives 7 * fl(1/6), not fl(7/6), in rows 3 and 4, column 6.
 A_COEFFS = np.array([
     [0.0, 0.0, 0.0, -140.0, 420.0, -420.0, 140.0, 0.0],
     [1.0, 0.0, 0.0, -80.0, 225.0, -216.0, 70.0, 0.0],
@@ -61,17 +62,7 @@ A_COEFFS = np.array([
     [0.0, 0.0, 0.0, -60.0, 195.0, -204.0, 70.0, 0.0],
 ])
 
-# The xi^4 coefficient of row 2 is -1080 (the derivative of -216 xi^5).
-B_COEFFS = np.array([
-    [0.0, 0.0, -420.0, 1680.0, -2100.0, 840.0, 0.0, 0.0],
-    [0.0, 0.0, -240.0, 900.0, -1080.0, 420.0, 0.0, 0.0],
-    [1.0, 0.0, -60.0, 200.0, -225.0, 84.0, 0.0, 0.0],
-    [0.0, 1.0, -8.0, 20.0, -20.0, 7.0, 0.0, 0.0],
-    [0.0, 0.0, -2.0, 10.0, -15.0, 7.0, 0.0, 0.0],
-    [0.0, 0.0, 30.0, -140.0, 195.0, -84.0, 0.0, 0.0],
-    [0.0, 0.0, 420.0, -1680.0, 2100.0, -840.0, 0.0, 0.0],
-    [0.0, 0.0, -180.0, 780.0, -1020.0, 420.0, 0.0, 0.0],
-])
+B_COEFFS = np.pad(polyder(A_COEFFS, axis=1), ((0, 0), (0, 1)))
 
 # Power of the element width h multiplying each shape function.
 H_POWERS = np.array([0, 1, 2, 3, 3, 2, 0, 1])

@@ -7,7 +7,9 @@ identical flags are byte-identical.
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from .basis import RULES
@@ -212,6 +214,14 @@ def _validate(parser, args):
         parser.error("--count must be at least 1")
     if getattr(args, "sweep", None) == "dt" and math.ldexp(dt, 1 - count) == 0.0:
         parser.error("--count halves --dt to 0 before the last row")
+    # refused as _write would refuse it, but not opened, so an existing file stays as it was
+    output = args.output
+    missing = not (output and os.path.isdir(os.path.dirname(output) or "."))
+    if output != "-" and (missing or os.path.isdir(output)):
+        code = errno.ENOENT if missing else errno.EISDIR
+        refused = OSError(code, os.strerror(code), output)
+        print(f"error: cannot write --output: {refused}", file=sys.stderr)
+        sys.exit(2)
 
 
 def main(argv=None):

@@ -42,7 +42,7 @@ class MissingExactSolution(ValueError):
 def _solution_at_collocation_points(mesh, rule, a):
     """Numerical solution at all 6N collocation abscissae, shape (N, 6)."""
     table = build_basis_table(rule, mesh.h)
-    windows = np.lib.stride_tricks.sliding_window_view(a.full, 8)[::6]
+    windows = np.lib.stride_tricks.sliding_window_view(a, 8)[::6]
     return windows @ table.H.T
 
 

@@ -55,21 +55,17 @@ class SingularMatrix(ArithmeticError):
 
 
 class BandedMatrix:
-    """Square n x n matrix with bandwidths kl (below) and ku (above)."""
+    """Square n x n matrix with bandwidths kl and ku; Fortran-ordered bands are not copied."""
 
-    def __init__(self, n, kl, ku, bands=None):
+    def __init__(self, n, kl, ku, bands):
         if n < 1 or kl < 0 or ku < 0:
             raise ValueError("need n >= 1 and nonnegative bandwidths")
         self.n = n
         self.kl = kl
         self.ku = ku
-        if bands is None:
-            bands = np.zeros((kl + ku + 1, n), order="F")
-        else:
-            bands = np.asfortranarray(bands, dtype=float)
-            if bands.shape != (kl + ku + 1, n):
-                raise ValueError("band storage must have shape (kl + ku + 1, n)")
-        self.bands = bands
+        self.bands = np.asfortranarray(bands, dtype=float)
+        if self.bands.shape != (kl + ku + 1, n):
+            raise ValueError("band storage must have shape (kl + ku + 1, n)")
 
 
 @dataclass(frozen=True)
@@ -123,21 +119,22 @@ def _check_factors(routine, info, pivots):
 
 
 def _permuted(m, perm):
-    """The BandedMatrix of A[perm], whose row i is row perm[i] of A.
+    """A[perm] (row i is row perm[i] of A) in _lapack_layout's form: ab, kl and ku.
 
-    Its bandwidths are kl + max(i - perm[i]) and ku + max(perm[i] - i).
+    kl = m.kl + max(i - perm[i]) and ku = m.ku + max(perm[i] - i).
     """
     n = m.n
     moved = np.empty(n, dtype=np.intp)
     moved[perm] = np.arange(n)
     moved -= np.arange(n)  # row p of A is row p + moved[p] of A[perm]
-    permuted = BandedMatrix(n, m.kl + int(moved.max()), m.ku - int(moved.min()))
+    kl, ku = m.kl + int(moved.max()), m.ku - int(moved.min())
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
     columns = np.arange(n)
     rows = columns + np.arange(-m.ku, m.kl + 1)[:, None]  # of each band slot
     inside = (rows >= 0) & (rows < n)
     rows, columns = rows[inside], np.broadcast_to(columns, inside.shape)[inside]
-    permuted.bands[permuted.ku + rows + moved[rows] - columns, columns] = m.bands[inside]
-    return permuted
+    ab[kl + ku + rows + moved[rows] - columns, columns] = m.bands[inside]
+    return ab, kl, ku
 
 
 def _used(diagonals):
@@ -167,11 +164,11 @@ def band_lu_factor(m):
     lu_bands, ipiv, info = _lapack.dgbtrf(_lapack_layout(m), m.kl, m.ku, overwrite_ab=1)
     _check_factors("dgbtrf", info, lu_bands[k])
     perm = _lapack.dlaswp(np.arange(n, dtype=float)[:, None], ipiv)[:, 0].astype(np.intp)
-    permuted = _permuted(m, perm)
-    lu, pivots, info = _lapack.dgbtrf(_lapack_layout(permuted), permuted.kl, permuted.ku, overwrite_ab=1)
+    ab, kl, ku = _permuted(m, perm)
+    lu, pivots, info = _lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0 or np.any(pivots != np.arange(n)):
         raise RuntimeError(f"dgbtrf interchanged rows of the {n} x {n} matrix in pivot order")
-    multipliers = lu[permuted.kl + permuted.ku + 1 :]  # row r holds the multiplier of row j + 1 + r in column j
+    multipliers = lu[kl + ku + 1 :]  # row r holds the multiplier of row j + 1 + r in column j
     used = multipliers[: _used(multipliers)] + 0.0  # -0.0 + 0.0 is 0.0
     lower = np.asfortranarray(np.vstack([np.ones(n), used]))
     upper = np.array(lu_bands[k + 1 - _used(lu_bands[k::-1]) : k + 1], order="F")

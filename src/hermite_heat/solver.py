@@ -2,9 +2,9 @@
 
 A run interpolates the initial condition (W a0 = b), then advances the
 coefficient vector through M = t_final / dt Crank-Nicolson steps
-L a^{n+1} = R a^n.  The full coefficient vector keeps the two eliminated
-boundary entries pinned at zero so that evaluation code can index elements
-uniformly.
+L a^{n+1} = R a^n.  A state is the float array of all 6N + 2
+coefficients, whose two eliminated boundary entries (0 and 6N) stay exactly
+zero so that evaluation code can index elements uniformly.
 
 Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
 L, and run_batch stacks them, factoring each stack once; each step is one
@@ -30,7 +30,6 @@ from .problem import _check_element_count, build_mesh
 
 __all__ = [
     "NonIntegralStepCount",
-    "CoefficientVector",
     "RunConfig",
     "initial_coefficients",
     "step",
@@ -55,18 +54,6 @@ class NonIntegralStepCount(ValueError):
 
     t_final = 0 (zero steps) is allowed; any t_final > 0 needs at least one.
     """
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """All 6N + 2 coefficients of a state on a mesh of N elements.
-
-    full[0] and full[6N] (the boundary value coefficients) stay exactly zero.
-    It records no time level: run() returns the last one, and a loop of
-    step() gives those in between.
-    """
-
-    full: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,14 +88,14 @@ class RunConfig:
 
 
 def _coefficients(reduced_to_full, x):
-    """Scatter the reduced vector x into the full layout, boundary entries zero."""
-    full = np.zeros(len(x) + 2)
-    full[reduced_to_full] = x
-    return CoefficientVector(full=full)
+    """Scatter the reduced vector x into the 6N + 2 coefficients, boundary entries zero."""
+    a = np.zeros(len(x) + 2)
+    a[reduced_to_full] = x
+    return a
 
 
 def initial_coefficients(spec, mesh, rule):
-    """Solve W a0 = b and scatter into the full coefficient layout.
+    """The 6N + 2 coefficients a0 that solve W a0 = b, boundary entries zero.
 
     W is solved once, so it is not factored into the permuted form, which
     only repeated solves pay back: band_solve makes one LAPACK dgbsv call.
@@ -181,30 +168,30 @@ def _propagator(mesh, rule, alpha, dt):
     return np.linalg.solve(_symbols(block, n), _symbols((alpha**2 / mesh.h**2) * table.B, n))
 
 
-def _extend(full, n):
-    """The 2N x 6 element states of full's odd extension past x_right.
+def _extend(a, n):
+    """The 2N x 6 element states of state a's odd extension past x_right.
 
-    Element k < N is full[6k : 6k + 6], ordered (v, s, u''L, u'''L, u'''R,
+    Element k < N is a[6k : 6k + 6], ordered (v, s, u''L, u'''L, u'''R,
     u''R).  Element N + j mirrors element N - 1 - j, whose ends swap and
     whose value and u'' change sign: [-v, s] of node N - j, then
     [-u''R, u'''R, u'''L, -u''L] of element N - 1 - j.
     """
-    own = full[: 6 * n].reshape(n, 6)
-    mirrored = np.column_stack([full[6 * n : 0 : -6], full[6 * n + 1 : 1 : -6], own[::-1, :1:-1]])
+    own = a[: 6 * n].reshape(n, 6)
+    mirrored = np.column_stack([a[6 * n : 0 : -6], a[6 * n + 1 : 1 : -6], own[::-1, :1:-1]])
     return np.concatenate([own, mirrored * [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]])
 
 
 def _restrict(extended, n):
-    """The CoefficientVector of the first N elements and node N of an extended state.
+    """The 6N + 2 coefficients of the first N elements and node N of an extended state.
 
     The boundary values are set to exactly 0.0, as the extension holds them
     only to rounding.
     """
-    full = np.zeros(6 * n + 2)
-    full[: 6 * n] = extended[:n].ravel()
-    full[0] = 0.0
-    full[6 * n + 1] = extended[n, 1]
-    return CoefficientVector(full=full)
+    a = np.zeros(6 * n + 2)
+    a[: 6 * n] = extended[:n].ravel()
+    a[0] = 0.0
+    a[6 * n + 1] = extended[n, 1]
+    return a
 
 
 def _power(propagator, modes, n_steps):
@@ -230,12 +217,12 @@ def _power(propagator, modes, n_steps):
 
 
 def _advance_modes(propagator, a, n_steps):
-    """The CoefficientVector n_steps steps after a: one FFT, _power, one inverse FFT.
+    """The coefficients n_steps steps after a: one FFT, _power, one inverse FFT.
 
     numpy.fft is reached only here, so importing the package does not load it.
     """
-    n = (len(a.full) - 2) // 6
-    modes = np.fft.rfft(_extend(a.full, n), axis=0)
+    n = (len(a) - 2) // 6
+    modes = np.fft.rfft(_extend(a, n), axis=0)
     _power(propagator, modes, n_steps)
     return _restrict(np.fft.irfft(modes, 2 * n, axis=0), n)
 
@@ -261,7 +248,7 @@ def step(system, factors, a):
     underflow; other factors agree only to within the forward error.
     """
     reduced_to_full = system.reduced_to_full
-    x = _advance(system.right, factors, a.full[reduced_to_full], 1)
+    x = _advance(system.right, factors, a[reduced_to_full], 1)
     return _coefficients(reduced_to_full, x)
 
 
@@ -287,12 +274,12 @@ def _prepare(spec, cfg):
 
 
 def run(spec, cfg):
-    """Run the whole pipeline and return the final coefficient vector.
+    """Run the whole pipeline and return the final state: its 6N + 2 coefficients.
 
     Meshes with 6N <= 1024 unknowns factor L once and advance the reduced
-    6N-vector through its banded LU, without building a CoefficientVector
-    per step, so million-step runs stay flat in memory; a loop of step()
-    reproduces the final state, and the levels before it, bitwise.
+    6N-vector through its banded LU, without scattering it per step, so
+    million-step runs stay flat in memory; a loop of step() reproduces the
+    final state, and the levels before it, bitwise.
     Larger ones step by their Fourier modes: M steps cost one batched
     solve of the N + 1 symbols and log2(M) batched products (Table 4's
     N = 1000 row, M = 1000, takes about 19 ms on a shared 2-vCPU x86_64
@@ -353,11 +340,11 @@ def _run_stack(spec, members):
         elif isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
             results[index] = _advance_modes(kernel, a, n_steps)
         else:
-            banded.append((index, kernel, a.full[kernel.reduced_to_full]))
+            banded.append((index, kernel, a[kernel.reduced_to_full]))
     if banded:
         results.update(_advance_stack(banded, n_steps))
     for index, result in results.items():
-        if isinstance(result, CoefficientVector) and not np.all(np.isfinite(result.full)):
+        if not isinstance(result, Exception) and not np.all(np.isfinite(result)):
             results[index] = ValueError(f"the solution is not finite after step {n_steps}")
     return [(index, results[index]) for index, _ in members]
 
@@ -393,12 +380,12 @@ def _advance_stack(stack, n_steps):
 def run_batch(spec, configs):
     """Run every configuration on one problem, yielding (index, result).
 
-    index points into configs; result is the final CoefficientVector,
-    bitwise equal to run(spec, configs[index]), or the exception that its
-    run raised, and the other configurations still run.  Configurations
-    with the same step count are stacked into one block-diagonal banded
-    system of at most 1024 unknowns, factored once, which steps faster than
-    separate loops on small meshes; a larger mesh runs alone, as in run().
+    index points into configs; result is the final state, bitwise equal to
+    run(spec, configs[index]), or the exception that its run raised, and
+    the other configurations still run.  Configurations with the same step
+    count are stacked into one block-diagonal banded system of at most 1024
+    unknowns, factored once, which steps faster than separate loops on
+    small meshes; a larger mesh runs alone, as in run().
     A stack whose factorization raises, or whose state is not finite at the
     end, steps its members again one by one, so a member that overflows
     gets a ValueError without changing the results of its stack mates.
@@ -412,9 +399,9 @@ def run_batch(spec, configs):
 
 def _check_layout(mesh, a):
     """Raise ValueError unless a holds the 6N + 2 coefficients of mesh's N elements."""
-    if len(a.full) != 6 * mesh.n_elements + 2:
+    if len(a) != 6 * mesh.n_elements + 2:
         raise ValueError(
-            f"the state holds {len(a.full)} coefficients, but a mesh of "
+            f"the state holds {len(a)} coefficients, but a mesh of "
             f"{mesh.n_elements} elements needs {6 * mesh.n_elements + 2}"
         )
 
@@ -427,7 +414,7 @@ def _element(mesh, a, x):
         raise ValueError(f"x = {x} lies outside [{mesh.nodes[0]}, {mesh.nodes[-1]}]")
     k = min(max(int(math.floor((x - mesh.nodes[0]) / mesh.h)), 0), mesh.n_elements - 1)
     xi = min(max((x - mesh.nodes[k]) / mesh.h, 0.0), 1.0)
-    return a.full[6 * k : 6 * k + 8], xi
+    return a[6 * k : 6 * k + 8], xi
 
 
 def evaluate(mesh, a, x):

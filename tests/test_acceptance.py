@@ -206,12 +206,12 @@ def test_criterion_6_property_suite():
     state = initial_coefficients(problem, mesh, cfg.rule)
     for _ in range(cfg.n_steps):
         state = step(system, factors, state)
-        assert state.full[0] == 0.0
-        assert state.full[6 * 8] == 0.0
+        assert state[0] == 0.0
+        assert state[6 * 8] == 0.0
 
     # bitwise determinism of repeated runs
     first = run(problem, cfg)
     second = run(problem, cfg)
-    assert np.array_equal(first.full, second.full)
+    assert np.array_equal(first, second)
 
     print("criterion 6 (property suite, no table runs): PASS")

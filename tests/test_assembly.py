@@ -101,7 +101,8 @@ def test_three_element_row_occupancy(legendre, control):
 @pytest.mark.parametrize("n_elements", [1, 2, 3, 7])
 def test_crank_nicolson_matches_dense_oracle(n_elements, kind, control):
     """The bands equal the dense scatter exactly; one element has
-    kl = ku = 5, more have kl = ku = 6."""
+    kl = ku = 5, more have kl = ku = 6.  They are Fortran-ordered, so
+    each step's dgbmv reads them without a copy."""
     rule = RULES[kind]()
     mesh = build_mesh(control, n_elements)
     system = assemble_crank_nicolson(mesh, rule, 1.0, 0.01)
@@ -109,6 +110,7 @@ def test_crank_nicolson_matches_dense_oracle(n_elements, kind, control):
     width = 5 if n_elements == 1 else 6
     for matrix, block in ((system.left, blocks.left), (system.right, blocks.right)):
         assert (matrix.kl, matrix.ku) == (width, width)
+        assert matrix.bands.flags.f_contiguous
         assert np.array_equal(dense(matrix), dense_assembly(mesh, rule, block))
 
 

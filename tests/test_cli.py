@@ -7,6 +7,7 @@ import pytest
 
 import hermite_heat
 from hermite_heat.cli import build_parser, main
+from hermite_heat.linalg import SingularMatrix
 
 # the tree that holds the package under test, first on the child's path
 _SOURCE = str(Path(hermite_heat.__file__).resolve().parents[1])
@@ -136,6 +137,33 @@ def test_output_that_cannot_be_opened_is_an_invalid_flag(tmp_path):
     assert result.stderr.startswith("error: cannot write --output: ")
     assert result.stderr.count("\n") == 1 and str(target) in result.stderr
     assert not target.parent.exists()
+
+
+def test_output_that_cannot_be_opened_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """A missing directory, a directory or an empty path as --output exits
+    2 before the table runs.  The check does not open the path, so an existing file
+    keeps its bytes when the run then fails."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_table called for an --output that cannot be written")
+
+    monkeypatch.setattr("hermite_heat.cli.run_table", must_not_run)
+    for target in (tmp_path / "missing" / "x", tmp_path, ""):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--id", "3", "--output", str(target)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --output: ") and str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+    def singular(*args, **kwargs):
+        raise SingularMatrix(1)
+
+    monkeypatch.setattr("hermite_heat.cli.run_table", singular)
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier table\n")
+    assert main(["table", "--id", "3", "--output", str(kept)]) == 1
+    assert kept.read_bytes() == b"earlier table\n"
 
 
 def test_table_coupled_refinement():

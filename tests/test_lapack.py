@@ -27,7 +27,7 @@ system = assemble_crank_nicolson(mesh, legendre_rule(), 1.0, 0.01)
 b = np.sin(np.arange(system.left.n, dtype=float))
 print(band_solve(system.left, b).tobytes().hex())
 a = initial_coefficients(control_problem(), mesh, legendre_rule())
-print(step(system, band_lu_factor(system.left), a).full.tobytes().hex())
+print(step(system, band_lu_factor(system.left), a).tobytes().hex())
 """
 
 

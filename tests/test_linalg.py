@@ -81,7 +81,7 @@ FACTORING = (band_lu_factor, lambda m: band_solve(m, np.ones(m.n)))
 
 
 def test_zero_one_by_one_matrix_is_singular():
-    m = BandedMatrix(1, 0, 0)
+    m = BandedMatrix(1, 0, 0, np.zeros((1, 1)))
     for factoring in FACTORING:
         with pytest.raises(SingularMatrix) as info:
             factoring(m)

@@ -27,9 +27,14 @@ from hermite_heat.assembly import ElementBlocks, element_blocks
 from hermite_heat.basis import RULES, build_basis_table
 from hermite_heat.problem import collocation_abscissae
 from hermite_heat import solver
-from hermite_heat.solver import CoefficientVector, run_batch
+from hermite_heat.solver import run_batch
 
 from conftest import dense, dgbtrs_solve
+
+
+def assert_state(a, n_elements):
+    """a is a state: the float64 array of the 6N + 2 coefficients."""
+    assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (6 * n_elements + 2,)
 
 
 def quadratic_problem():
@@ -37,7 +42,7 @@ def quadratic_problem():
 
 
 def step_levels(spec, cfg):
-    """The CoefficientVectors of levels 1 .. M of cfg's run as a loop of banded step()."""
+    """The states of levels 1 .. M of cfg's run as a loop of banded step()."""
     mesh = build_mesh(spec, cfg.n_elements)
     system = assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
     factors = band_lu_factor(system.left)
@@ -103,8 +108,8 @@ def test_initial_coefficients_zero_data(legendre):
     spec = ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0)
     mesh = build_mesh(spec, 3)
     a0 = initial_coefficients(spec, mesh, legendre)
-    assert a0.full.shape == (20,)
-    assert np.max(np.abs(a0.full)) == 0.0
+    assert a0.shape == (20,)
+    assert np.max(np.abs(a0)) == 0.0
 
 
 def test_initial_coefficients_reproduce_quadratic(legendre):
@@ -126,9 +131,9 @@ def test_step_preserves_zero(legendre, control):
     mesh = build_mesh(control, 4)
     system = assemble_crank_nicolson(mesh, legendre, 1.0, 0.01)
     factors = band_lu_factor(system.left)
-    zero = CoefficientVector(full=np.zeros(26))
+    zero = np.zeros(26)
     advanced = step(system, factors, zero)
-    assert np.max(np.abs(advanced.full)) == 0.0
+    assert np.max(np.abs(advanced)) == 0.0
 
 
 def test_step_is_linear(legendre, control):
@@ -139,17 +144,17 @@ def test_step_is_linear(legendre, control):
     once = step(system, factors, a0)
     # scaling by a power of two commutes with every IEEE rounding, so the
     # step is homogeneous bitwise whatever order the BLAS kernel sums in
-    quadrupled = step(system, factors, CoefficientVector(full=4.0 * a0.full))
-    assert np.array_equal(quadrupled.full, 4.0 * once.full)
+    quadrupled = step(system, factors, 4.0 * a0)
+    assert np.array_equal(quadrupled, 4.0 * once)
     # For other factors two solves differ by their forward errors, of order
     # cond(L) * eps / 2 = 1.8e-11 here (and growing like h**-3), so bound the
     # backward deviation |L d| that banded LU keeps small instead (2.3e-17 here).
-    twice = step(system, factors, CoefficientVector(full=3.5 * a0.full))
-    deviation = (twice.full - 3.5 * once.full)[system.reduced_to_full]
+    twice = step(system, factors, 3.5 * a0)
+    deviation = (twice - 3.5 * once)[system.reduced_to_full]
     left = dense(system.left)
     residual = np.max(np.abs(left @ deviation))
     left_norm = np.linalg.norm(left, np.inf)
-    assert residual <= 1e-12 * left_norm * np.max(np.abs(3.5 * once.full))
+    assert residual <= 1e-12 * left_norm * np.max(np.abs(3.5 * once))
 
 
 def test_one_step_error_against_exact_solution(legendre, control):
@@ -173,7 +178,9 @@ def test_run_zero_horizon_returns_initial_state(legendre, control):
     mesh = build_mesh(control, 8)
     a = run(control, cfg)
     a0 = initial_coefficients(control, mesh, legendre)
-    assert np.array_equal(a.full, a0.full)
+    assert_state(a, 8)
+    assert_state(a0, 8)
+    assert np.array_equal(a, a0)
 
 
 # Below the stacking line every level of step_levels is run()'s, bitwise
@@ -185,8 +192,8 @@ def test_boundary_entries_pinned_every_step(legendre, control):
     levels = step_levels(control, cfg)
     assert len(levels) == 20
     for state in levels:
-        assert state.full[0] == 0.0
-        assert state.full[6 * 8] == 0.0
+        assert state[0] == 0.0
+        assert state[6 * 8] == 0.0
 
 
 def test_peak_decays_monotonically(legendre, control):
@@ -216,7 +223,7 @@ def test_runs_are_bitwise_deterministic(legendre, control):
     cfg = RunConfig(dt=0.01, t_final=0.3, n_elements=12, rule=legendre)
     first = run(control, cfg)
     second = run(control, cfg)
-    assert np.array_equal(first.full, second.full)
+    assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("n_elements", [1, 2, 4, 16])
@@ -231,7 +238,7 @@ def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
     assert len(levels) == 25
     for k, expected in enumerate(levels, start=1):
         ran = run(control, RunConfig(dt=cfg.dt, t_final=k * cfg.dt, n_elements=n_elements, rule=rule))
-        assert np.array_equal(ran.full, expected.full), k
+        assert np.array_equal(ran, expected), k
 
 
 def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
@@ -278,8 +285,8 @@ def test_modal_run_agrees_with_a_loop_of_banded_step(kind, control):
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=180, rule=rule)
     a = banded_step_loop(control, cfg)
     final = run(control, cfg)
-    assert final.full[0] == 0.0 and final.full[6 * 180] == 0.0
-    assert np.max(np.abs(final.full - a.full)) <= 4e-6 * np.max(np.abs(a.full))
+    assert final[0] == 0.0 and final[6 * 180] == 0.0
+    assert np.max(np.abs(final - a)) <= 4e-6 * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("n_elements", [1, 2, 4])
@@ -294,12 +301,12 @@ def test_banded_step_matches_a_dense_solve(n_elements, kind, control):
     system = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
     left, right = dense(system.left), dense(system.right)
     a = initial_coefficients(control, mesh, rule)
-    expected = np.zeros_like(a.full)
-    expected[system.reduced_to_full] = np.linalg.solve(left, right @ a.full[system.reduced_to_full])
+    expected = np.zeros_like(a)
+    expected[system.reduced_to_full] = np.linalg.solve(left, right @ a[system.reduced_to_full])
     advanced = step(system, band_lu_factor(system.left), a)
-    assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
+    assert advanced[0] == 0.0 and advanced[6 * n_elements] == 0.0
     bound = np.linalg.cond(left, np.inf) * np.finfo(float).eps * np.max(np.abs(expected))
-    assert np.max(np.abs(advanced.full - expected)) <= bound
+    assert np.max(np.abs(advanced - expected)) <= bound
 
 
 def septic_problem(alpha):
@@ -362,15 +369,15 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
                 )
                 asymmetry = max(mirror_asymmetry(block), mirror_asymmetry(table.B))
                 for a in states:
-                    x = a.full[banded.reduced_to_full]
-                    expected = np.zeros_like(a.full)
+                    x = a[banded.reduced_to_full]
+                    expected = np.zeros_like(a)
                     expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
                     stepped = step(banded, factors, a)
                     advanced = solver._advance_modes(propagator, a, 1)
-                    assert advanced.full[0] == 0.0 and advanced.full[6 * n_elements] == 0.0
+                    assert advanced[0] == 0.0 and advanced[6 * n_elements] == 0.0
                     bound = cond * (eps + asymmetry) * np.max(np.abs(expected))
-                    for other in (expected, stepped.full):
-                        assert np.max(np.abs(advanced.full - other)) <= bound, (alpha, dt)
+                    for other in (expected, stepped):
+                        assert np.max(np.abs(advanced - other)) <= bound, (alpha, dt)
 
 
 @pytest.mark.parametrize("spec", [control_problem(), bump_problem(1.0)], ids=["sine", "bump"])
@@ -388,10 +395,10 @@ def test_extension_is_the_odd_reflection_of_the_state(spec, kind):
     n = 7
     mesh = build_mesh(spec, n)
     a = initial_coefficients(spec, mesh, rule)
-    extended = solver._extend(a.full, n)
+    extended = solver._extend(a, n)
     span = spec.x_right - spec.x_left
     wide = build_mesh(ProblemSpec(spec.x_left, spec.x_right + span, 1.0, lambda x: 0.0), 2 * n)
-    reflected = CoefficientVector(full=np.concatenate([extended.ravel(), [0.0, a.full[1]]]))
+    reflected = np.concatenate([extended.ravel(), [0.0, a[1]]])
     xs = np.linspace(spec.x_left, spec.x_right, 37)
 
     def values(m, state, points):
@@ -401,7 +408,7 @@ def test_extension_is_the_odd_reflection_of_the_state(spec, kind):
     mirrored = values(wide, reflected, 2 * spec.x_right - xs)
     deviation = np.max(np.abs(mirrored + own * [1.0, -1.0, 1.0]), axis=0) / np.max(np.abs(own), axis=0)
     assert np.all(deviation <= [1e-13, 1e-13, 1e-12]), deviation
-    assert np.array_equal(solver._restrict(extended, n).full, a.full)
+    assert np.array_equal(solver._restrict(extended, n), a)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3, 32, 63])
@@ -422,25 +429,25 @@ def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
         a = initial_coefficients(control, mesh, rule)
         propagator = solver._propagator(mesh, rule, control.alpha, 0.01)
         powered = solver._advance_modes(propagator, a, n_steps)
-        modes = np.fft.rfft(solver._extend(a.full, 180), axis=0)
+        modes = np.fft.rfft(solver._extend(a, 180), axis=0)
         levels = []
         for _ in range(n_steps):
             solver._power(propagator, modes, 1)
             levels.append(solver._restrict(np.fft.irfft(modes, 2 * 180, axis=0), 180))
-            assert levels[-1].full[0] == 0.0 and levels[-1].full[6 * 180] == 0.0
+            assert levels[-1][0] == 0.0 and levels[-1][6 * 180] == 0.0
         stepped = levels[-1]
         banded = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
-        first = step(banded, band_lu_factor(banded.left), a).full
-        assert np.max(np.abs(levels[0].full - first)) <= 4e-6 * np.max(np.abs(first)), kind
-        scale = np.max(np.abs(stepped.full))
-        assert np.max(np.abs(powered.full - stepped.full)) <= 1e-7 * scale, kind
+        first = step(banded, band_lu_factor(banded.left), a)
+        assert np.max(np.abs(levels[0] - first)) <= 4e-6 * np.max(np.abs(first)), kind
+        scale = np.max(np.abs(stepped))
+        assert np.max(np.abs(powered - stepped)) <= 1e-7 * scale, kind
 
 
 def test_modal_runs_are_bitwise_deterministic(legendre, control):
     cfg = RunConfig(dt=0.01, t_final=0.3, n_elements=200, rule=legendre)
     first = run(control, cfg)
     second = run(control, cfg)
-    assert np.array_equal(first.full, second.full)
+    assert np.array_equal(first, second)
 
 
 def test_modal_run_reports_nan_pivots(legendre):
@@ -451,7 +458,7 @@ def test_modal_run_reports_nan_pivots(legendre):
 
 
 def banded_step_loop(spec, cfg):
-    """The final CoefficientVector of cfg's run as a loop of banded step()."""
+    """The final state of cfg's run as a loop of banded step()."""
     return step_levels(spec, cfg)[-1]
 
 
@@ -472,7 +479,7 @@ def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, mo
         solver._propagator(mesh, legendre, control.alpha, 0.01)
     cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=200, rule=legendre)
     final, looped = run(control, cfg), banded_step_loop(control, cfg)
-    assert final.full.tobytes() == looped.full.tobytes()
+    assert final.tobytes() == looped.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
@@ -487,8 +494,8 @@ def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
         solver._propagator(build_mesh(spec, 171), rule, spec.alpha, 0.01)
     cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=171, rule=rule)
     final, looped = run(spec, cfg), banded_step_loop(spec, cfg)
-    assert np.all(np.isfinite(final.full))
-    assert final.full.tobytes() == looped.full.tobytes()
+    assert np.all(np.isfinite(final))
+    assert final.tobytes() == looped.tobytes()
 
 
 def mode_one_nodal_values(rule, n_elements, dt, n_steps):
@@ -537,7 +544,7 @@ def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, 
     rule = RULES[kind]()
     dt = 1.0 / n_elements
     cfg = RunConfig(dt=dt, t_final=1.0, n_elements=n_elements, rule=rule)
-    nodal = run(control, cfg).full[0::6]
+    nodal = run(control, cfg)[0::6]
     expected = mode_one_nodal_values(rule, n_elements, dt, cfg.n_steps)
     assert np.max(np.abs(nodal - expected)) <= 5e-10 * np.max(np.abs(expected))
 
@@ -547,7 +554,9 @@ def batch_matches_solo_runs(spec, configs):
     assert sorted(index for index, _ in outcomes) == list(range(len(configs)))
     for index, state in outcomes:
         solo = run(spec, configs[index])
-        assert np.array_equal(state.full, solo.full), configs[index]
+        assert_state(state, configs[index].n_elements)
+        assert_state(solo, configs[index].n_elements)
+        assert np.array_equal(state, solo), configs[index]
 
 
 @pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
@@ -604,7 +613,7 @@ def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
     with pytest.raises(ValueError, match="not finite"):
         run(spec, configs[1])
     for index in (0, 2, 3):
-        assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+        assert np.array_equal(outcomes[index], run(spec, configs[index]))
 
 
 def overflowing_problem(scale):
@@ -617,7 +626,7 @@ def test_run_rejects_a_state_that_overflows(n_elements, legendre):
     overflows them, on the banded (N = 3) and the Fourier-mode (N = 200) kernel."""
     cfg = RunConfig(dt=0.01, t_final=0.01, n_elements=n_elements, rule=legendre)
     spec = overflowing_problem(1e307)
-    assert np.all(np.isfinite(initial_coefficients(spec, build_mesh(spec, n_elements), legendre).full))
+    assert np.all(np.isfinite(initial_coefficients(spec, build_mesh(spec, n_elements), legendre)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="after step 1"):
         run(spec, cfg)
 
@@ -635,7 +644,7 @@ def test_run_batch_reports_overflow_per_member(legendre):
         outcomes = dict(run_batch(spec, configs))
     assert isinstance(outcomes[3], ValueError)
     for index in (0, 1, 2):
-        assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+        assert np.array_equal(outcomes[index], run(spec, configs[index]))
 
 
 def test_an_overflowing_member_leaves_its_stack_mates_as_their_solo_runs(legendre):
@@ -652,7 +661,7 @@ def test_an_overflowing_member_leaves_its_stack_mates_as_their_solo_runs(legendr
             run(spec, configs[4])
     assert isinstance(outcomes[4], ValueError)
     for index in range(4):
-        assert np.array_equal(outcomes[index].full, run(spec, configs[index]).full)
+        assert np.array_equal(outcomes[index], run(spec, configs[index]))
 
 
 def test_a_stack_whose_factorization_raises_factors_each_member_alone(legendre, control, monkeypatch):
@@ -671,8 +680,8 @@ def test_a_stack_whose_factorization_raises_factors_each_member_alone(legendre, 
     monkeypatch.setattr(solver, "band_lu_factor", refusing)
     outcomes = dict(run_batch(control, configs))
     assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "refused 18"
-    assert np.array_equal(outcomes[0].full, solo[0].full)
-    assert np.array_equal(outcomes[2].full, solo[1].full)
+    assert np.array_equal(outcomes[0], solo[0])
+    assert np.array_equal(outcomes[2], solo[1])
 
 
 @pytest.mark.parametrize("n_elements", [4, 10, 40])
@@ -687,11 +696,11 @@ def test_banded_run_equals_the_interleaved_lapack_loop_bitwise(n_elements, kind,
     system = assemble_crank_nicolson(mesh, rule, 1.0, cfg.dt)
     right = system.right
     n, kl, ku = right.n, right.kl, right.ku
-    x = initial_coefficients(control, mesh, rule).full[system.reduced_to_full]
+    x = initial_coefficients(control, mesh, rule)[system.reduced_to_full]
     for _ in range(cfg.n_steps):
         rhs = blas.dgbmv(n, n, kl, ku, 1.0, right.bands, x)
         x = dgbtrs_solve(system.left, rhs)
-    assert np.array_equal(run(control, cfg).full[system.reduced_to_full], x)
+    assert np.array_equal(run(control, cfg)[system.reduced_to_full], x)
 
 
 def test_evaluate_at_boundaries_and_nodes(legendre, control):
@@ -702,7 +711,7 @@ def test_evaluate_at_boundaries_and_nodes(legendre, control):
     assert abs(evaluate(mesh, a0, 1.0)) < 1e-15
     # interior node value is the matching value coefficient, exactly
     for m in (1, 4, 7):
-        assert evaluate(mesh, a0, mesh.nodes[m]) == a0.full[6 * m]
+        assert evaluate(mesh, a0, mesh.nodes[m]) == a0[6 * m]
 
 
 def test_evaluate_outside_domain(legendre, control):
@@ -749,8 +758,8 @@ def test_element_boundary_evaluations_agree_bitwise(legendre, control):
     from hermite_heat import hermite_values
 
     for m in (1, 2, 3, 4):
-        coeffs_left = a0.full[6 * (m - 1) : 6 * (m - 1) + 8]
-        coeffs_right = a0.full[6 * m : 6 * m + 8]
+        coeffs_left = a0[6 * (m - 1) : 6 * (m - 1) + 8]
+        coeffs_right = a0[6 * m : 6 * m + 8]
         from_left = float(coeffs_left @ hermite_values(1.0, h))
         from_right = float(coeffs_right @ hermite_values(0.0, h))
         assert from_left == from_right
