@@ -17,6 +17,7 @@ coefficient tables, B's differentiated from A's.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -133,11 +134,12 @@ class CollocationRule:
             raise ValueError("collocation points must be symmetric about 1/2")
 
 
+@cache
 def legendre_rule():
     """Collocation points: roots of the degree-6 shifted Legendre polynomial.
 
     The standard Gauss-Legendre nodes on [-1, 1] are polished by Newton
-    iteration on P6 and mapped to [0, 1] via (1 + x) / 2.
+    iteration on P6 and mapped to [0, 1] via (1 + x) / 2, once per process.
     """
     x = npleg.leggauss(6)[0]
     c = np.zeros(7)
@@ -148,8 +150,9 @@ def legendre_rule():
     return CollocationRule("legendre", (1.0 + x) / 2.0)
 
 
+@cache
 def chebyshev_rule():
-    """Collocation points: degree-6 Chebyshev (first kind) roots on [0, 1]."""
+    """Collocation points: degree-6 Chebyshev (first kind) roots on [0, 1], built once."""
     i = np.arange(1, 7)
     return CollocationRule("chebyshev", (1.0 - np.cos((2 * i - 1) * np.pi / 12.0)) / 2.0)
 

@@ -10,7 +10,7 @@ Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
 L, and run_batch stacks them, factoring each stack once; each step is one
 dgbmv, one gather and two BLAS dtbsv calls (linalg.LUFactors).  Larger
 meshes step alone, through their Fourier modes: one real FFT of the
-state's odd extension splits the run into N + 1 independent 6 x 6 complex
+state's odd extension splits the run into N + 1 independent 6 x 6 real
 problems, each powered in log2(M) batched products, and one inverse FFT
 returns the final state (_propagator, _advance_modes).  A stiff mesh whose
 symbols round to singular steps banded instead.
@@ -132,14 +132,25 @@ def _advance(right, factors, x, n_steps):
 
 
 def _symbols(block, n_elements):
-    """B_0 + e^{i theta} B_1 for theta = pi m / N, m = 0 .. N, as (N + 1) x 6 x 6.
+    """Real 6 x 6 symbols of a 6 x 8 block G for theta = pi m / N, m = 0 .. N.
 
-    B_0 is the 6 x 8 element block's first six columns, on the element's
-    own state, and B_1 its last two, on the next element's value and slope.
+    They are B_0 + e^{i theta} B_1 (B_0 G's first six columns, B_1 its last
+    two, on the next element's value and slope) in _real_modes' coordinates.
+    With c = cos(theta / 2) and s = sin(theta / 2), rows 0 .. 2 are half the
+    difference of G's rows i and 5 - i in [s (G_0 - G_6), c (G_1 + G_7),
+    G_2 - G_5, G_3 + G_4, 0, 0], rows 3 .. 5 half their sum in [c (G_0 + G_6),
+    s (G_7 - G_1), 0, 0, G_3 - G_4, G_2 + G_5]; only G's rounding-level
+    mirror asymmetry is dropped.
     """
-    phase = np.exp(1j * np.pi / n_elements * np.arange(n_elements + 1))
-    symbols = np.repeat(block[None, :, :6].astype(complex), n_elements + 1, axis=0)
-    symbols[:, :, :2] += phase[:, None, None] * block[:, 6:]
+    half = np.pi / (2 * n_elements) * np.arange(n_elements + 1)
+    sc = np.stack([np.sin(half), np.cos(half)], axis=1)[:, None, :]
+    signs = [-1, 1, -1, 1, 1, -1, -1, 1]
+    g = block[:, [0, 1, 2, 3, 0, 7, 3, 2]] + block[:, [6, 7, 5, 4, 6, 1, 4, 5]] * signs
+    symbols = np.zeros((n_elements + 1, 6, 6))
+    symbols[:, :3, :4] = (g[:3, :4] - g[:2:-1, :4]) / 2
+    symbols[:, 3:, [0, 1, 4, 5]] = (g[:3, 4:] + g[:2:-1, 4:]) / 2
+    symbols[:, :3, :2] *= sc
+    symbols[:, 3:, :2] *= sc[:, :, ::-1]
     return symbols
 
 
@@ -149,8 +160,10 @@ def _propagator(mesh, rule, alpha, dt):
     On a uniform mesh with symmetric collocation points the odd extension
     of a state (_extend) steps by a block-circulant matrix (P. J. Davis,
     Circulant Matrices, 1979), so a real FFT over the element index splits
-    a <- a + L^-1 (D a) into one 6 x 6 problem per mode.  D = (alpha**2 /
-    h**2) B is built directly rather than as R - L.
+    a <- a + L^-1 (D a) into one 6 x 6 problem per mode, real by the
+    extension's symmetry (_symbols, _real_modes) as the DCT and DST are (G.
+    Strang, SIAM Review 41(1), 1999).  D = (alpha**2 / h**2) B is built
+    directly rather than as R - L.  Returns the float64 (N + 1) x 6 x 6 E.
 
     Raises SingularMatrix at the first row of L's element block that is
     not finite (numpy's solve does not check; it is that row of L(0)), and
@@ -194,8 +207,35 @@ def _restrict(extended, n):
     return a
 
 
+def _real_modes(a):
+    """The real (N + 1) x 6 modes of state a, one row per theta = pi m / N.
+
+    The extension maps node k to node -k and element k to element -1 - k,
+    so of the FFT's modes (v, s, p, q, r, t) v is imaginary, s real, r =
+    e^{i theta} conj(q) and t = -e^{i theta} conj(p).  With phi = e^{i theta
+    / 2}, a row is (Im v, Re s, Re p/phi, Re q/phi, Im q/phi, Im p/phi).  Only
+    here and in _state is numpy.fft reached, so the package loads it lazily.
+    """
+    modes = np.fft.rfft(_extend(a, (len(a) - 2) // 6), axis=0)
+    n = len(modes) - 1
+    ends = modes[:, 2:4] * np.exp(-0.5j * np.pi / n * np.arange(n + 1))[:, None]
+    return np.column_stack([modes[:, 0].imag, modes[:, 1].real, ends.real, ends[:, ::-1].imag])
+
+
+def _state(x):
+    """The 6N + 2 coefficients whose _real_modes are the (N + 1) x 6 rows x: one
+    inverse FFT of v = i x_0, s = x_1, p = phi (x_2 + i x_5), q = phi (x_3 +
+    i x_4), r = phi (x_3 - i x_4) and t = -phi (x_2 - i x_5)."""
+    n = len(x) - 1
+    phi = np.exp(0.5j * np.pi / n * np.arange(n + 1))[:, None]
+    p_q = phi * (x[:, 2:4] + 1j * x[:, :3:-1])
+    r_t = phi * (x[:, 3:1:-1] - 1j * x[:, 4:]) * [1.0, -1.0]
+    modes = np.column_stack([1j * x[:, 0], x[:, 1], p_q, r_t])
+    return _restrict(np.fft.irfft(modes, 2 * n, axis=0), n)
+
+
 def _power(propagator, modes, n_steps):
-    """Apply (I + E)^n_steps to the (N + 1) x 6 modes, in place.
+    """Apply (I + E)^n_steps to the real (N + 1) x 6 modes, in place.
 
     I + F = (I + E)^(2^k) is squared in delta form, F <- 2F + F^2, which
     keeps the digits of a small E (N. J. Higham, Functions of Matrices,
@@ -217,14 +257,10 @@ def _power(propagator, modes, n_steps):
 
 
 def _advance_modes(propagator, a, n_steps):
-    """The coefficients n_steps steps after a: one FFT, _power, one inverse FFT.
-
-    numpy.fft is reached only here, so importing the package does not load it.
-    """
-    n = (len(a) - 2) // 6
-    modes = np.fft.rfft(_extend(a, n), axis=0)
+    """The coefficients n_steps steps after a: one FFT, _power, one inverse FFT."""
+    modes = _real_modes(a)
     _power(propagator, modes, n_steps)
-    return _restrict(np.fft.irfft(modes, 2 * n, axis=0), n)
+    return _state(modes)
 
 
 def step(system, factors, a):
@@ -281,9 +317,9 @@ def run(spec, cfg):
     million-step runs stay flat in memory; a loop of step() reproduces the
     final state, and the levels before it, bitwise.
     Larger ones step by their Fourier modes: M steps cost one batched
-    solve of the N + 1 symbols and log2(M) batched products (Table 4's
-    N = 1000 row, M = 1000, takes about 19 ms on a shared 2-vCPU x86_64
-    host).  These agree with a loop of step() to within the banded solve's
+    solve of the N + 1 real 6 x 6 symbols and log2(M) batched products
+    (Table 4's N = 1000 row, M = 1000, takes 4 to 7 ms on a shared 2-vCPU
+    x86_64 host).  These agree with a loop of step() to within the banded solve's
     forward error.  Where alpha**2 dt / h**2 is so large (above about 1e17)
     that L(0) rounds to singular, a larger mesh steps through the banded
     LU of L instead, as a small one does.

@@ -157,11 +157,14 @@ def test_width_scaling_of_columns():
 
 @pytest.mark.parametrize("rule_factory", [legendre_rule, chebyshev_rule])
 def test_rule_points_increasing_symmetric(rule_factory):
-    pts = rule_factory().points
+    rule = rule_factory()
+    pts = rule.points
     assert pts.shape == (6,)
     assert np.all(np.diff(pts) > 0)
     assert pts[0] > 0 and pts[-1] < 1
     assert np.max(np.abs(pts + pts[::-1] - 1.0)) < 1e-12
+    # built once per process: one shared rule, safe as its points are read-only
+    assert rule_factory() is rule and not pts.flags.writeable
 
 
 def test_legendre_rule_six_digit_values():

@@ -241,43 +241,77 @@ def test_run_equals_a_loop_of_step_bitwise(n_elements, kind, control):
         assert np.array_equal(ran, expected), k
 
 
-def closed_form_l2(n_elements, dt, t_final, rule, alpha=1.0):
-    """L2 error of exact Crank-Nicolson on the control problem's sine mode.
+def complex_symbols(block, thetas):
+    """B_0 + e^{i theta} B_1 of a 6 x 8 element block for each theta, as len(thetas) x 6 x 6.
 
-    A step multiplies the mode by (1 - x) / (1 + x) = exp(-2 atanh x), with
-    x = dt mu / 2 and mu = alpha**2 pi**2, where the exact solution decays by
-    exp(-2x).  After M steps the error is exp(-mu T) |exp(-2M (atanh x - x)) - 1|
-    times the mode's discrete L2 norm; atanh x - x = x**3/3 + x**5/5 + x**7/7
-    up to x**9/9, below 1e-26 of the sum at x = 5e-5.  The spatial error
-    at N = 180 is far smaller than the 1e-4 relative this reference is
-    used at.
+    B_0 is the block's first six columns, on the element's own state, and
+    B_1 its last two, on the next element's value and slope: the symbol of
+    the block-circulant matrix of the state's odd extension at mode theta.
     """
-    mu = alpha**2 * math.pi**2
-    x = dt * mu / 2
-    steps = round(t_final / dt)
+    phase = np.exp(1j * np.asarray(thetas))
+    symbols = np.repeat(block[None, :, :6].astype(complex), len(phase), axis=0)
+    symbols[:, :, :2] += phase[:, None, None] * block[:, 6:]
+    return symbols
+
+
+def exact_crank_nicolson(rule, n_elements, dt, n_steps):
+    """The state after n_steps exact Crank-Nicolson steps of the control problem, without FFT.
+
+    sin(pi x) on [0, 1] (alpha = 1) holds the one Fourier mode theta = pi /
+    N: its element states are Im(e^{i theta k} c) for one complex 6-vector
+    c, which solves H(theta) c = e^{i pi h xi} at the collocation points xi.
+    Each step multiplies c by I + E(theta), E = L(theta)^-1 D(theta),
+    powered here in complex delta form, F <- 2F + F^2.  The symbols come
+    from the element blocks by complex_symbols, so no solver code runs.
+    Returns the float array of all 6N + 2 coefficients, entries 0 and 6N
+    (the boundary values) set to exactly 0, as run() returns them.
+    """
     h = 1.0 / n_elements
-    points = h * np.arange(n_elements)[:, None] + h * rule.points[None, :]
-    norm = math.sqrt(h * float(np.sum(np.sin(math.pi * points) ** 2)))
-    return math.exp(-mu * t_final) * abs(math.expm1(-2 * steps * (x**3 / 3 + x**5 / 5 + x**7 / 7))) * norm
+    table = build_basis_table(rule, h)
+    theta = math.pi / n_elements
+
+    def symbol(block):
+        return complex_symbols(block, [theta])[0]
+
+    c = np.linalg.solve(symbol(table.H), np.exp(1j * math.pi * h * rule.points))
+    left = element_blocks(table, 1.0, dt).left
+    power = np.linalg.solve(symbol(left), symbol(table.B / h**2))
+    while True:
+        if n_steps & 1:
+            c = c + power @ c
+        n_steps >>= 1
+        if n_steps == 0:
+            break
+        power = 2.0 * power + power @ power
+    phase = np.exp(1j * theta) ** np.arange(n_elements + 1)
+    state = np.imag(phase[:, None] * c).ravel()[: 6 * n_elements + 2]
+    state[0] = state[6 * n_elements] = 0.0
+    return state
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_modal_run_meets_the_closed_form_crank_nicolson_error(kind, control):
     """N = 180 (1080 unknowns) steps by its Fourier modes.  Its L2 error
-    after 10**4 steps matched the closed form to 1.1e-5 (Legendre) and
-    8.0e-6 (Chebyshev) relative; the banded kernel missed it by 4.7e-4 and
-    2.1e-3."""
+    after 10**4 steps matched that of exact_crank_nicolson to 1.2e-5
+    (Legendre) and 1.7e-7 (Chebyshev) relative, and the closed form of the
+    sine mode's error, exp(-mu T) |exp(-2M (atanh x - x)) - 1| times its
+    discrete norm (x = dt mu / 2, mu = pi**2), to 4.8e-6 and 4.4e-6.  The
+    spatial error at N = 180 is far below this bound; the banded kernel
+    missed the closed form by 4.7e-4 and 2.1e-3."""
     rule = RULES[kind]()
     cfg = RunConfig(dt=1e-5, t_final=0.1, n_elements=180, rule=rule)
-    l2, _ = error_norms(control, build_mesh(control, 180), rule, run(control, cfg), cfg.t_final)
-    assert abs(l2 / closed_form_l2(180, cfg.dt, cfg.t_final, rule) - 1.0) <= 1e-4
+    mesh = build_mesh(control, 180)
+    l2, _ = error_norms(control, mesh, rule, run(control, cfg), cfg.t_final)
+    exact = exact_crank_nicolson(rule, 180, cfg.dt, cfg.n_steps)
+    l2_exact, _ = error_norms(control, mesh, rule, exact, cfg.t_final)
+    assert abs(l2 / l2_exact - 1.0) <= 1e-4
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_modal_run_agrees_with_a_loop_of_banded_step(kind, control):
     """run() at N = 180 steps by its Fourier modes, step() banded, so they
     agree to rounding, not bitwise.  After 25 steps the largest difference
-    measured 3.4e-7 (Legendre) and 2.3e-7 (Chebyshev) of the largest
+    measured 3.4e-7 (Legendre) and 2.1e-7 (Chebyshev) of the largest
     coefficient: the banded solve's forward error, cond_inf(L) * eps = 1.5e-6
     and 1.1e-6 here.  The single levels are held to banded step() by
     test_modal_power_agrees_with_stepping_one_level_at_a_time."""
@@ -347,10 +381,11 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
     meshes above the stacking line the two condition numbers agree (0.999
     at N = 180), while small meshes at large alpha**2 dt / h**2 have
     symbols up to 6.6e5 times worse conditioned than L.  The largest
-    deviation measured 0.071 of the bound (N = 1), and 5e-4 at N = 180.
+    deviation measured 0.096 of the bound (N = 1), and 5e-4 at N = 180.
     The boundary entries come out exactly zero."""
     rule = RULES[kind]()
     eps = np.finfo(float).eps
+    thetas = np.pi / n_elements * np.arange(n_elements + 1)
     for alpha in (1e-3, 1.0, 1e3):
         # the sine and the polynomial share the unit interval's mesh
         for specs in ((control_problem(alpha), septic_problem(alpha)), (bump_problem(alpha),)):
@@ -365,7 +400,7 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
                 block = element_blocks(table, alpha, dt).left
                 cond = max(
                     np.linalg.cond(left, np.inf),
-                    np.max(np.linalg.cond(solver._symbols(block, n_elements), np.inf)),
+                    np.max(np.linalg.cond(complex_symbols(block, thetas), np.inf)),
                 )
                 asymmetry = max(mirror_asymmetry(block), mirror_asymmetry(table.B))
                 for a in states:
@@ -415,13 +450,13 @@ def test_extension_is_the_odd_reflection_of_the_state(spec, kind):
 def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
     """_power applies (I + E)**M through the bits of M: only the top bit is
     set at M = 32, all of them at M = 63.  Against M single steps (each
-    mode stepped by E, then one inverse FFT per level) at N = 180, dt =
-    0.01, the final states agreed to 3.6e-13 (M = 8) and 1.9e-9 (M = 64,
+    real mode stepped by E, then one inverse FFT per level) at N = 180, dt =
+    0.01, the final states agreed to 1.3e-14 (M = 3) and 2.7e-9 (M = 63,
     Legendre) of the largest coefficient, the undamped stiff modes
     accumulating the products' rounding; one step more or less moves the
     state by 0.10 of it.  Every level's boundary entries are exactly zero.
-    The first level is held to banded step() (measured 2.1e-8 Legendre,
-    1.3e-8 Chebyshev; the bound is that of the 25-step comparison above),
+    The first level is held to banded step() (measured 1.8e-8 Legendre,
+    1.2e-8 Chebyshev; the bound is that of the 25-step comparison above),
     so the two paths cannot agree by both skipping the single step."""
     mesh = build_mesh(control, 180)
     for kind in ("legendre", "chebyshev"):
@@ -429,11 +464,11 @@ def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
         a = initial_coefficients(control, mesh, rule)
         propagator = solver._propagator(mesh, rule, control.alpha, 0.01)
         powered = solver._advance_modes(propagator, a, n_steps)
-        modes = np.fft.rfft(solver._extend(a, 180), axis=0)
+        modes = solver._real_modes(a)
         levels = []
         for _ in range(n_steps):
             solver._power(propagator, modes, 1)
-            levels.append(solver._restrict(np.fft.irfft(modes, 2 * 180, axis=0), 180))
+            levels.append(solver._state(modes))
             assert levels[-1][0] == 0.0 and levels[-1][6 * 180] == 0.0
         stepped = levels[-1]
         banded = assemble_crank_nicolson(mesh, rule, control.alpha, 0.01)
@@ -441,6 +476,101 @@ def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
         assert np.max(np.abs(levels[0] - first)) <= 4e-6 * np.max(np.abs(first)), kind
         scale = np.max(np.abs(stepped))
         assert np.max(np.abs(powered - stepped)) <= 1e-7 * scale, kind
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 7, 180])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_real_modes_give_back_the_state(n_elements, kind):
+    """_state(_real_modes(a)) is a to rounding on the sine, a degree-7
+    polynomial and a bump on [-1, 2]: the real modes drop only parts of
+    the FFT's modes that the odd extension makes zero.  The largest
+    difference measured 4.6 eps of the largest coefficient (N = 180); the
+    bound is 16 eps.  The boundary entries come back exactly zero."""
+    rule = RULES[kind]()
+    for spec in (control_problem(), septic_problem(1.0), bump_problem(1.0)):
+        a = initial_coefficients(spec, build_mesh(spec, n_elements), rule)
+        modes = solver._real_modes(a)
+        assert modes.dtype == np.float64 and modes.shape == (n_elements + 1, 6)
+        back = solver._state(modes)
+        assert back[0] == 0.0 and back[6 * n_elements] == 0.0
+        assert np.max(np.abs(back - a)) <= 16 * np.finfo(float).eps * np.max(np.abs(a))
+
+
+def real_coordinates(thetas):
+    """(P^-1, Q) for each theta: the maps between a complex symbol and _symbols.
+
+    Q takes a real mode x (_real_modes) to the complex mode (v, s, p, q, r,
+    t) = (i x_0, x_1, phi (x_2 + i x_5), phi (x_3 + i x_4), phi (x_3 - i
+    x_4), -phi (x_2 - i x_5)), phi = e^{i theta / 2}.  P^-1 takes the six
+    complex residuals w to the half-differences (w_i - w_{5-i}) / (2 phi)
+    and the half-sums (w_i + w_{5-i}) / (2 i phi), i = 0, 1, 2.
+    """
+    phi = np.exp(0.5j * np.asarray(thetas))[:, None, None]
+    q = np.zeros((len(thetas), 6, 6), dtype=complex)
+    rows, cols = [0, 1, 2, 5, 3, 4, 3, 4, 2, 5], [0, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    q[:, rows, cols] = [1j, 1, 1, -1, 1, 1, 1j, -1j, 1j, 1j]
+    q[:, 2:, 2:] *= phi
+    p_inverse = np.zeros((len(thetas), 6, 6), dtype=complex)
+    i = np.arange(3)
+    p_inverse[:, i, i], p_inverse[:, i, 5 - i] = 0.5, -0.5
+    p_inverse[:, 3 + i, i], p_inverse[:, 3 + i, 5 - i] = -0.5j, -0.5j
+    return p_inverse / phi, q
+
+
+@pytest.mark.parametrize("n_elements", [1, 7, 180])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_real_symbols_are_the_complex_symbols_in_real_coordinates(n_elements, kind):
+    """_symbols(block) is Re(P^-1 S(theta) Q) for the complex symbols S of
+    complex_symbols, on H, B and L's block for alpha in {1e-3, 1, 1e3} and
+    dt in {1e-8, 1e-2, 1e2}.  What it drops, the imaginary part, and what
+    it differs by are the block's mirror asymmetry plus rounding: both
+    measured at most 0.99 of (eps + mirror_asymmetry) max|block|, and the
+    bound is twice that.  _propagator returns the float64 (N + 1) x 6 x 6
+    array of the real E(theta)."""
+    rule = RULES[kind]()
+    mesh = build_mesh(control_problem(), n_elements)
+    table = build_basis_table(rule, mesh.h)
+    thetas = np.pi / n_elements * np.arange(n_elements + 1)
+    p_inverse, q = real_coordinates(thetas)
+    for alpha in (1e-3, 1.0, 1e3):
+        for dt in (1e-8, 1e-2, 1e2):
+            for block in (table.H, table.B, element_blocks(table, alpha, dt).left):
+                expected = p_inverse @ complex_symbols(block, thetas) @ q
+                bound = 2 * (np.finfo(float).eps + mirror_asymmetry(block)) * np.max(np.abs(block))
+                assert np.max(np.abs(solver._symbols(block, n_elements) - expected.real)) <= bound
+                assert np.max(np.abs(expected.imag)) <= bound
+            propagator = solver._propagator(mesh, rule, alpha, dt)
+            assert propagator.dtype == np.float64 and propagator.shape == (n_elements + 1, 6, 6)
+
+
+# The largest relative deviation of l2 and linf from exact Crank-Nicolson,
+# by table and by kernel (banded below the stacking line, modal above it).
+_TABLE_BOUNDS = {1: (None, 1.4e-8), 4: (1.7e-9, 9e-8), 5: (4.5e-10, None)}
+
+
+@pytest.mark.parametrize("table_id", [1, 4, 5])
+def test_every_table_row_meets_the_exact_crank_nicolson_reference(table_id, control):
+    """Every row of Tables 1, 4 and 5, both rules, against error_norms of
+    exact_crank_nicolson.  Before the modal kernel stepped in real
+    arithmetic the largest relative deviations of l2 or linf were 6.7e-9
+    (Table 1, all above the stacking line), 8.2e-10 below and 4.3e-8 above
+    the line (Table 4; Chebyshev N = 1000, linf) and 2.2e-10 (Table 5, all
+    below); the bounds are about twice those.  In real arithmetic the rows
+    above the line measured 6.4e-9 (Table 1) and 4.2e-8 (Table 4), and the
+    banded rows are unchanged.  Table 3 (about 5 s, at the roundoff floor) and Table 2
+    (10**6 steps a row) are left out for the suite's time."""
+    below, above = _TABLE_BOUNDS[table_id]
+    for row in table_spec(table_id).rows:
+        mesh = build_mesh(control, row.n_elements)
+        for kind in ("legendre", "chebyshev"):
+            rule = RULES[kind]()
+            cfg = RunConfig(dt=row.dt, t_final=row.t_final, n_elements=row.n_elements, rule=rule)
+            norms = error_norms(control, mesh, rule, run(control, cfg), cfg.t_final)
+            exact = exact_crank_nicolson(rule, cfg.n_elements, cfg.dt, cfg.n_steps)
+            reference = error_norms(control, mesh, rule, exact, cfg.t_final)
+            bound = above if 6 * cfg.n_elements > solver._STACK_UNKNOWNS else below
+            deviation = max(abs(x / y - 1.0) for x, y in zip(norms, reference))
+            assert deviation <= bound, (kind, row.n_elements, row.dt, row.t_final, deviation)
 
 
 def test_modal_runs_are_bitwise_deterministic(legendre, control):
@@ -498,45 +628,17 @@ def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
     assert final.tobytes() == looped.tobytes()
 
 
-def mode_one_nodal_values(rule, n_elements, dt, n_steps):
-    """Nodal values of the sine after n_steps Crank-Nicolson steps, without FFT.
-
-    sin(pi x) holds the one Fourier mode theta = pi / N: its element states
-    are Im(e^{i theta k} c) for one complex 6-vector c, which solves
-    H(theta) c = e^{i pi h xi} at the collocation points xi.  Each step
-    multiplies c by I + E(theta), E = L(theta)^-1 D(theta), powered here in
-    delta form, F <- 2F + F^2.  The symbols are built from the element
-    blocks directly.
-    """
-    h = 1.0 / n_elements
-    table = build_basis_table(rule, h)
-    phase = np.exp(1j * math.pi / n_elements)
-
-    def symbol(block):
-        own = block[:, :6].astype(complex)
-        own[:, :2] += phase * block[:, 6:]
-        return own
-
-    c = np.linalg.solve(symbol(table.H), np.exp(1j * math.pi * h * rule.points))
-    left = element_blocks(table, 1.0, dt).left
-    power = np.linalg.solve(symbol(left), symbol(table.B / h**2))
-    while True:
-        if n_steps & 1:
-            c = c + power @ c
-        n_steps >>= 1
-        if n_steps == 0:
-            break
-        power = 2.0 * power + power @ power
-    return np.imag(phase ** np.arange(n_elements + 1) * c[0])
-
-
 @pytest.mark.parametrize("n_elements", [200, 1000])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, control):
     """Table 4's rows at N = 200 and 1000 (dt = 1/N, M = N) against
-    mode_one_nodal_values.  The nodal values deviated by at most 6.0e-11 of
-    the largest (1.2e-11 at N = 200); the bound is 5e-10.  That reference
-    is itself within 1.9e-12 of the same computation in 50-digit mpmath.
+    exact_crank_nicolson.  The nodal values deviated by at most 6.2e-11 of
+    the largest (1.8e-11 at N = 200); the bound is 5e-10.  Nearly all of
+    that is the reference's own rounding: its complex c_0 has an imaginary
+    part of 3.1e-15 (N = 1000), a cos(pi x) term of 6e-11 of the final
+    amplitude that the real modes, whose value parts are sines, cannot
+    hold.  The reference is within 1.9e-12 of the same computation in
+    50-digit mpmath.
     The u'' and u''' coefficients are not compared: W a0 = b leaves their
     stiff modes off by up to 3e-4 relative, and Crank-Nicolson does not damp
     those, so every kernel ends several times the largest u''' away from
@@ -545,7 +647,7 @@ def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, 
     dt = 1.0 / n_elements
     cfg = RunConfig(dt=dt, t_final=1.0, n_elements=n_elements, rule=rule)
     nodal = run(control, cfg)[0::6]
-    expected = mode_one_nodal_values(rule, n_elements, dt, cfg.n_steps)
+    expected = exact_crank_nicolson(rule, n_elements, dt, cfg.n_steps)[0::6]
     assert np.max(np.abs(nodal - expected)) <= 5e-10 * np.max(np.abs(expected))
 
 
