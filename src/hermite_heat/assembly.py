@@ -70,7 +70,8 @@ class InitialSystem:
     """Banded interpolation system W a0 = b for the initial coefficients.
 
     Row 6(k-1)+i is element k collocated at point i; b holds the initial
-    condition at the matching global abscissae.
+    condition at the matching global abscissae.  W is stored with the kl
+    spare rows of LAPACK's layout, as it is solved once (linalg.band_solve).
     """
 
     W: BandedMatrix
@@ -78,7 +79,7 @@ class InitialSystem:
     reduced_to_full: np.ndarray
 
 
-def _scatter(n_elements, *blocks):
+def _scatter(n_elements, *blocks, spare=False):
     """Banded 6N x 6N matrices repeating each 6 x 8 block over all elements.
 
     Element k holds rows 6k .. 6k + 5 and full columns 6k .. 6k + 7, and
@@ -88,20 +89,23 @@ def _scatter(n_elements, *blocks):
     each entry in its band row, except column 6N + 1: it moves by two, so
     one band row down, into column 6N (whose row 0 is zero), and the matrix
     is the view of columns 1 .. 6N.  One element has kl = ku = 5, without
-    the outer rows.
+    the outer rows.  With spare, each matrix gets kl zero rows on top in
+    the same buffer, for linalg.band_solve to factor it in place.
     Returns the matrices and the reduced_to_full index map.
     """
     n = 6 * n_elements
     reduced_to_full = np.concatenate([np.arange(1, n), [n + 1]])
     reduced_to_full.setflags(write=False)
     width = 5 if n_elements == 1 else 6
+    top = width if spare else 0
     matrices = []
     for block in blocks:
-        full = np.zeros((13, n + 2), order="F")
+        full = np.zeros((top + 13, n + 2), order="F")
+        bands = full[top:]
         for j in range(8):
-            full[7 - j : 13 - j, j : j + n : 6] = block[:, j : j + 1]
-        full[1:, n] = full[:-1, n + 1]
-        matrices.append(BandedMatrix(n, width, width, full[6 - width : 7 + width, 1 : n + 1]))
+            bands[7 - j : 13 - j, j : j + n : 6] = block[:, j : j + 1]
+        bands[1:, n] = bands[:-1, n + 1]
+        matrices.append(BandedMatrix(n, width, width, full[6 - width : top + 7 + width, 1 : n + 1]))
     return matrices, reduced_to_full
 
 
@@ -114,7 +118,7 @@ def assemble_crank_nicolson(mesh, rule, alpha, dt):
 
 def assemble_initial_system(mesh, rule, f):
     """Assemble W and b so that W a0 = b interpolates f at the collocation points."""
-    (W,), reduced_to_full = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H)
+    (W,), reduced_to_full = _scatter(mesh.n_elements, build_basis_table(rule, mesh.h).H, spare=True)
     b = _sample("initial_condition", f, collocation_abscissae(mesh, rule.points).ravel())
     if not np.all(np.isfinite(b)):
         raise ValueError("initial condition is not finite at every collocation point")

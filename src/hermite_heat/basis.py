@@ -17,7 +17,7 @@ coefficient tables, B's differentiated from A's.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -175,10 +175,25 @@ class BasisTable:
 
 
 def build_basis_table(rule, h):
-    """Tabulate H and B at the rule's points for element width h."""
+    """Tabulate H and B at the rule's points for element width h.
+
+    Tables are kept per (points, h) for the process, up to _TABLES_KEPT of
+    the latest: a solve needs the same table for W, for L and R or D's
+    symbols, and for its norms.  Their arrays are read-only.
+    """
     _check_width(h)
-    H = _eval_family(H_COEFFS, rule.points[:, None], h)
-    B = _eval_family(B_COEFFS, rule.points[:, None], h)
+    return _tabulate(rule.points.tobytes(), h)
+
+
+# A table is about 1 KB; Tables 1 to 5 use 24 (points, h) pairs.
+_TABLES_KEPT = 128
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _tabulate(points, h):
+    xi = np.frombuffer(points)[:, None]
+    H = _eval_family(H_COEFFS, xi, h)
+    B = _eval_family(B_COEFFS, xi, h)
     for arr in (H, B):
         arr.setflags(write=False)
     return BasisTable(h=h, H=H, B=B)

@@ -5,7 +5,8 @@ upper bandwidth ku keeps entry (i, j) at bands[ku + i - j, j], using
 (kl + ku + 1) x n doubles.  The layout is also that of BLAS dgbmv, which
 the solver calls directly for its matrix-vector products.  LAPACK's banded
 LU appends kl extra rows for the fill-in produced by partial pivoting
-(_lapack_layout).
+(_lapack_layout); a matrix solved once can be built with them
+(BandedMatrix), so that band_solve factors it where it lies.
 
 A matrix solved once goes to band_solve, one LAPACK dgbsv (dgbtrf, then
 dgbtrs).  A matrix solved repeatedly is factored by band_lu_factor into a
@@ -55,7 +56,11 @@ class SingularMatrix(ArithmeticError):
 
 
 class BandedMatrix:
-    """Square n x n matrix with bandwidths kl and ku; Fortran-ordered bands are not copied."""
+    """Square n x n matrix with bandwidths kl and ku; Fortran-ordered bands are not copied.
+
+    The bands may come with kl spare rows on top, (2kl + ku + 1) x n in
+    all: _lapack_layout's form, which band_solve can then factor in place.
+    """
 
     def __init__(self, n, kl, ku, bands):
         if n < 1 or kl < 0 or ku < 0:
@@ -63,9 +68,11 @@ class BandedMatrix:
         self.n = n
         self.kl = kl
         self.ku = ku
-        self.bands = np.asfortranarray(bands, dtype=float)
-        if self.bands.shape != (kl + ku + 1, n):
-            raise ValueError("band storage must have shape (kl + ku + 1, n)")
+        storage = np.asfortranarray(bands, dtype=float)
+        if storage.shape not in ((kl + ku + 1, n), (2 * kl + ku + 1, n)):
+            raise ValueError("band storage must have shape (kl + ku + 1, n) or (2kl + ku + 1, n)")
+        self._storage = storage
+        self.bands = storage[len(storage) - (kl + ku + 1) :]
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,11 @@ def band_lu_factor(m):
     return LUFactors(perm=perm, lower=lower, upper=upper)
 
 
-def band_solve(m, b):
+def band_solve(m, b, overwrite_m=False):
     """Solve A x = b once, by one LAPACK dgbsv (dgbtrf, then dgbtrs).
 
+    With overwrite_m, a matrix stored with its kl spare rows (BandedMatrix)
+    is factored in that storage, without a copy, and is not A afterwards.
     The solve is backward stable; its forward accuracy depends on the
     conditioning of A (relative error of order cond(A) * eps).  Pivots are
     checked as in band_lu_factor, and a solution that is not finite raises
@@ -186,7 +195,9 @@ def band_solve(m, b):
     b = np.asarray(b, dtype=float)
     if b.shape != (m.n,):
         raise ValueError(f"vector of length {b.shape} does not match n = {m.n}")
-    lu_bands, _, x, info = _lapack.dgbsv(m.kl, m.ku, _lapack_layout(m), b, overwrite_ab=1)
+    spare = len(m._storage) == 2 * m.kl + m.ku + 1
+    ab = m._storage if overwrite_m and spare else _lapack_layout(m)
+    lu_bands, _, x, info = _lapack.dgbsv(m.kl, m.ku, ab, b, overwrite_ab=1)
     _check_factors("dgbsv", info, lu_bands[m.kl + m.ku])
     if not np.all(np.isfinite(x)):
         raise ValueError(f"the solution of the {m.n} x {m.n} system is not finite")

@@ -14,10 +14,18 @@ state's odd extension splits the run into N + 1 independent 6 x 6 real
 problems, each powered in log2(M) batched products, and one inverse FFT
 returns the final state (_propagator, _advance_modes).  A stiff mesh whose
 symbols round to singular steps banded instead.
+
+What depends only on the mesh and rule is computed once per run_batch
+call (_Shared): the initial state, and above the stacking line its real
+modes and the symbols of D = (alpha**2 / h**2) B.  Each step size then
+builds only L's symbols, their batched solve, the powering and one
+inverse FFT.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,10 +106,11 @@ def initial_coefficients(spec, mesh, rule):
     """The 6N + 2 coefficients a0 that solve W a0 = b, boundary entries zero.
 
     W is solved once, so it is not factored into the permuted form, which
-    only repeated solves pay back: band_solve makes one LAPACK dgbsv call.
+    only repeated solves pay back: band_solve makes one LAPACK dgbsv call,
+    in W's own storage.
     """
     system = assemble_initial_system(mesh, rule, spec.initial_condition)
-    reduced = band_solve(system.W, system.b)
+    reduced = band_solve(system.W, system.b, overwrite_m=True)
     return _coefficients(system.reduced_to_full, reduced)
 
 
@@ -140,22 +149,26 @@ def _symbols(block, n_elements):
     difference of G's rows i and 5 - i in [s (G_0 - G_6), c (G_1 + G_7),
     G_2 - G_5, G_3 + G_4, 0, 0], rows 3 .. 5 half their sum in [c (G_0 + G_6),
     s (G_7 - G_1), 0, 0, G_3 - G_4, G_2 + G_5]; only G's rounding-level
-    mirror asymmetry is dropped.
+    mirror asymmetry is dropped.  So each symbol is [1, s, c] times a 3 x 36
+    table of G's entries, one product for all modes: every symbol entry is
+    one of its three terms, and the other two are zero.
     """
     half = np.pi / (2 * n_elements) * np.arange(n_elements + 1)
-    sc = np.stack([np.sin(half), np.cos(half)], axis=1)[:, None, :]
+    weights = np.column_stack([np.ones(n_elements + 1), np.sin(half), np.cos(half)])
     signs = [-1, 1, -1, 1, 1, -1, -1, 1]
     g = block[:, [0, 1, 2, 3, 0, 7, 3, 2]] + block[:, [6, 7, 5, 4, 6, 1, 4, 5]] * signs
-    symbols = np.zeros((n_elements + 1, 6, 6))
-    symbols[:, :3, :4] = (g[:3, :4] - g[:2:-1, :4]) / 2
-    symbols[:, 3:, [0, 1, 4, 5]] = (g[:3, 4:] + g[:2:-1, 4:]) / 2
-    symbols[:, :3, :2] *= sc
-    symbols[:, 3:, :2] *= sc[:, :, ::-1]
-    return symbols
+    entries = np.zeros((6, 6))
+    entries[:3, :4] = (g[:3, :4] - g[:2:-1, :4]) / 2
+    entries[3:, [0, 1, 4, 5]] = (g[:3, 4:] + g[:2:-1, 4:]) / 2
+    table = np.zeros((3, 6, 6))
+    table[0, :, 2:] = entries[:, 2:]
+    table[1, :3, 0], table[2, :3, 1] = entries[:3, 0], entries[:3, 1]
+    table[2, 3:, 0], table[1, 3:, 1] = entries[3:, 0], entries[3:, 1]
+    return (weights @ table.reshape(3, 36)).reshape(n_elements + 1, 6, 6)
 
 
-def _propagator(mesh, rule, alpha, dt):
-    """E(theta) = L(theta)^-1 D(theta) for the N + 1 Fourier modes of the mesh.
+def _propagator(shared, dt):
+    """E(theta) = L(theta)^-1 D(theta) for the N + 1 Fourier modes of shared's mesh.
 
     On a uniform mesh with symmetric collocation points the odd extension
     of a state (_extend) steps by a block-circulant matrix (P. J. Davis,
@@ -163,22 +176,24 @@ def _propagator(mesh, rule, alpha, dt):
     a <- a + L^-1 (D a) into one 6 x 6 problem per mode, real by the
     extension's symmetry (_symbols, _real_modes) as the DCT and DST are (G.
     Strang, SIAM Review 41(1), 1999).  D = (alpha**2 / h**2) B is built
-    directly rather than as R - L.  Returns the float64 (N + 1) x 6 x 6 E.
+    directly rather than as R - L, and does not depend on dt: its symbols
+    come from shared (_Shared.diffusion).  Returns the float64 (N + 1) x 6
+    x 6 E.
 
     Raises SingularMatrix at the first row of L's element block that is
-    not finite (numpy's solve does not check; it is that row of L(0)), and
-    numpy.linalg.LinAlgError where an L(theta) is singular to working
-    precision.  Once alpha**2 dt / h**2 passes about 1e17, the H / dt term
-    of L(0) is lost to rounding and L(0) is singular though L is not, so
-    _prepare then steps the mesh by its banded L instead.
+    not finite (numpy's solve does not check; it is that row of L(0)),
+    before any symbol is built, and numpy.linalg.LinAlgError where an
+    L(theta) is singular to working precision.  Once alpha**2 dt / h**2
+    passes about 1e17, the H / dt term of L(0) is lost to rounding and L(0)
+    is singular though L is not, so _prepare then steps the mesh by its
+    banded L instead.
     """
-    n = mesh.n_elements
-    table = build_basis_table(rule, mesh.h)
-    block = element_blocks(table, alpha, dt).left
+    mesh = shared.mesh
+    block = element_blocks(build_basis_table(shared.rule, mesh.h), shared.spec.alpha, dt).left
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise SingularMatrix(int(np.argmin(finite)) + 1)
-    return np.linalg.solve(_symbols(block, n), _symbols((alpha**2 / mesh.h**2) * table.B, n))
+    return np.linalg.solve(_symbols(block, mesh.n_elements), shared.diffusion)
 
 
 def _extend(a, n):
@@ -256,9 +271,9 @@ def _power(propagator, modes, n_steps):
         power += square
 
 
-def _advance_modes(propagator, a, n_steps):
-    """The coefficients n_steps steps after a: one FFT, _power, one inverse FFT."""
-    modes = _real_modes(a)
+def _advance_modes(propagator, modes, n_steps):
+    """The coefficients n_steps steps on from the real modes given: _power,
+    which overwrites them, then one inverse FFT."""
     _power(propagator, modes, n_steps)
     return _state(modes)
 
@@ -288,25 +303,98 @@ def step(system, factors, a):
     return _coefficients(reduced_to_full, x)
 
 
-def _prepare(spec, cfg):
-    """Initial state, and for a run with steps what its kernel steps with.
+class _Shared:
+    """What the members of one batch with the same mesh and rule share.
 
-    That is the propagator of the Fourier modes for a mesh too large to
-    stack, and otherwise the system of L and R, unfactored: a stack
-    factors its members' L as one (_advance_stack).  A mesh too large to
-    stack whose symbol L(0) rounds to singular (_propagator) gets its
-    system too, and steps alone through the banded LU of L.
+    None of it depends on dt: the mesh; the initial state a0, so that W is
+    assembled and solved once; and for a mesh too large to stack, a0's real
+    modes and the symbols of D = (alpha**2 / h**2) B.  Each is built when a
+    member first asks for it, and one whose build raises is built again by
+    the next member.  The arrays are read-only: a member copies what it
+    steps in place.
     """
-    mesh = build_mesh(spec, cfg.n_elements)
-    a = initial_coefficients(spec, mesh, cfg.rule)
+
+    def __init__(self, spec, n_elements, rule):
+        self.spec = spec
+        self.rule = rule
+        self.mesh = build_mesh(spec, n_elements)
+
+    @cached_property
+    def initial(self):
+        return _read_only(initial_coefficients(self.spec, self.mesh, self.rule))
+
+    @cached_property
+    def modes(self):
+        """a0's real modes, which _power overwrites: members step a copy."""
+        return _read_only(_real_modes(self.initial))
+
+    @cached_property
+    def diffusion(self):
+        """D's real symbols; _propagator asks for them only once L's block is finite."""
+        h = self.mesh.h
+        block = (self.spec.alpha**2 / h**2) * build_basis_table(self.rule, h).B
+        return _read_only(_symbols(block, self.mesh.n_elements))
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _key(cfg):
+    """What a config's _Shared depends on: its element count and its rule,
+    told apart by identity, as the built-in rules are built once."""
+    return cfg.n_elements, id(cfg.rule)
+
+
+class _Batch:
+    """The _Shared data of one run_batch call, by _key.
+
+    Each is held from the first member that asks for it until the last one
+    has taken it, so the batch holds only what members still to come need.
+    """
+
+    def __init__(self, spec, configs):
+        self.spec = spec
+        self.users = Counter(map(_key, configs))
+        self.shared = {}
+
+    def take(self, cfg):
+        """cfg's _Shared, dropped from the batch if cfg is its last member."""
+        key = _key(cfg)
+        shared = self.shared.pop(key, None) or _Shared(self.spec, cfg.n_elements, cfg.rule)
+        self.users[key] -= 1
+        if self.users[key]:
+            self.shared[key] = shared
+        return shared
+
+
+def _prepare(shared, cfg):
+    """What cfg's run starts from, as a new array, and what its kernel steps with.
+
+    shared is cfg's _Shared: a0 and, above the stacking line, its real
+    modes and D's symbols come from there, built by the first member that
+    needs them, so that each dt adds only what depends on it.  With no
+    steps the run starts from a0 and has no kernel.  A mesh too large to
+    stack starts from a0's real modes and steps by the propagator of its
+    Fourier modes.  Otherwise it starts from a0's reduced vector and steps
+    by the system of L and R, unfactored: a stack factors its members' L as
+    one (_advance_stack).  A mesh too large to stack whose symbol L(0)
+    rounds to singular (_propagator) gets its system too, and steps alone
+    through the banded LU of L.
+    """
+    a = shared.initial
     if cfg.n_steps == 0:
-        return a, None
+        return a.copy(), None
     if 6 * cfg.n_elements > _STACK_UNKNOWNS:
         try:
-            return a, _propagator(mesh, cfg.rule, spec.alpha, cfg.dt)
+            propagator = _propagator(shared, cfg.dt)
         except np.linalg.LinAlgError:
             pass
-    return a, assemble_crank_nicolson(mesh, cfg.rule, spec.alpha, cfg.dt)
+        else:
+            return shared.modes.copy(), propagator
+    system = assemble_crank_nicolson(shared.mesh, cfg.rule, shared.spec.alpha, cfg.dt)
+    return a[system.reduced_to_full], system
 
 
 def run(spec, cfg):
@@ -327,7 +415,7 @@ def run(spec, cfg):
     run is run_batch's stack of one member, and raises the exception that
     member's result would hold.
     """
-    ((_, result),) = _run_stack(spec, [(0, cfg)])
+    ((_, result),) = _run_stack(_Batch(spec, [cfg]), [(0, cfg)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -338,10 +426,14 @@ def _plan_stacks(configs):
 
     Members of a stack share their step count and hold at most
     _STACK_UNKNOWNS unknowns (6N each) together; a larger member stacks
-    alone.  Stacks and their members keep input order.
+    alone.  Members keep input order, and so do stacks whose first
+    members have the same mesh and rule, but those stacks run one after
+    another, in the order their mesh and rule first appear: a batch then
+    holds the shared data of one mesh and rule at a time (_Batch).
     """
     stacks = []
     filling = {}  # n_steps -> (members, unknowns) of the stack still open
+    first = {}  # _key -> index of its first config
     for index, cfg in enumerate(configs):
         size = 6 * cfg.n_elements
         members, unknowns = filling.get(cfg.n_steps, (None, 0))
@@ -350,10 +442,11 @@ def _plan_stacks(configs):
             stacks.append(members)
         members.append((index, cfg))
         filling[cfg.n_steps] = (members, unknowns + size)
-    return stacks
+        first.setdefault(_key(cfg), index)
+    return sorted(stacks, key=lambda members: first[_key(members[0][1])])
 
 
-def _run_stack(spec, members):
+def _run_stack(batch, members):
     """(index, result) of each (index, config) in members, which share a step count.
 
     The banded members step as one block-diagonal system, and a mesh too
@@ -367,16 +460,16 @@ def _run_stack(spec, members):
     banded = []
     for index, cfg in members:
         try:
-            a, kernel = _prepare(spec, cfg)
+            start, kernel = _prepare(batch.take(cfg), cfg)
         except Exception as exc:  # reported per member; the others still run
             results[index] = exc
             continue
         if kernel is None:
-            results[index] = a
+            results[index] = start
         elif isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
-            results[index] = _advance_modes(kernel, a, n_steps)
+            results[index] = _advance_modes(kernel, start, n_steps)
         else:
-            banded.append((index, kernel, a[kernel.reduced_to_full]))
+            banded.append((index, kernel, start))
     if banded:
         results.update(_advance_stack(banded, n_steps))
     for index, result in results.items():
@@ -425,12 +518,20 @@ def run_batch(spec, configs):
     A stack whose factorization raises, or whose state is not finite at the
     end, steps its members again one by one, so a member that overflows
     gets a ValueError without changing the results of its stack mates.
-    Results come stack by stack, and each stack's matrices and states are
-    freed before the next one is assembled, so a caller that reduces each
-    state as it arrives holds only one stack at a time.
+    Members with the same mesh and rule share what does not depend on dt
+    (_Shared): the mesh, the initial state, and above the stacking line its
+    real modes and D's symbols.  Each is built once, for the first member
+    that needs it, and dropped once the last such member is prepared;
+    nothing outlives the call, and no result shares memory with another.
+    Results come stack by stack, the stacks of one mesh and rule one after
+    another (_plan_stacks), and each stack's matrices and states are freed
+    before the next one is assembled, so a caller that reduces each state
+    as it arrives holds only one stack at a time, and the shared data of
+    the members still to come.
     """
+    batch = _Batch(spec, configs)
     for members in _plan_stacks(configs):
-        yield from _run_stack(spec, members)
+        yield from _run_stack(batch, members)
 
 
 def _check_layout(mesh, a):

@@ -260,29 +260,42 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps):
     sin(pi x) on [0, 1] (alpha = 1) holds the one Fourier mode theta = pi /
     N: its element states are Im(e^{i theta k} c) for one complex 6-vector
     c, which solves H(theta) c = e^{i pi h xi} at the collocation points xi.
-    Each step multiplies c by I + E(theta), E = L(theta)^-1 D(theta),
-    powered here in complex delta form, F <- 2F + F^2.  The symbols come
-    from the element blocks by complex_symbols, so no solver code runs.
-    Returns the float array of all 6N + 2 coefficients, entries 0 and 6N
-    (the boundary values) set to exactly 0, as run() returns them.
+    Each step multiplies c by I + E(theta), E = L(theta)^-1 D(theta).  All
+    of it is computed in the odd extension's real coordinates
+    (real_coordinates: c = i Q x for a real 6-vector x, and a symbol S
+    becomes Re(P^-1 S Q)), and E is powered there in delta form, F <- 2F +
+    F^2.  So c_0 is real and the state a sine series, as for the scheme
+    whose points and tables are exactly mirror-symmetric.  The tabulated
+    ones are symmetric only to rounding, which in complex coordinates gave
+    c_0 an imaginary part of 3.1e-15 (N = 1000), a cos(pi x) term of 6e-11
+    of the final amplitude.  At N = 1000, M = 1000 the nodal values are
+    within 1.7e-12 (Legendre) and 9.7e-13 (Chebyshev) of the largest of a
+    40-digit mpmath run on the mirror-symmetrized tables and points.  The
+    symbols come from the element blocks by complex_symbols, so no solver
+    code runs.  Returns the float array of all 6N + 2 coefficients, entries
+    0 and 6N (the boundary values) set to exactly 0, as run() returns them.
     """
     h = 1.0 / n_elements
     table = build_basis_table(rule, h)
     theta = math.pi / n_elements
+    p_inverse, q = (maps[0] for maps in real_coordinates([theta]))
 
     def symbol(block):
-        return complex_symbols(block, [theta])[0]
+        return (p_inverse @ complex_symbols(block, [theta])[0] @ q).real
 
-    c = np.linalg.solve(symbol(table.H), np.exp(1j * math.pi * h * rule.points))
+    # P^-1 takes the collocated e^{i pi x} to an imaginary vector, as the extension is odd
+    g = p_inverse @ np.exp(1j * math.pi * h * rule.points)
+    x = np.linalg.solve(symbol(table.H), g.imag)
     left = element_blocks(table, 1.0, dt).left
     power = np.linalg.solve(symbol(left), symbol(table.B / h**2))
     while True:
         if n_steps & 1:
-            c = c + power @ c
+            x = x + power @ x
         n_steps >>= 1
         if n_steps == 0:
             break
         power = 2.0 * power + power @ power
+    c = 1j * (q @ x)
     phase = np.exp(1j * theta) ** np.arange(n_elements + 1)
     state = np.imag(phase[:, None] * c).ravel()[: 6 * n_elements + 2]
     state[0] = state[6 * n_elements] = 0.0
@@ -292,8 +305,8 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps):
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_modal_run_meets_the_closed_form_crank_nicolson_error(kind, control):
     """N = 180 (1080 unknowns) steps by its Fourier modes.  Its L2 error
-    after 10**4 steps matched that of exact_crank_nicolson to 1.2e-5
-    (Legendre) and 1.7e-7 (Chebyshev) relative, and the closed form of the
+    after 10**4 steps matched that of exact_crank_nicolson to 1.1e-5
+    (Legendre) and 2.4e-6 (Chebyshev) relative, and the closed form of the
     sine mode's error, exp(-mu T) |exp(-2M (atanh x - x)) - 1| times its
     discrete norm (x = dt mu / 2, mu = pi**2), to 4.8e-6 and 4.4e-6.  The
     spatial error at N = 180 is far below this bound; the banded kernel
@@ -392,11 +405,12 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
             mesh = build_mesh(specs[0], n_elements)
             table = build_basis_table(rule, mesh.h)
             states = [initial_coefficients(spec, mesh, rule) for spec in specs]
+            shared = solver._Shared(specs[0], n_elements, rule)
             for dt in (1e-8, 1e-2, 1e2):
                 banded = assemble_crank_nicolson(mesh, rule, alpha, dt)
                 left, right = dense(banded.left), dense(banded.right)
                 factors = band_lu_factor(banded.left)
-                propagator = solver._propagator(mesh, rule, alpha, dt)
+                propagator = solver._propagator(shared, dt)
                 block = element_blocks(table, alpha, dt).left
                 cond = max(
                     np.linalg.cond(left, np.inf),
@@ -408,7 +422,7 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
                     expected = np.zeros_like(a)
                     expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
                     stepped = step(banded, factors, a)
-                    advanced = solver._advance_modes(propagator, a, 1)
+                    advanced = solver._advance_modes(propagator, solver._real_modes(a), 1)
                     assert advanced[0] == 0.0 and advanced[6 * n_elements] == 0.0
                     bound = cond * (eps + asymmetry) * np.max(np.abs(expected))
                     for other in (expected, stepped):
@@ -462,8 +476,8 @@ def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
     for kind in ("legendre", "chebyshev"):
         rule = RULES[kind]()
         a = initial_coefficients(control, mesh, rule)
-        propagator = solver._propagator(mesh, rule, control.alpha, 0.01)
-        powered = solver._advance_modes(propagator, a, n_steps)
+        propagator = solver._propagator(solver._Shared(control, 180, rule), 0.01)
+        powered = solver._advance_modes(propagator, solver._real_modes(a), n_steps)
         modes = solver._real_modes(a)
         levels = []
         for _ in range(n_steps):
@@ -539,7 +553,7 @@ def test_real_symbols_are_the_complex_symbols_in_real_coordinates(n_elements, ki
                 bound = 2 * (np.finfo(float).eps + mirror_asymmetry(block)) * np.max(np.abs(block))
                 assert np.max(np.abs(solver._symbols(block, n_elements) - expected.real)) <= bound
                 assert np.max(np.abs(expected.imag)) <= bound
-            propagator = solver._propagator(mesh, rule, alpha, dt)
+            propagator = solver._propagator(solver._Shared(control_problem(alpha), n_elements, rule), dt)
             assert propagator.dtype == np.float64 and propagator.shape == (n_elements + 1, 6, 6)
 
 
@@ -557,7 +571,11 @@ def test_every_table_row_meets_the_exact_crank_nicolson_reference(table_id, cont
     the line (Table 4; Chebyshev N = 1000, linf) and 2.2e-10 (Table 5, all
     below); the bounds are about twice those.  In real arithmetic the rows
     above the line measured 6.4e-9 (Table 1) and 4.2e-8 (Table 4), and the
-    banded rows are unchanged.  Table 3 (about 5 s, at the roundoff floor) and Table 2
+    banded rows were unchanged.  Against the reference in real coordinates
+    they measure 5.5e-9 (Table 1), 1.56e-9 below the line (Table 4,
+    Legendre N = 160, linf: the banded kernel keeps the rounding asymmetry
+    of the tables, which the reference drops), 3.3e-8 above it, and 3.4e-11
+    (Table 5).  Table 3 (about 5 s, at the roundoff floor) and Table 2
     (10**6 steps a row) are left out for the suite's time."""
     below, above = _TABLE_BOUNDS[table_id]
     for row in table_spec(table_id).rows:
@@ -604,9 +622,8 @@ def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, mo
         return ElementBlocks(left=block, right=block)
 
     monkeypatch.setattr(solver, "element_blocks", singular_blocks)
-    mesh = build_mesh(control, 200)
     with pytest.raises(np.linalg.LinAlgError):
-        solver._propagator(mesh, legendre, control.alpha, 0.01)
+        solver._propagator(solver._Shared(control, 200, legendre), 0.01)
     cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=200, rule=legendre)
     final, looped = run(control, cfg), banded_step_loop(control, cfg)
     assert final.tobytes() == looped.tobytes()
@@ -621,7 +638,7 @@ def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
     spec = control_problem(alpha=1e10)
     rule = RULES[kind]()
     with pytest.raises(np.linalg.LinAlgError):
-        solver._propagator(build_mesh(spec, 171), rule, spec.alpha, 0.01)
+        solver._propagator(solver._Shared(spec, 171, rule), 0.01)
     cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=171, rule=rule)
     final, looped = run(spec, cfg), banded_step_loop(spec, cfg)
     assert np.all(np.isfinite(final))
@@ -632,13 +649,11 @@ def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, control):
     """Table 4's rows at N = 200 and 1000 (dt = 1/N, M = N) against
-    exact_crank_nicolson.  The nodal values deviated by at most 6.2e-11 of
-    the largest (1.8e-11 at N = 200); the bound is 5e-10.  Nearly all of
-    that is the reference's own rounding: its complex c_0 has an imaginary
-    part of 3.1e-15 (N = 1000), a cos(pi x) term of 6e-11 of the final
-    amplitude that the real modes, whose value parts are sines, cannot
-    hold.  The reference is within 1.9e-12 of the same computation in
-    50-digit mpmath.
+    exact_crank_nicolson.  The nodal values deviated by at most 9.7e-12 of
+    the largest (Chebyshev, N = 200; 6.4e-12 and 7.7e-12 at N = 1000); the
+    bound is 2e-11.  Against the reference computed in complex coordinates,
+    whose cos(pi x) term the real modes cannot hold, they deviated by
+    6.2e-11.
     The u'' and u''' coefficients are not compared: W a0 = b leaves their
     stiff modes off by up to 3e-4 relative, and Crank-Nicolson does not damp
     those, so every kernel ends several times the largest u''' away from
@@ -648,17 +663,21 @@ def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, 
     cfg = RunConfig(dt=dt, t_final=1.0, n_elements=n_elements, rule=rule)
     nodal = run(control, cfg)[0::6]
     expected = exact_crank_nicolson(rule, n_elements, dt, cfg.n_steps)[0::6]
-    assert np.max(np.abs(nodal - expected)) <= 5e-10 * np.max(np.abs(expected))
+    assert np.max(np.abs(nodal - expected)) <= 2e-11 * np.max(np.abs(expected))
 
 
 def batch_matches_solo_runs(spec, configs):
+    """Every result of run_batch is its solo run's bitwise, and no two share memory."""
     outcomes = list(run_batch(spec, configs))
     assert sorted(index for index, _ in outcomes) == list(range(len(configs)))
     for index, state in outcomes:
         solo = run(spec, configs[index])
         assert_state(state, configs[index].n_elements)
         assert_state(solo, configs[index].n_elements)
-        assert np.array_equal(state, solo), configs[index]
+        assert state.tobytes() == solo.tobytes(), configs[index]
+    states = [state for _, state in outcomes]
+    for i, state in enumerate(states):
+        assert state.flags.writeable and not any(np.shares_memory(state, other) for other in states[:i])
 
 
 @pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
@@ -695,6 +714,24 @@ def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
         RunConfig(dt=0.02, t_final=0.4, n_elements=5, rule=RULES["legendre"]()),
         RunConfig(dt=0.1, t_final=0.0, n_elements=4, rule=RULES["chebyshev"]()),
         RunConfig(dt=0.01, t_final=0.3, n_elements=200, rule=RULES["legendre"]()),
+    ]
+    batch_matches_solo_runs(control, configs)
+
+
+def test_run_batch_shares_each_mesh_and_rule_across_its_step_sizes(control):
+    """Members with the same N and rule share the initial state, and above
+    the stacking line its real modes and D's symbols, across dt, t_final
+    and stacks: N = 16 (banded) and N = 180 (Fourier modes), both rules,
+    interleaved, with zero-step members and, at N = 180, dt = 1e13, where
+    L(0) rounds to singular and the member steps banded alone."""
+    for kind in ("legendre", "chebyshev"):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._propagator(solver._Shared(control, 180, RULES[kind]()), 1e13)
+    configs = [
+        RunConfig(dt=dt, t_final=t_final, n_elements=n, rule=RULES[kind]())
+        for dt, t_final in [(0.01, 0.2), (0.02, 0.2), (0.01, 0.0), (1e13, 2e13), (0.005, 0.1)]
+        for n in (180, 16)
+        for kind in ("legendre", "chebyshev")
     ]
     batch_matches_solo_runs(control, configs)
 
