@@ -71,7 +71,8 @@ class InitialSystem:
 
     Row 6(k-1)+i is element k collocated at point i; b holds the initial
     condition at the matching global abscissae.  W is stored with the kl
-    spare rows of LAPACK's layout, as it is solved once (linalg.band_solve).
+    spare rows of LAPACK's layout, as it is solved once: linalg.band_solve
+    factors it in that storage, and it is not W afterwards.
     """
 
     W: BandedMatrix

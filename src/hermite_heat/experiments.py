@@ -12,7 +12,6 @@ rules so that a whole accuracy table can be recomputed in one call.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,28 +46,17 @@ def _solution_at_collocation_points(mesh, rule, a):
     return windows @ table.H.T
 
 
-def _exact_at_collocation_points(spec, mesh, rule, t):
-    """The exact solution at time t at all 6N collocation abscissae, shape (N, 6)."""
-    if spec.exact_solution is None:
-        raise MissingExactSolution("problem has no exact solution to compare against")
-    abscissae = collocation_abscissae(mesh, rule.points)
-    return _sample("exact_solution", spec.exact_solution, abscissae, t)
-
-
-def _norms(mesh, rule, a, exact):
-    """(L2, Linf) of exact, sampled at the collocation points, minus state a there."""
-    errors = exact - _solution_at_collocation_points(mesh, rule, a)
-    l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
-    linf = float(np.max(np.abs(errors)))
-    return l2, linf
-
-
 def error_norms(spec, mesh, rule, a, t):
     """(L2, Linf) of exact minus numerical at the collocation points."""
     if spec.exact_solution is None:
         raise MissingExactSolution("problem has no exact solution to compare against")
     _check_layout(mesh, a)
-    return _norms(mesh, rule, a, _exact_at_collocation_points(spec, mesh, rule, t))
+    abscissae = collocation_abscissae(mesh, rule.points)
+    exact = _sample("exact_solution", spec.exact_solution, abscissae, t)
+    errors = exact - _solution_at_collocation_points(mesh, rule, a)
+    l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
+    linf = float(np.max(np.abs(errors)))
+    return l2, linf
 
 
 def convergence_order(pairs):
@@ -206,10 +194,6 @@ def table_spec(table_id):
         raise ValueError(f"unknown table id {table_id}; known: {TABLE_IDS}") from None
 
 
-def _exact_key(cfg):
-    return cfg.n_elements, cfg.rule.kind, cfg.t_final
-
-
 @dataclass(frozen=True)
 class TableResult:
     """One computed table cell next to its reference value (when any).
@@ -236,8 +220,7 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
 
     Each (row, rule) configuration is solved once, all of them through
     run_batch, so rows that share a step count are stacked and rows that
-    share a mesh and rule share its initial state; the exact solution is
-    sampled once per (mesh, rule, t_final).  A result is emitted per
+    share a mesh and rule share its initial state.  A result is emitted per
     matching reference value (or a single reference-free result when the
     table has none for that rule).  Failures are captured per row so the
     remaining rows still run.
@@ -264,26 +247,17 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
     # Norms are taken as each state arrives, and the state is dropped before
     # the next stack runs: a live state at the top of the heap keeps the
     # allocator from returning the next stack's freed matrices (table 1's
-    # peak RSS read 1 MiB higher while states were kept).  The exact
-    # samples of a (mesh, rule, t_final) are kept only until the last
-    # configuration that needs them has its norms.
-    solved, exact = {}, {}
-    users = Counter(_exact_key(cfg) for cfg in configs)
+    # peak RSS read 1 MiB higher while states were kept).
+    solved = {}
     for index, state in run_batch(problem, configs):
         cfg = configs[index]
-        key = _exact_key(cfg)
         try:
             if isinstance(state, Exception):
                 raise state
             mesh = build_mesh(problem, cfg.n_elements)
-            if key not in exact:
-                exact[key] = _exact_at_collocation_points(problem, mesh, cfg.rule, cfg.t_final)
-            solved[index] = (*_norms(mesh, cfg.rule, state, exact[key]), None)
+            solved[index] = (*error_norms(problem, mesh, cfg.rule, state, cfg.t_final), None)
         except Exception as exc:
             solved[index] = (math.nan, math.nan, str(exc))
-        users[key] -= 1
-        if not users[key]:
-            exact.pop(key, None)
         del state
     results = []
     for row, rule_kind, outcome in cases:

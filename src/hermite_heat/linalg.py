@@ -59,7 +59,7 @@ class BandedMatrix:
     """Square n x n matrix with bandwidths kl and ku; Fortran-ordered bands are not copied.
 
     The bands may come with kl spare rows on top, (2kl + ku + 1) x n in
-    all: _lapack_layout's form, which band_solve can then factor in place.
+    all: _lapack_layout's form, which band_solve then factors in place.
     """
 
     def __init__(self, n, kl, ku, bands):
@@ -182,11 +182,12 @@ def band_lu_factor(m):
     return LUFactors(perm=perm, lower=lower, upper=upper)
 
 
-def band_solve(m, b, overwrite_m=False):
+def band_solve(m, b):
     """Solve A x = b once, by one LAPACK dgbsv (dgbtrf, then dgbtrs).
 
-    With overwrite_m, a matrix stored with its kl spare rows (BandedMatrix)
-    is factored in that storage, without a copy, and is not A afterwards.
+    A matrix stored with its kl spare rows (BandedMatrix) is factored in
+    that storage, without a copy, and is not A afterwards; any other is
+    copied into _lapack_layout first.
     The solve is backward stable; its forward accuracy depends on the
     conditioning of A (relative error of order cond(A) * eps).  Pivots are
     checked as in band_lu_factor, and a solution that is not finite raises
@@ -196,7 +197,7 @@ def band_solve(m, b, overwrite_m=False):
     if b.shape != (m.n,):
         raise ValueError(f"vector of length {b.shape} does not match n = {m.n}")
     spare = len(m._storage) == 2 * m.kl + m.ku + 1
-    ab = m._storage if overwrite_m and spare else _lapack_layout(m)
+    ab = m._storage if spare else _lapack_layout(m)
     lu_bands, _, x, info = _lapack.dgbsv(m.kl, m.ku, ab, b, overwrite_ab=1)
     _check_factors("dgbsv", info, lu_bands[m.kl + m.ku])
     if not np.all(np.isfinite(x)):

@@ -110,7 +110,7 @@ def initial_coefficients(spec, mesh, rule):
     in W's own storage.
     """
     system = assemble_initial_system(mesh, rule, spec.initial_condition)
-    reduced = band_solve(system.W, system.b, overwrite_m=True)
+    reduced = band_solve(system.W, system.b)
     return _coefficients(system.reduced_to_full, reduced)
 
 
@@ -527,8 +527,10 @@ def run_batch(spec, configs):
     another (_plan_stacks), and each stack's matrices and states are freed
     before the next one is assembled, so a caller that reduces each state
     as it arrives holds only one stack at a time, and the shared data of
-    the members still to come.
+    the members still to come.  configs may be any iterable; it is read
+    once, before the first stack runs.
     """
+    configs = list(configs)
     batch = _Batch(spec, configs)
     for members in _plan_stacks(configs):
         yield from _run_stack(batch, members)

@@ -172,14 +172,14 @@ def test_run_table_captures_row_failures():
     assert {r.ref_norm for r in good_results} == {"l2", "linf"}
 
 
-def test_run_table_samples_f_per_mesh_and_exact_per_mesh_and_time(control):
+def test_run_table_samples_f_per_mesh_and_exact_per_solve(control):
     """A batch calls the initial condition once per distinct (N, rule), as
     its members share the initial state (W a0 = b), and run_table calls the
-    exact solution once per distinct (N, rule, t_final) for the norms, each
-    on arrays of all 6N abscissae; building the spec adds one call of f, on
-    its two ends.  Table 1 solves one N at three dt and one t_final, and
-    Table 5 one N at one dt and six t_final, both rules each."""
-    for table_id, meshes, times in [(1, 2, 2), (5, 2, 12)]:
+    exact solution once per solve for its norms, each on arrays of all 6N
+    abscissae; building the spec adds one call of f, on its two ends.
+    Table 1 solves one N at three dt, and Table 5 one N at six t_final,
+    both rules each."""
+    for table_id, meshes, solves in [(1, 2, 6), (5, 2, 12)]:
         calls = {"f": 0, "exact": 0}
 
         def f(x):
@@ -194,7 +194,7 @@ def test_run_table_samples_f_per_mesh_and_exact_per_mesh_and_time(control):
         assert calls == {"f": 1, "exact": 0}
         results = run_table(table_spec(table_id), problem=problem)
         assert all(r.error is None for r in results)
-        assert calls == {"f": 1 + meshes, "exact": times}, table_id
+        assert calls == {"f": 1 + meshes, "exact": solves}, table_id
 
 
 def test_error_norms_reject_an_exact_solution_that_breaks_the_array_contract(legendre, control):

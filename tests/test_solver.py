@@ -575,8 +575,12 @@ def test_every_table_row_meets_the_exact_crank_nicolson_reference(table_id, cont
     they measure 5.5e-9 (Table 1), 1.56e-9 below the line (Table 4,
     Legendre N = 160, linf: the banded kernel keeps the rounding asymmetry
     of the tables, which the reference drops), 3.3e-8 above it, and 3.4e-11
-    (Table 5).  Table 3 (about 5 s, at the roundoff floor) and Table 2
-    (10**6 steps a row) are left out for the suite's time."""
+    (Table 5).  So Table 4's bound below the line is no longer about twice
+    what it measures but 1.09 times: the kernel it tests is unchanged, and
+    the bound is kept rather than loosened, but a BLAS or libm that rounds
+    otherwise may come near it.  Table 3 (about 5 s, at the roundoff
+    floor) and Table 2 (10**6 steps a row) are left out for the suite's
+    time."""
     below, above = _TABLE_BOUNDS[table_id]
     for row in table_spec(table_id).rows:
         mesh = build_mesh(control, row.n_elements)
@@ -734,6 +738,22 @@ def test_run_batch_shares_each_mesh_and_rule_across_its_step_sizes(control):
         for kind in ("legendre", "chebyshev")
     ]
     batch_matches_solo_runs(control, configs)
+
+
+def test_run_batch_reads_a_generator_of_configs(control):
+    """configs may be a generator, which run_batch reads once: every member
+    still runs, as it does from a list."""
+    configs = [
+        RunConfig(dt=dt, t_final=0.2, n_elements=n, rule=RULES[kind]())
+        for dt in (0.01, 0.02)
+        for n in (180, 16)
+        for kind in ("legendre", "chebyshev")
+    ]
+    expected = dict(run_batch(control, configs))
+    outcomes = dict(run_batch(control, (cfg for cfg in configs)))
+    assert sorted(outcomes) == list(range(len(configs)))
+    for index, state in outcomes.items():
+        assert state.tobytes() == expected[index].tobytes(), configs[index]
 
 
 def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
