@@ -25,6 +25,7 @@ Fortran order so the hot time-stepping loop never copies.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._lapack import lapack as _lapack
 
@@ -47,12 +48,17 @@ class SingularMatrix(ArithmeticError):
     """Raised when elimination meets a vanishing pivot.
 
     pivot_index is the 1-based position of the failing pivot, following the
-    LAPACK info convention.
+    LAPACK info convention.  It is the exception's only argument, and the
+    message is built from it, so that a pickled copy (a forked child's
+    result, solver._advance_banded) keeps both.
     """
 
     def __init__(self, pivot_index):
+        super().__init__(pivot_index)
         self.pivot_index = pivot_index
-        super().__init__(f"matrix is singular at pivot {pivot_index}")
+
+    def __str__(self):
+        return f"matrix is singular at pivot {self.pivot_index}"
 
 
 class BandedMatrix:
@@ -129,19 +135,38 @@ def _permuted(m, perm):
     """A[perm] (row i is row perm[i] of A) in _lapack_layout's form: ab, kl and ku.
 
     kl = m.kl + max(i - perm[i]) and ku = m.ku + max(perm[i] - i).
+
+    In a Fortran-order band buffer of r rows, entry (i, j) lies at element
+    d + i + (r - 1) j of it, d the main diagonal's slot, so the band part of
+    each matrix row is a strided view of the buffer: r - 1 apart along a
+    row, and r from one row's window to the next.  Both buffers get zero
+    columns on either side, so that the views of the first and last rows
+    stay inside them.  A's rows are then gathered by perm in one copy, and
+    row i lands in the window of A[perm]'s row i that starts at column
+    perm[i] - m.kl: one row index and one window offset per row, not one
+    index per band slot.
     """
-    n = m.n
+    n, width = m.n, m.kl + m.ku + 1
     moved = np.empty(n, dtype=np.intp)
     moved[perm] = np.arange(n)
     moved -= np.arange(n)  # row p of A is row p + moved[p] of A[perm]
     kl, ku = m.kl + int(moved.max()), m.ku - int(moved.min())
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    columns = np.arange(n)
-    rows = columns + np.arange(-m.ku, m.kl + 1)[:, None]  # of each band slot
-    inside = (rows >= 0) & (rows < n)
-    rows, columns = rows[inside], np.broadcast_to(columns, inside.shape)[inside]
-    ab[kl + ku + rows + moved[rows] - columns, columns] = m.bands[inside]
-    return ab, kl, ku
+    size = np.dtype(float).itemsize
+    source = np.zeros((width, m.kl + n + m.ku), order="F")
+    source[:, m.kl : m.kl + n] = m.bands
+    rows = as_strided(  # rows[p, c] is entry (p, p - m.kl + c) of A
+        source.ravel(order="K")[m.kl + m.ku :], (n, width), (width * size, (width - 1) * size)
+    )
+    height = 2 * kl + ku + 1
+    target = np.zeros((height, kl + n + ku), order="F")
+    windows = as_strided(  # windows[i, o, c] is entry (i, i - kl + o + c) of A[perm]
+        target.ravel(order="K")[height - 1 :],
+        (n, kl + ku + 2 - width, width),
+        (height * size, (height - 1) * size, (height - 1) * size),
+    )
+    index = np.arange(n)
+    windows[index, kl - m.kl + perm - index] = rows[perm]
+    return target[:, kl : kl + n], kl, ku
 
 
 def _used(diagonals):

@@ -15,6 +15,14 @@ problems, each powered in log2(M) batched products, and one inverse FFT
 returns the final state (_propagator, _advance_modes).  A stiff mesh whose
 symbols round to singular steps banded instead.
 
+A long stack of several members (at least _FORK_WORK unknowns times
+steps) steps on every CPU the process may use: its members are split
+into groups of about equal size, and all groups but one step in forked
+children, which send their states back through pipes (_advance_banded).
+A member's state does not depend on its stack mates, so the results are
+bitwise those of the whole stack, and every child is reaped, or killed
+and reaped, before the call returns.
+
 What depends only on the mesh and rule is computed once per run_batch
 call (_Shared): the initial state, and above the stacking line its real
 modes and the symbols of D = (alpha**2 / h**2) B.  Each step size then
@@ -22,7 +30,11 @@ builds only L's symbols, their batched solve, the powering and one
 inverse FFT.
 """
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +67,14 @@ _STEP_COUNT_RTOL = 1e-9
 # bands (256 bytes per unknown) outgrow the L2 cache and stacking loses.
 # A mesh above it always steps alone, through its Fourier modes.
 _STACK_UNKNOWNS = 1024
+
+# Least work, in steps times unknowns, for which a stack of several members
+# steps on several CPUs (_advance_banded).  A stack steps at about 0.03 us
+# per unknown and step, so this is about 0.3 s of stepping, while a fork,
+# pipe, pickle and reap of a warm 38 MB process took 2.4-3.1 ms (median of
+# 30; 2-vCPU x86_64 host).  A larger parent forks more slowly, as its page
+# tables are copied.
+_FORK_WORK = 10**7
 
 
 class NonIntegralStepCount(ValueError):
@@ -471,7 +491,7 @@ def _run_stack(batch, members):
         else:
             banded.append((index, kernel, start))
     if banded:
-        results.update(_advance_stack(banded, n_steps))
+        results.update(_advance_banded(banded, n_steps))
     for index, result in results.items():
         if not isinstance(result, Exception) and not np.all(np.isfinite(result)):
             results[index] = ValueError(f"the solution is not finite after step {n_steps}")
@@ -506,6 +526,85 @@ def _advance_stack(stack, n_steps):
     return [pair for member in stack for pair in _advance_stack([member], n_steps)]
 
 
+def _advance_banded(banded, n_steps):
+    """(index, final state or exception) of each (index, system, x) in banded.
+
+    With several members, two CPUs or more, os.fork and at least _FORK_WORK
+    unknown-steps, the members are split into one group per CPU (_split).
+    Each group but the last steps by _advance_stack in a forked child
+    (_fork_stack), and the last one steps here.  A member's result does not
+    depend on its stack mates (run_batch), so the results are bitwise those
+    of one stack.  A group whose child cannot be forked, or exits non-zero
+    or sends nothing, steps here instead.  Where this raises, on a
+    KeyboardInterrupt say, its children are killed; every child is reaped
+    before it returns.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, len(banded))
+    work = n_steps * sum(len(x) for _, _, x in banded)
+    if count < 2 or not hasattr(os, "fork") or work < _FORK_WORK:
+        return _advance_stack(banded, n_steps)
+    *forked, own = _split(banded, count)
+    children = []  # (pid, read end of its pipe, group)
+    try:
+        for group in forked:
+            try:
+                children.append((*_fork_stack(group, n_steps), group))
+            except OSError:  # no process or pipe to spare: the group steps here
+                own += group
+        results = _advance_stack(own, n_steps)
+        for pid, pipe, group in children:
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            results += pickle.loads(data) if status == 0 and data else _advance_stack(group, n_steps)
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with contextlib.suppress(ChildProcessError):  # reaped above
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return results
+
+
+def _split(stack, count):
+    """stack's members in count groups of about equal unknowns: the largest
+    first, each onto the group with the fewest unknowns so far.  Each group
+    keeps input order."""
+    groups = [[] for _ in range(count)]
+    for member in sorted(stack, key=lambda member: -len(member[2])):
+        min(groups, key=lambda group: sum(len(x) for _, _, x in group)).append(member)
+    return [sorted(group, key=lambda member: member[0]) for group in groups]
+
+
+def _fork_stack(group, n_steps):
+    """(pid, read end of its pipe) of a forked child that steps group.
+
+    The child pickles _advance_stack's list into the pipe and leaves by
+    os._exit: it runs no exit handler and flushes no buffer of the parent,
+    stdout included, and it exits with status 1 on any failure.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(_advance_stack(group, n_steps), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
 def run_batch(spec, configs):
     """Run every configuration on one problem, yielding (index, result).
 
@@ -514,7 +613,11 @@ def run_batch(spec, configs):
     the other configurations still run.  Configurations with the same step
     count are stacked into one block-diagonal banded system of at most 1024
     unknowns, factored once, which steps faster than separate loops on
-    small meshes; a larger mesh runs alone, as in run().
+    small meshes; a larger mesh runs alone, as in run().  A stack of
+    several members with at least _FORK_WORK unknowns times steps is split
+    across the CPUs the process may use, all groups but one stepping in
+    forked children (_advance_banded); its results are bitwise the same,
+    and no child process outlives the call.
     A stack whose factorization raises, or whose state is not finite at the
     end, steps its members again one by one, so a member that overflows
     gets a ValueError without changing the results of its stack mates.

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -56,3 +58,22 @@ def chebyshev():
 @pytest.fixture(scope="session")
 def control():
     return control_problem()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped, such as
+    a fork of the solver's that was never waited for.  Exited children are
+    reaped here, so that the next test starts without them."""
+    yield
+    unreaped = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child left
+            break
+        if pid == 0:
+            pytest.fail(f"the test left a child process running (and {len(unreaped)} unreaped)")
+        unreaped.append(pid)
+    if unreaped:
+        pytest.fail(f"the test left child processes {unreaped} unreaped")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from hermite_heat.linalg import (
     band_solve,
     block_diagonal,
     check_pivots,
+    _permuted,
 )
 
 from conftest import dense, dgbtrf, dgbtrs_solve, lu_solve
@@ -109,6 +112,16 @@ def test_nan_pivot_reported_singular():
         check_pivots(np.array([1.0, -2.0, np.nan, 0.0]))
     assert info.value.pivot_index == 3
     check_pivots(np.array([1.0, -1e-300, np.inf]))
+
+
+def test_singular_matrix_survives_pickling():
+    """A forked child's refused factorization reaches its parent by pickle,
+    which keeps the type, the message and the pivot."""
+    error = SingularMatrix(3)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is SingularMatrix
+    assert str(copy) == str(error) == "matrix is singular at pivot 3"
+    assert copy.pivot_index == 3
 
 
 def test_residual_on_diagonally_dominant_system():
@@ -298,6 +311,20 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_the_package_matrices(n_elements
         expected = dgbtrs_solve(m, b)
         assert np.array_equal(lu_solve(factors, b), expected), name
         assert band_solve(m, b).tobytes() == expected.tobytes(), name
+
+
+def test_permuted_copies_any_row_permutation_into_lapack_layout():
+    """_permuted's strided windows hold A[perm] for any permutation, not only
+    the pivot orders band_lu_factor passes: first and last rows moved
+    furthest included, with the kl spare rows on top left zero."""
+    rng = np.random.default_rng(23)
+    for n, kl, ku in [(1, 0, 0), (2, 1, 0), (5, 0, 3), (9, 4, 1), (40, 6, 6)]:
+        m = random_band(rng, n, kl, ku)
+        for perm in (np.arange(n), np.arange(n)[::-1].copy(), rng.permutation(n)):
+            ab, new_kl, new_ku = _permuted(m, perm)
+            assert ab.shape == (2 * new_kl + new_ku + 1, n) and ab.flags.f_contiguous
+            assert not ab[:new_kl].any()
+            assert np.array_equal(dense(BandedMatrix(n, new_kl, new_ku, ab)), dense(m)[perm])
 
 
 def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():

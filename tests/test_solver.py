@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -841,6 +843,176 @@ def test_a_stack_whose_factorization_raises_factors_each_member_alone(legendre, 
     assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "refused 18"
     assert np.array_equal(outcomes[0], solo[0])
     assert np.array_equal(outcomes[2], solo[1])
+
+
+def fork_every_stack(monkeypatch):
+    """Make every stack of several members step on two CPUs, one group in a
+    forked child, however small its work; return the list of the pids that
+    forked, one entry per fork."""
+    monkeypatch.setattr(solver, "_FORK_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_groups(sizes, count=2):
+    """The indices of each group _split makes of members with sizes elements."""
+    members = [(index, None, np.empty(6 * n)) for index, n in enumerate(sizes)]
+    return [[index for index, _, _ in group] for group in solver._split(members, count)]
+
+
+def test_split_balances_unknowns_largest_first():
+    """floor's stack (Table 3, Legendre) splits into {N = 40} and {N = 10,
+    20}; the first group steps in the child, the last one in the parent."""
+    assert split_groups([10, 20, 40]) == [[2], [0, 1]]
+    assert split_groups([20, 12, 8, 4, 3, 2]) == [[0, 3], [1, 2, 4, 5]]
+    assert split_groups([5, 5, 5], count=3) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
+def test_a_split_stack_equals_the_whole_stack_and_solo_runs(table_id, t_final, control, monkeypatch):
+    """Tables 2 and 3, both rules, cut to 10**3 and 10**4 steps as in
+    test_run_batch_equals_solo_runs_on_the_floor_tables: split across a
+    forked child, every result is bitwise that of the whole stack and of
+    the solo run, and solo runs never fork."""
+    configs = [
+        RunConfig(dt=row.dt, t_final=t_final, n_elements=row.n_elements, rule=RULES[kind]())
+        for row in table_spec(table_id).rows
+        for kind in ("legendre", "chebyshev")
+    ]
+    assert len(solver._plan_stacks(configs)) == 1
+    monkeypatch.setattr(solver, "_FORK_WORK", math.inf)
+    whole = dict(run_batch(control, configs))
+    forks = fork_every_stack(monkeypatch)
+    split = dict(run_batch(control, configs))
+    solo = [run(control, cfg) for cfg in configs]
+    assert forks == [os.getpid()]
+    for index, state in split.items():
+        assert_state(state, configs[index].n_elements)
+        assert state.tobytes() == whole[index].tobytes() == solo[index].tobytes(), configs[index]
+    assert_no_child_process()
+
+
+def test_an_overflow_in_a_child_leaves_its_group_mates_as_their_solo_runs(legendre, monkeypatch):
+    """At 1e306 x (1 - x) one step overflows N = 20 but not the others.  N
+    = 20 and 4 step in the child, where the overflow sends the group back to
+    stepping each member alone; the N = 20 result is a ValueError, and every
+    other member equals its solo run."""
+    sizes = (20, 12, 8, 4, 3, 2)
+    assert split_groups(sizes)[0] == [0, 3]
+    spec = overflowing_problem(1e306)
+    configs = [RunConfig(dt=0.01, t_final=0.01, n_elements=n, rule=legendre) for n in sizes]
+    forks = fork_every_stack(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = dict(run_batch(spec, configs))
+    assert len(forks) == 1
+    assert isinstance(outcomes[0], ValueError) and "after step 1" in str(outcomes[0])
+    for index in range(1, len(sizes)):
+        assert np.array_equal(outcomes[index], run(spec, configs[index]))
+    assert_no_child_process()
+
+
+def test_a_factorization_refused_in_a_child_reaches_the_parent(legendre, control, monkeypatch):
+    """band_lu_factor is patched to refuse N = 6's L, alone (36 unknowns)
+    or in the child's stack with N = 2 (48).  Neither is factored in the
+    parent, yet the parent gets the SingularMatrix that the solo run
+    raises, with its message and pivot, through the child's pipe."""
+    factor = solver.band_lu_factor
+    refused = []
+
+    def refusing(m):
+        if m.n in (36, 48):
+            refused.append(m.n)
+            raise SingularMatrix(m.n - 5)
+        return factor(m)
+
+    sizes = (2, 3, 4, 6)
+    assert split_groups(sizes) == [[0, 3], [1, 2]]
+    configs = [RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre) for n in sizes]
+    monkeypatch.setattr(solver, "band_lu_factor", refusing)
+    forks = fork_every_stack(monkeypatch)
+    outcomes = dict(run_batch(control, configs))
+    assert len(forks) == 1 and refused == []
+    with pytest.raises(SingularMatrix) as solo:
+        run(control, configs[3])
+    assert type(outcomes[3]) is SingularMatrix
+    assert str(outcomes[3]) == str(solo.value) == "matrix is singular at pivot 31"
+    assert outcomes[3].pivot_index == solo.value.pivot_index == 31
+    for index in range(3):
+        assert np.array_equal(outcomes[index], run(control, configs[index]))
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("status", [0, 1])
+def test_the_parent_steps_the_group_of_a_child_that_dies(status, legendre, control, monkeypatch):
+    """The child leaves before it sends anything, with status 1 or 0; the
+    parent steps the child's group itself, and every result is its solo
+    run's."""
+    parent = os.getpid()
+    advance = solver._advance_stack
+
+    def dying_in_the_child(stack, n_steps):
+        if os.getpid() != parent:
+            os._exit(status)
+        return advance(stack, n_steps)
+
+    configs = [RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in (2, 3, 4, 6)]
+    monkeypatch.setattr(solver, "_advance_stack", dying_in_the_child)
+    forks = fork_every_stack(monkeypatch)
+    outcomes = dict(run_batch(control, configs))
+    assert len(forks) == 1
+    for index, cfg in enumerate(configs):
+        assert np.array_equal(outcomes[index], run(control, cfg))
+    assert_no_child_process()
+
+
+def test_a_group_that_cannot_fork_steps_in_the_parent(legendre, control, monkeypatch):
+    """Where os.fork fails (EAGAIN: no process to spare), the parent steps
+    the child's group too, and every result is its solo run's."""
+
+    def failing_fork():
+        raise BlockingIOError("fork: Resource temporarily unavailable")
+
+    configs = [RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in (2, 3, 4, 6)]
+    fork_every_stack(monkeypatch)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    outcomes = dict(run_batch(control, configs))
+    for index, cfg in enumerate(configs):
+        assert np.array_equal(outcomes[index], run(control, cfg))
+    assert_no_child_process()
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_child(legendre, control, monkeypatch):
+    """The child would step for a minute; the parent is interrupted while
+    it steps its own group, and kills and reaps the child before the
+    KeyboardInterrupt leaves run_batch."""
+    parent = os.getpid()
+
+    def interrupted(stack, n_steps):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    configs = [RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in (2, 3, 4, 6)]
+    monkeypatch.setattr(solver, "_advance_stack", interrupted)
+    forks = fork_every_stack(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        dict(run_batch(control, configs))
+    assert len(forks) == 1 and time.monotonic() - start < 30
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("n_elements", [4, 10, 40])
