@@ -71,9 +71,9 @@ _STACK_UNKNOWNS = 1024
 # Least work, in steps times unknowns, for which a stack of several members
 # steps on several CPUs (_advance_banded).  A stack steps at about 0.03 us
 # per unknown and step, so this is about 0.3 s of stepping, while a fork,
-# pipe, pickle and reap of a warm 38 MB process took 2.4-3.1 ms (median of
-# 30; 2-vCPU x86_64 host).  A larger parent forks more slowly, as its page
-# tables are copied.
+# pipe, pickle and reap of a warm 38 MB process took 2.4 to 3.1 ms (two
+# medians of 30 round trips; 2-vCPU x86_64 host).  A larger parent forks
+# more slowly, as its page tables are copied.
 _FORK_WORK = 10**7
 
 
