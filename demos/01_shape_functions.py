@@ -13,8 +13,8 @@ h = 0.5
 
 print("Shape function values across the element (h = 0.5):")
 print(f"{'xi':>6} " + " ".join(f"{f'H{j}':>9}" for j in range(1, 9)))
-for xi in np.linspace(0.0, 1.0, 6):
-    vals = hermite_values(xi, h)
+xis = np.linspace(0.0, 1.0, 6)
+for xi, vals in zip(xis, hermite_values(xis, h)):
     print(f"{xi:6.2f} " + " ".join(f"{v:9.5f}" for v in vals))
 
 print()
@@ -27,6 +27,6 @@ print("H(1)       =", np.round(hermite_values(1.0, h), 12))
 
 print()
 print("The two value functions always sum to one:")
-for xi in (0.1, 0.37, 0.5, 0.82):
-    vals = hermite_values(xi, h)
+xis = [0.1, 0.37, 0.5, 0.82]
+for xi, vals in zip(xis, hermite_values(xis, h)):
     print(f"  H1({xi}) + H7({xi}) = {vals[0] + vals[6]:.15f}")

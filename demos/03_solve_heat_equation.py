@@ -23,9 +23,10 @@ mesh = build_mesh(problem, cfg.n_elements)
 
 print(f"N = {cfg.n_elements} elements, dt = {cfg.dt}, T = {cfg.t_final}")
 print(f"{'x':>8} {'numeric':>13} {'exact':>13} {'error':>10}")
-for x in mesh.nodes[::2]:
-    numeric = evaluate(mesh, final, x)
-    exact = problem.exact_solution(x, cfg.t_final)
+xs = mesh.nodes[::2]
+numerics = evaluate(mesh, final, xs)
+exacts = problem.exact_solution(xs, cfg.t_final)
+for x, numeric, exact in zip(xs, numerics, exacts):
     print(f"{x:8.4f} {numeric:13.8f} {exact:13.8f} {abs(numeric - exact):10.2e}")
 
 l2, linf = error_norms(problem, mesh, rule, final, cfg.t_final)

@@ -82,33 +82,35 @@ def _check_width(h):
 
 
 def _check_point(xi, h):
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"local coordinate xi must lie in [0, 1], got {xi}")
+    """xi as a float array, once every entry lies in [0, 1] and h passes _check_width."""
+    xi = np.asarray(xi, dtype=float)
+    # written so that NaN fails too
+    outside = ~((0.0 <= xi) & (xi <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"local coordinate xi must lie in [0, 1], got {xi[outside][0]}")
     _check_width(h)
+    return xi
 
 
 def _eval_family(coeffs, xi, h):
     # polyval consumes coefficients along the first axis (Horner's scheme);
-    # a column of points gives one C-ordered row of eight values per point
-    return polyval(xi, coeffs.T, tensor=False) * h ** H_POWERS
+    # a trailing axis on the points gives one C-ordered row of eight values per point
+    return polyval(xi[..., None], coeffs.T, tensor=False) * h ** H_POWERS
 
 
 def hermite_values(xi, h):
-    """Values of the eight shape functions at local coordinate xi."""
-    _check_point(xi, h)
-    return _eval_family(H_COEFFS, xi, h)
+    """Values of the eight shape functions at local coordinates xi, shape xi.shape + (8,)."""
+    return _eval_family(H_COEFFS, _check_point(xi, h), h)
 
 
 def hermite_first_derivs(xi, h):
-    """First xi-derivatives of the eight shape functions at xi."""
-    _check_point(xi, h)
-    return _eval_family(A_COEFFS, xi, h)
+    """First xi-derivatives of the eight shape functions at xi, shape xi.shape + (8,)."""
+    return _eval_family(A_COEFFS, _check_point(xi, h), h)
 
 
 def hermite_second_derivs(xi, h):
-    """Second xi-derivatives of the eight shape functions at xi."""
-    _check_point(xi, h)
-    return _eval_family(B_COEFFS, xi, h)
+    """Second xi-derivatives of the eight shape functions at xi, shape xi.shape + (8,)."""
+    return _eval_family(B_COEFFS, _check_point(xi, h), h)
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ _TABLES_KEPT = 128
 
 @lru_cache(maxsize=_TABLES_KEPT)
 def _tabulate(points, h):
-    xi = np.frombuffer(points)[:, None]
+    xi = np.frombuffer(points)
     H = _eval_family(H_COEFFS, xi, h)
     B = _eval_family(B_COEFFS, xi, h)
     for arr in (H, B):

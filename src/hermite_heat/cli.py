@@ -50,10 +50,8 @@ def _solve_rows(args):
     a = run(problem, cfg)
     mesh = build_mesh(problem, args.n)
     exact = _sample("exact_solution", problem.exact_solution, mesh.nodes, args.t_final)
-    rows = []
-    for x, ex in zip(mesh.nodes, exact.tolist()):
-        numeric = evaluate(mesh, a, x)
-        rows.append((x, numeric, ex, abs(ex - numeric)))
+    numeric = evaluate(mesh, a, mesh.nodes)
+    rows = list(zip(mesh.nodes, numeric, exact, abs(exact - numeric)))
     l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
     return rows, l2, linf
 

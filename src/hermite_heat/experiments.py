@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import RULES, build_basis_table
 from .problem import _sample, build_mesh, collocation_abscissae, control_problem
-from .solver import RunConfig, _check_layout, run_batch
+from .solver import RunConfig, _windows, run_batch
 
 __all__ = [
     "MissingExactSolution",
@@ -41,19 +41,16 @@ class MissingExactSolution(ValueError):
 
 def _solution_at_collocation_points(mesh, rule, a):
     """Numerical solution at all 6N collocation abscissae, shape (N, 6)."""
-    table = build_basis_table(rule, mesh.h)
-    windows = np.lib.stride_tricks.sliding_window_view(a, 8)[::6]
-    return windows @ table.H.T
+    return _windows(mesh, a) @ build_basis_table(rule, mesh.h).H.T
 
 
 def error_norms(spec, mesh, rule, a, t):
     """(L2, Linf) of exact minus numerical at the collocation points."""
     if spec.exact_solution is None:
         raise MissingExactSolution("problem has no exact solution to compare against")
-    _check_layout(mesh, a)
+    numeric = _solution_at_collocation_points(mesh, rule, a)
     abscissae = collocation_abscissae(mesh, rule.points)
-    exact = _sample("exact_solution", spec.exact_solution, abscissae, t)
-    errors = exact - _solution_at_collocation_points(mesh, rule, a)
+    errors = _sample("exact_solution", spec.exact_solution, abscissae, t) - numeric
     l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
     linf = float(np.max(np.abs(errors)))
     return l2, linf

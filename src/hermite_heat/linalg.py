@@ -95,11 +95,6 @@ class LUFactors:
     lower: np.ndarray
     upper: np.ndarray
 
-    @property
-    def width(self):
-        """Lower bandwidth of L in the permuted form."""
-        return self.lower.shape[0] - 1
-
 
 def check_pivots(diagonal):
     """Raise SingularMatrix at the first pivot not at least _PIVOT_FLOOR in size.

@@ -639,35 +639,43 @@ def run_batch(spec, configs):
         yield from _run_stack(batch, members)
 
 
-def _check_layout(mesh, a):
-    """Raise ValueError unless a holds the 6N + 2 coefficients of mesh's N elements."""
+def _windows(mesh, a):
+    """Row k of the (N, 8) result is element k's coefficients, a[6k : 6k + 8].
+
+    Raises ValueError unless a holds the 6N + 2 coefficients of mesh's N elements.
+    """
     if len(a) != 6 * mesh.n_elements + 2:
         raise ValueError(
             f"the state holds {len(a)} coefficients, but a mesh of "
             f"{mesh.n_elements} elements needs {6 * mesh.n_elements + 2}"
         )
+    return np.lib.stride_tricks.sliding_window_view(a, 8)[::6]
 
 
-def _element(mesh, a, x):
-    """The 8 coefficients of the element holding x, and x's local coordinate there."""
-    _check_layout(mesh, a)
+def _combine(mesh, a, x, families):
+    """Each family's shape functions at abscissae x, weighted by the coefficients of x's element.
+
+    One float per family for a scalar x, else one array of x's shape.
+    """
+    windows = _windows(mesh, a)
+    x = np.asarray(x, dtype=float)
     # written so that NaN fails too
-    if not (mesh.nodes[0] <= x <= mesh.nodes[-1]):
-        raise ValueError(f"x = {x} lies outside [{mesh.nodes[0]}, {mesh.nodes[-1]}]")
-    k = min(max(int(math.floor((x - mesh.nodes[0]) / mesh.h)), 0), mesh.n_elements - 1)
-    xi = min(max((x - mesh.nodes[k]) / mesh.h, 0.0), 1.0)
-    return a[6 * k : 6 * k + 8], xi
+    outside = ~((mesh.nodes[0] <= x) & (x <= mesh.nodes[-1]))
+    if np.any(outside):
+        raise ValueError(f"x = {x[outside][0]} lies outside [{mesh.nodes[0]}, {mesh.nodes[-1]}]")
+    k = np.clip(np.floor((x - mesh.nodes[0]) / mesh.h).astype(int), 0, mesh.n_elements - 1)
+    xi = np.clip((x - mesh.nodes[k]) / mesh.h, 0.0, 1.0)
+    # a batched matmul sums the eight terms as a 1-D dot product does; einsum does not
+    sums = [(windows[k][..., None, :] @ f(xi, mesh.h)[..., None])[..., 0, 0] for f in families]
+    return [float(s) if x.ndim == 0 else s for s in sums]
 
 
 def evaluate(mesh, a, x):
-    """Value of the numerical solution at abscissa x."""
-    coeffs, xi = _element(mesh, a, x)
-    return float(coeffs @ hermite_values(xi, mesh.h))
+    """Value of the numerical solution at abscissae x: a float for a scalar x, else x's shape."""
+    return _combine(mesh, a, x, [hermite_values])[0]
 
 
 def evaluate_derivatives(mesh, a, x):
-    """First and second x-derivatives of the numerical solution at x."""
-    coeffs, xi = _element(mesh, a, x)
-    first = float(coeffs @ hermite_first_derivs(xi, mesh.h)) / mesh.h
-    second = float(coeffs @ hermite_second_derivs(xi, mesh.h)) / mesh.h**2
-    return first, second
+    """First and second x-derivatives of the numerical solution at x, shaped as evaluate's value."""
+    first, second = _combine(mesh, a, x, [hermite_first_derivs, hermite_second_derivs])
+    return first / mesh.h, second / mesh.h**2

@@ -194,7 +194,7 @@ def test_step_matrices_keep_their_permuted_lower_factor_within_kl_plus_ku(kind):
             for dt in (1e-12, 1e-3, 1e2):
                 m = assemble_crank_nicolson(mesh, rule, alpha, dt).left
                 factors = band_lu_factor(m)
-                assert factors.width <= m.kl + m.ku, (n, alpha, dt, m.n)
+                assert factors.lower.shape[0] - 1 <= m.kl + m.ku, (n, alpha, dt, m.n)
                 assert factors.upper.shape[0] - 1 <= 7, (n, alpha, dt, m.n)
         w = band_lu_factor(assemble_initial_system(mesh, rule, problem.initial_condition).W)
         assert w.upper.shape[0] - 1 <= 7, (n, m.n)

@@ -59,11 +59,24 @@ def test_second_derivs_at_ends():
     assert right[6] == pytest.approx(0.0, abs=1e-13)
 
 
-@pytest.mark.parametrize("bad_xi", [-0.01, 1.01, 2.0])
+@pytest.mark.parametrize("bad_xi", [-0.01, 1.01, 2.0, np.nan])
 def test_domain_error_on_xi(bad_xi):
+    """A bad xi fails alone and as any one entry of an array."""
     for func in (hermite_values, hermite_first_derivs, hermite_second_derivs):
-        with pytest.raises(ValueError):
-            func(bad_xi, 0.1)
+        for xi in (bad_xi, [0.0, bad_xi], [[0.5, 1.0], [bad_xi, 0.25]]):
+            with pytest.raises(ValueError, match=f"xi must lie in \\[0, 1\\], got {bad_xi}$"):
+                func(xi, 0.1)
+
+
+@pytest.mark.parametrize("func", [hermite_values, hermite_first_derivs, hermite_second_derivs])
+def test_families_of_an_array_equal_the_stacked_scalar_calls_bitwise(func):
+    """An array of local coordinates gives its shape plus a trailing axis of
+    eight, each row bitwise the call at that one coordinate."""
+    xi = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(5).uniform(0.0, 1.0, 9)]).reshape(3, 4)
+    values = func(xi, 0.3)
+    assert values.shape == (3, 4, 8)
+    assert values.tobytes() == np.array([[func(x, 0.3) for x in row] for row in xi.tolist()]).tobytes()
+    assert func(0.5, 0.3).shape == func(np.array(0.5), 0.3).shape == (8,)
 
 
 @pytest.mark.parametrize("bad_h", [0.0, -1.0, np.nan, np.inf, 1e200])

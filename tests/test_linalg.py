@@ -189,7 +189,7 @@ def assert_stack_solves_each_block_bitwise(blocks, rng):
     assert np.array_equal(dense(stacked), scipy.linalg.block_diag(*[dense(m) for m in blocks]))
     factors = [band_lu_factor(m) for m in blocks]
     stacked_factors = band_lu_factor(stacked)
-    assert stacked_factors.width == max(f.width for f in factors)
+    assert stacked_factors.lower.shape[0] - 1 == max(f.lower.shape[0] - 1 for f in factors)
     b = rng.normal(size=stacked.n)
     pieces = np.split(b, np.cumsum([m.n for m in blocks])[:-1])
     alone = np.concatenate([lu_solve(f, p) for f, p in zip(factors, pieces)])
@@ -205,15 +205,15 @@ def test_block_diagonal_factors_solve_each_block_bitwise():
     rng = np.random.default_rng(7)
     # random blocks of n <= kl + ku + 1 rows pivot freely
     blocks = [random_band(rng, n, 3, 2, dominant=False) for n in (5, 2, 6, 4)]
-    assert assert_stack_solves_each_block_bitwise(blocks, rng).width > 0
+    assert assert_stack_solves_each_block_bitwise(blocks, rng).lower.shape[0] - 1 > 0
     problem = control_problem()
     steps = [
         assemble_crank_nicolson(build_mesh(problem, n), legendre_rule(), 1.0, dt).left
         for n, dt in ((2, 1e-5), (4, 1e-2), (7, 1e-3), (3, 1e-5))
     ]
     stacked = assert_stack_solves_each_block_bitwise(steps, rng)
-    widths = [band_lu_factor(m).width for m in steps]
-    assert stacked.width == max(widths) > min(widths)
+    widths = [band_lu_factor(m).lower.shape[0] - 1 for m in steps]
+    assert stacked.lower.shape[0] - 1 == max(widths) > min(widths)
     assert stacked.lower.flags.f_contiguous
     one = assemble_crank_nicolson(build_mesh(problem, 1), legendre_rule(), 1.0, 1e-3).left
     assert (one.kl, one.ku) == (5, 5) and (steps[0].kl, steps[0].ku) == (6, 6)
@@ -225,7 +225,7 @@ def test_block_diagonal_factors_solve_each_block_bitwise():
 def dense_factors(factors):
     """Dense L and U of the permuted form, from its band storage."""
     n = len(factors.perm)
-    lower = dense(BandedMatrix(n, factors.width, 0, factors.lower))
+    lower = dense(BandedMatrix(n, factors.lower.shape[0] - 1, 0, factors.lower))
     upper = dense(BandedMatrix(n, 0, factors.upper.shape[0] - 1, factors.upper))
     return lower, upper
 
@@ -262,14 +262,15 @@ def test_permuted_factors_reproduce_the_matrix():
             matrix = dense(m)
             p, dense_lower, dense_upper = scipy.linalg.lu(matrix)
             factors = band_lu_factor(m)
-            assert factors.width == lower_width(dense_lower)
-            past_kl_plus_ku += factors.width > kl + ku
-            assert factors.lower.shape == (factors.width + 1, n) and factors.lower.flags.f_contiguous
+            width = factors.lower.shape[0] - 1
+            assert width == lower_width(dense_lower)
+            past_kl_plus_ku += width > kl + ku
+            assert factors.lower.shape[1] == n and factors.lower.flags.f_contiguous
             assert factors.upper.shape[0] <= kl + ku + 1 and factors.upper.flags.f_contiguous
             assert factors.upper[0].any()
             lower, upper = dense_factors(factors)
             assert np.array_equal(np.diag(lower), np.ones(n))
-            bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
+            bound = 4 * (width + 1) * eps * (np.abs(lower) @ np.abs(upper))
             assert np.all(np.abs(matrix[factors.perm] - lower @ upper) <= bound)
             assert np.array_equal(factors.perm, np.argmax(p, axis=0))
             assert lower == pytest.approx(dense_lower, rel=1e-12, abs=1e-12)
@@ -305,7 +306,7 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_the_package_matrices(n_elements
         assert factors.upper.tobytes() == lu_bands[k + 1 - used : k + 1].tobytes(), name
         if n_elements <= 4:
             lower, upper = dense_factors(factors)
-            bound = 4 * (factors.width + 1) * eps * (np.abs(lower) @ np.abs(upper))
+            bound = 4 * factors.lower.shape[0] * eps * (np.abs(lower) @ np.abs(upper))
             assert np.all(np.abs(dense(m)[factors.perm] - lower @ upper) <= bound), name
         b = rng.normal(size=m.n)
         expected = dgbtrs_solve(m, b)
@@ -341,7 +342,7 @@ def test_permuted_solve_equals_dgbtrs_bitwise_on_random_matrices():
     wide = random_band(np.random.default_rng(0), 300, 40, 40, dominant=False)
     wide.bands[wide.ku] += 10.0
     factors = band_lu_factor(wide)
-    assert np.any(factors.perm != np.arange(wide.n)) and factors.width > wide.kl
+    assert np.any(factors.perm != np.arange(wide.n)) and factors.lower.shape[0] - 1 > wide.kl
     assert_no_negative_zero(factors)
     b = rng.normal(size=wide.n)
     assert np.array_equal(lu_solve(factors, b), dgbtrs_solve(wide, b))
@@ -383,7 +384,7 @@ def test_lower_factor_far_past_kl_plus_ku_factors_and_solves_bitwise():
     m = random_band(rng, 1600, 3, 2, dominant=False)
     factors = band_lu_factor(m)
     matrix = dense(m)
-    assert factors.width == lower_width(scipy.linalg.lu(matrix)[1]) == 1255
+    assert factors.lower.shape[0] - 1 == lower_width(scipy.linalg.lu(matrix)[1]) == 1255
     b = rng.normal(size=m.n)
     x = lu_solve(factors, b)
     assert x.tobytes() == dgbtrs_solve(m, b).tobytes() == band_solve(m, b).tobytes()
