@@ -12,8 +12,8 @@ dgbmv, one gather and two BLAS dtbsv calls (linalg.LUFactors).  Larger
 meshes step alone, through their Fourier modes: one real FFT of the
 state's odd extension splits the run into N + 1 independent 6 x 6 real
 problems, each powered in log2(M) batched products, and one inverse FFT
-returns the final state (_propagator, _advance_modes).  A stiff mesh whose
-symbols round to singular steps banded instead.
+returns the final state (_propagator, _power, _state).  A stiff mesh
+whose symbols round to singular steps banded instead.
 
 A long stack of several members (at least _FORK_WORK unknowns times
 steps) steps on every CPU the process may use: its members are split
@@ -27,7 +27,8 @@ What depends only on the mesh and rule is computed once per run_batch
 call (_Shared): the initial state, and above the stacking line its real
 modes and the symbols of D = (alpha**2 / h**2) B.  Each step size then
 builds only L's symbols, their batched solve, the powering and one
-inverse FFT.
+inverse FFT.  run is run_batch of one configuration, so every run steps
+in _run_stack.
 """
 
 import contextlib
@@ -35,7 +36,6 @@ import math
 import os
 import pickle
 import signal
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -291,13 +291,6 @@ def _power(propagator, modes, n_steps):
         power += square
 
 
-def _advance_modes(propagator, modes, n_steps):
-    """The coefficients n_steps steps on from the real modes given: _power,
-    which overwrites them, then one inverse FFT."""
-    _power(propagator, modes, n_steps)
-    return _state(modes)
-
-
 def step(system, factors, a):
     """Advance one Crank-Nicolson step: solve L a_next = R a_current.
 
@@ -367,28 +360,6 @@ def _key(cfg):
     return cfg.n_elements, id(cfg.rule)
 
 
-class _Batch:
-    """The _Shared data of one run_batch call, by _key.
-
-    Each is held from the first member that asks for it until the last one
-    has taken it, so the batch holds only what members still to come need.
-    """
-
-    def __init__(self, spec, configs):
-        self.spec = spec
-        self.users = Counter(map(_key, configs))
-        self.shared = {}
-
-    def take(self, cfg):
-        """cfg's _Shared, dropped from the batch if cfg is its last member."""
-        key = _key(cfg)
-        shared = self.shared.pop(key, None) or _Shared(self.spec, cfg.n_elements, cfg.rule)
-        self.users[key] -= 1
-        if self.users[key]:
-            self.shared[key] = shared
-        return shared
-
-
 def _prepare(shared, cfg):
     """What cfg's run starts from, as a new array, and what its kernel steps with.
 
@@ -432,10 +403,10 @@ def run(spec, cfg):
     that L(0) rounds to singular, a larger mesh steps through the banded
     LU of L instead, as a small one does.
 
-    run is run_batch's stack of one member, and raises the exception that
-    member's result would hold.
+    run is run_batch of one configuration, and raises the exception that
+    its result holds.
     """
-    ((_, result),) = _run_stack(_Batch(spec, [cfg]), [(0, cfg)])
+    ((_, result),) = run_batch(spec, [cfg])
     if isinstance(result, Exception):
         raise result
     return result
@@ -449,7 +420,7 @@ def _plan_stacks(configs):
     alone.  Members keep input order, and so do stacks whose first
     members have the same mesh and rule, but those stacks run one after
     another, in the order their mesh and rule first appear: a batch then
-    holds the shared data of one mesh and rule at a time (_Batch).
+    holds the shared data of one mesh and rule at a time (run_batch).
     """
     stacks = []
     filling = {}  # n_steps -> (members, unknowns) of the stack still open
@@ -466,28 +437,37 @@ def _plan_stacks(configs):
     return sorted(stacks, key=lambda members: first[_key(members[0][1])])
 
 
-def _run_stack(batch, members):
+def _run_stack(spec, shared, last, members):
     """(index, result) of each (index, config) in members, which share a step count.
 
     The banded members step as one block-diagonal system, and a mesh too
-    large to stack steps by its Fourier modes (or, where its symbol is
-    singular, banded and alone).  A member whose preparation raises gets
-    that exception as its result, and one whose final state is not finite
-    a ValueError.
+    large to stack steps by its Fourier modes, _power then _state (or,
+    where its symbol is singular, banded and alone).  A member whose
+    preparation or modal stepping raises gets that exception as its
+    result, and one whose final state is not finite a ValueError.
+
+    shared holds the batch's _Shared by _key, and last the index of each
+    key's last member in plan order.  A member builds its _Shared if it is
+    missing; the last member pops it, so the shared arrays are freed once
+    it is prepared, before it steps.
     """
     n_steps = members[0][1].n_steps
     results = {}
     banded = []
     for index, cfg in members:
+        key = _key(cfg)
         try:
-            start, kernel = _prepare(batch.take(cfg), cfg)
+            if key not in shared:
+                shared[key] = _Shared(spec, cfg.n_elements, cfg.rule)
+            start, kernel = _prepare(shared.pop(key) if last[key] == index else shared[key], cfg)
+            if isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
+                _power(kernel, start, n_steps)
+                start, kernel = _state(start), None
         except Exception as exc:  # reported per member; the others still run
             results[index] = exc
             continue
         if kernel is None:
             results[index] = start
-        elif isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
-            results[index] = _advance_modes(kernel, start, n_steps)
         else:
             banded.append((index, kernel, start))
     if banded:
@@ -624,8 +604,9 @@ def run_batch(spec, configs):
     Members with the same mesh and rule share what does not depend on dt
     (_Shared): the mesh, the initial state, and above the stacking line its
     real modes and D's symbols.  Each is built once, for the first member
-    that needs it, and dropped once the last such member is prepared;
-    nothing outlives the call, and no result shares memory with another.
+    that needs it, and dropped once the last such member in the plan's
+    order is prepared; nothing outlives the call, and no result shares
+    memory with another.
     Results come stack by stack, the stacks of one mesh and rule one after
     another (_plan_stacks), and each stack's matrices and states are freed
     before the next one is assembled, so a caller that reduces each state
@@ -633,10 +614,11 @@ def run_batch(spec, configs):
     the members still to come.  configs may be any iterable; it is read
     once, before the first stack runs.
     """
-    configs = list(configs)
-    batch = _Batch(spec, configs)
-    for members in _plan_stacks(configs):
-        yield from _run_stack(batch, members)
+    stacks = _plan_stacks(configs)
+    last = {_key(cfg): index for members in stacks for index, cfg in members}
+    shared = {}
+    for members in stacks:
+        yield from _run_stack(spec, shared, last, members)
 
 
 def _windows(mesh, a):

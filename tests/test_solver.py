@@ -1,6 +1,8 @@
 import math
 import os
+import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -425,7 +427,9 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
                     expected = np.zeros_like(a)
                     expected[banded.reduced_to_full] = x + np.linalg.solve(left, (right - left) @ x)
                     stepped = step(banded, factors, a)
-                    advanced = solver._advance_modes(propagator, solver._real_modes(a), 1)
+                    modes = solver._real_modes(a)
+                    solver._power(propagator, modes, 1)
+                    advanced = solver._state(modes)
                     assert advanced[0] == 0.0 and advanced[6 * n_elements] == 0.0
                     bound = cond * (eps + asymmetry) * np.max(np.abs(expected))
                     for other in (expected, stepped):
@@ -480,7 +484,9 @@ def test_modal_power_agrees_with_stepping_one_level_at_a_time(n_steps, control):
         rule = RULES[kind]()
         a = initial_coefficients(control, mesh, rule)
         propagator = solver._propagator(solver._Shared(control, 180, rule), 0.01)
-        powered = solver._advance_modes(propagator, solver._real_modes(a), n_steps)
+        modes = solver._real_modes(a)
+        solver._power(propagator, modes, n_steps)
+        powered = solver._state(modes)
         modes = solver._real_modes(a)
         levels = []
         for _ in range(n_steps):
@@ -736,17 +742,28 @@ def test_run_batch_shares_each_mesh_and_rule_across_its_step_sizes(control):
     the stacking line its real modes and D's symbols, across dt, t_final
     and stacks: N = 16 (banded) and N = 180 (Fourier modes), both rules,
     interleaved, with zero-step members and, at N = 180, dt = 1e13, where
-    L(0) rounds to singular and the member steps banded alone."""
+    L(0) rounds to singular and the member steps banded alone.  The batch
+    samples the initial condition once per mesh and rule, 4 times for its
+    20 members."""
     for kind in ("legendre", "chebyshev"):
         with pytest.raises(np.linalg.LinAlgError):
             solver._propagator(solver._Shared(control, 180, RULES[kind]()), 1e13)
+    samples = []
+
+    def sine(x):
+        samples.append(x)
+        return np.sin(np.pi * x)
+
+    spec = ProblemSpec(control.x_left, control.x_right, control.alpha, sine)
     configs = [
         RunConfig(dt=dt, t_final=t_final, n_elements=n, rule=RULES[kind]())
         for dt, t_final in [(0.01, 0.2), (0.02, 0.2), (0.01, 0.0), (1e13, 2e13), (0.005, 0.1)]
         for n in (180, 16)
         for kind in ("legendre", "chebyshev")
     ]
-    batch_matches_solo_runs(control, configs)
+    samples.clear()
+    assert len(list(run_batch(spec, configs))) == 20 and len(samples) == 4
+    batch_matches_solo_runs(spec, configs)
 
 
 def test_run_batch_reads_a_generator_of_configs(control):
@@ -782,6 +799,69 @@ def test_run_batch_keeps_going_when_one_member_fails(legendre, control):
         run(spec, configs[1])
     for index in (0, 2, 3):
         assert np.array_equal(outcomes[index], run(spec, configs[index]))
+
+
+def test_a_modal_member_s_errors_are_its_own(legendre, control, monkeypatch):
+    """A member stepping by its Fourier modes whose powering raises gets
+    that exception as its result, as a member whose preparation raises
+    does: N = 200 runs out of memory, while its batch mates N = 4 and N =
+    300 still equal their solo runs bitwise, and run of N = 200 raises."""
+    configs = [RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre) for n in (200, 4, 300)]
+    solo = {index: run(control, configs[index]) for index in (1, 2)}
+    power = solver._power
+
+    def power_but_not_at_200(propagator, modes, n_steps):
+        if len(modes) == 201:
+            raise MemoryError("no memory for N = 200")
+        power(propagator, modes, n_steps)
+
+    monkeypatch.setattr(solver, "_power", power_but_not_at_200)
+    outcomes = dict(run_batch(control, configs))
+    assert sorted(outcomes) == [0, 1, 2]
+    assert isinstance(outcomes[0], MemoryError)
+    for index, state in solo.items():
+        assert outcomes[index].tobytes() == state.tobytes(), configs[index]
+    with pytest.raises(MemoryError, match="N = 200"):
+        run(control, configs[0])
+
+
+def test_run_batch_frees_shared_data_before_the_last_member_steps(control, monkeypatch):
+    """A batch holds the shared data (_Shared) of at most one mesh and rule
+    at a time, and frees it once that mesh and rule's last member in plan
+    order is prepared, before it steps: 12 shuffled members, N = 200 and
+    300 with both rules, each stepping alone by its Fourier modes.  The
+    last member of each of the 4 meshes and rules steps with none alive."""
+    live = weakref.WeakSet()
+
+    class Tracked(solver._Shared):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    alive = []
+    power = solver._power
+
+    def counting_power(propagator, modes, n_steps):
+        alive.append(len(live))
+        power(propagator, modes, n_steps)
+
+    monkeypatch.setattr(solver, "_Shared", Tracked)
+    monkeypatch.setattr(solver, "_power", counting_power)
+    configs = [
+        RunConfig(dt=dt, t_final=1.0, n_elements=n, rule=RULES[kind]())
+        for dt in (0.01, 0.005, 0.0025)
+        for n in (200, 300)
+        for kind in ("legendre", "chebyshev")
+    ]
+    random.Random(7).shuffle(configs)
+    outcomes = dict(run_batch(control, configs))
+    assert all(isinstance(state, np.ndarray) for state in outcomes.values())
+    order = [cfg for members in solver._plan_stacks(configs) for _, cfg in members]
+    last = {solver._key(cfg): position for position, cfg in enumerate(order)}
+    expected = [int(last[solver._key(cfg)] != position) for position, cfg in enumerate(order)]
+    assert expected.count(0) == 4 and len(alive) == 12
+    assert alive == expected
+    assert not live
 
 
 def overflowing_problem(scale):
