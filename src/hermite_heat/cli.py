@@ -194,6 +194,13 @@ def build_parser():
     return parser
 
 
+def _reciprocal_overflows(dt, t_final):
+    """Whether 1 / dt overflows while t_final / dt does not: L's H / dt would
+    overflow.  Where t_final / dt overflows too, RunConfig reports the step
+    count, a numerical failure (exit 1)."""
+    return math.isfinite(t_final / dt) and not math.isfinite(1.0 / dt)
+
+
 def _validate(parser, args):
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be at least 1")
@@ -203,6 +210,8 @@ def _validate(parser, args):
     t_final = getattr(args, "t_final", None)
     if t_final is not None and not (math.isfinite(t_final) and t_final >= 0.0):
         parser.error("--t-final must be nonnegative and finite")
+    if dt is not None and _reciprocal_overflows(dt, t_final):
+        parser.error("--dt must have a finite reciprocal")
     alpha = getattr(args, "alpha", None)
     # alpha * alpha rather than alpha**2, which raises OverflowError
     if alpha is not None and not (alpha > 0.0 and math.isfinite(alpha * alpha)):
@@ -210,8 +219,12 @@ def _validate(parser, args):
     count = getattr(args, "count", None)
     if count is not None and count < 1:
         parser.error("--count must be at least 1")
-    if getattr(args, "sweep", None) == "dt" and math.ldexp(dt, 1 - count) == 0.0:
-        parser.error("--count halves --dt to 0 before the last row")
+    if getattr(args, "sweep", None) == "dt":
+        finest = math.ldexp(dt, 1 - count)
+        if finest == 0.0:
+            parser.error("--count halves --dt to 0 before the last row")
+        if _reciprocal_overflows(finest, t_final):
+            parser.error("--count halves --dt past a finite reciprocal before the last row")
     # refused as _write would refuse it, but not opened, so an existing file stays as it was
     output = args.output
     missing = not (output and os.path.isdir(os.path.dirname(output) or "."))

@@ -6,14 +6,15 @@ L a^{n+1} = R a^n.  A state is the float array of all 6N + 2
 coefficients, whose two eliminated boundary entries (0 and 6N) stay exactly
 zero so that evaluation code can index elements uniformly.
 
-Meshes of up to _STACK_UNKNOWNS unknowns (6N) step through the banded LU of
-L, and run_batch stacks them, factoring each stack once; each step is one
-dgbmv, one gather and two BLAS dtbsv calls (linalg.LUFactors).  Larger
-meshes step alone, through their Fourier modes: one real FFT of the
-state's odd extension splits the run into N + 1 independent 6 x 6 real
-problems, each powered in log2(M) batched products, and one inverse FFT
-returns the final state (_propagator, _power, _state).  A stiff mesh
-whose symbols round to singular steps banded instead.
+_steps_by_modes(cfg) chooses the kernel: it draws the "stacking line".
+Runs below the line step through the banded LU of L, and run_batch
+stacks them, factoring each stack once; each step is one dgbmv, one
+gather and two BLAS dtbsv calls (linalg.LUFactors).  Runs above it step
+alone, through their Fourier modes: one real FFT of the state's odd
+extension splits the run into N + 1 independent 6 x 6 real problems,
+each powered in log2(M) batched products, and one inverse FFT returns
+the final state (_propagator, _power, _state).  A stiff mesh whose
+symbols round to singular steps banded instead.
 
 A long stack of several members (at least _FORK_WORK unknowns times
 steps) steps on every CPU the process may use: its members are split
@@ -65,7 +66,6 @@ _STEP_COUNT_RTOL = 1e-9
 # about 1 us of call overhead per member and step (x86_64, OpenBLAS), a
 # gain that fades by about 1000 unknowns; near 10**4 unknowns the stack's
 # bands (256 bytes per unknown) outgrow the L2 cache and stacking loses.
-# A mesh above it always steps alone, through its Fourier modes.
 _STACK_UNKNOWNS = 1024
 
 # Least work, in steps times unknowns, for which a stack of several members
@@ -109,10 +109,20 @@ class RunConfig:
             raise NonIntegralStepCount(
                 f"t_final / dt = {ratio} rounds to a step count of 0 for t_final > 0"
             )
+        if not math.isfinite(1.0 / float(self.dt)):  # a float, which does not warn
+            raise ValueError(f"dt = {self.dt} is too small: 1 / dt overflows")
 
     @property
     def n_steps(self):
         return round(self.t_final / self.dt)
+
+
+def _steps_by_modes(cfg):
+    """Whether cfg's run steps by its Fourier modes, the "stacking line",
+    drawn here only: it has steps to take, on a mesh of more than
+    _STACK_UNKNOWNS unknowns (6N).  Other runs step through the banded LU
+    of L, and so does a stiff one whose symbol L(0) is singular (_prepare)."""
+    return cfg.n_steps > 0 and 6 * cfg.n_elements > _STACK_UNKNOWNS
 
 
 def _coefficients(reduced_to_full, x):
@@ -294,14 +304,14 @@ def _power(propagator, modes, n_steps):
 def step(system, factors, a):
     """Advance one Crank-Nicolson step: solve L a_next = R a_current.
 
-    This is one step of the banded loop that run() uses for meshes with
-    6N <= 1024 unknowns, so for those a hand-written loop of step()
+    This is one step of the banded loop that run() uses below the stacking
+    line (_steps_by_modes), so there a hand-written loop of step()
     reproduces run() bitwise, and gives the intermediate levels, which
-    run() does not keep.  Larger meshes run() steps through their
-    Fourier modes, which agree with a loop of step() only to within the
-    banded solve's forward error (see below), except for a stiff mesh whose
-    symbol L(0) rounds to singular: run() steps that one banded too, and a
-    loop of step() reproduces it bitwise.
+    run() does not keep.  Above the line run() steps by Fourier modes,
+    which agree with a loop of step() only to within the banded solve's
+    forward error (see below), except for a stiff mesh whose symbol L(0)
+    rounds to singular: run() steps that one banded too, and a loop of
+    step() reproduces it bitwise.
 
     Accuracy: the banded LU solve is backward stable, so the computed a_next
     exactly solves a system whose matrix differs from L by a small multiple
@@ -320,11 +330,11 @@ class _Shared:
     """What the members of one batch with the same mesh and rule share.
 
     None of it depends on dt: the mesh; the initial state a0, so that W is
-    assembled and solved once; and for a mesh too large to stack, a0's real
-    modes and the symbols of D = (alpha**2 / h**2) B.  Each is built when a
-    member first asks for it, and one whose build raises is built again by
-    the next member.  The arrays are read-only: a member copies what it
-    steps in place.
+    assembled and solved once; and for members that step by their Fourier
+    modes (_steps_by_modes), a0's real modes and the symbols of D =
+    (alpha**2 / h**2) B.  Each is built when a member first asks for it,
+    and one whose build raises is built again by the next member.  The
+    arrays are read-only: a member copies what it steps in place.
     """
 
     def __init__(self, spec, n_elements, rule):
@@ -366,18 +376,18 @@ def _prepare(shared, cfg):
     shared is cfg's _Shared: a0 and, above the stacking line, its real
     modes and D's symbols come from there, built by the first member that
     needs them, so that each dt adds only what depends on it.  With no
-    steps the run starts from a0 and has no kernel.  A mesh too large to
-    stack starts from a0's real modes and steps by the propagator of its
-    Fourier modes.  Otherwise it starts from a0's reduced vector and steps
-    by the system of L and R, unfactored: a stack factors its members' L as
-    one (_advance_stack).  A mesh too large to stack whose symbol L(0)
+    steps the run starts from a0 and has no kernel.  A run that steps by
+    its Fourier modes (_steps_by_modes) starts from a0's real modes and
+    steps by their propagator.  Otherwise it starts from a0's reduced
+    vector and steps by the system of L and R, unfactored: a stack factors
+    its members' L as one (_advance_stack).  A modal run whose symbol L(0)
     rounds to singular (_propagator) gets its system too, and steps alone
     through the banded LU of L.
     """
     a = shared.initial
     if cfg.n_steps == 0:
         return a.copy(), None
-    if 6 * cfg.n_elements > _STACK_UNKNOWNS:
+    if _steps_by_modes(cfg):
         try:
             propagator = _propagator(shared, cfg.dt)
         except np.linalg.LinAlgError:
@@ -391,17 +401,17 @@ def _prepare(shared, cfg):
 def run(spec, cfg):
     """Run the whole pipeline and return the final state: its 6N + 2 coefficients.
 
-    Meshes with 6N <= 1024 unknowns factor L once and advance the reduced
-    6N-vector through its banded LU, without scattering it per step, so
-    million-step runs stay flat in memory; a loop of step() reproduces the
-    final state, and the levels before it, bitwise.
-    Larger ones step by their Fourier modes: M steps cost one batched
-    solve of the N + 1 real 6 x 6 symbols and log2(M) batched products
-    (Table 4's N = 1000 row, M = 1000, takes 4 to 7 ms on a shared 2-vCPU
-    x86_64 host).  These agree with a loop of step() to within the banded solve's
-    forward error.  Where alpha**2 dt / h**2 is so large (above about 1e17)
-    that L(0) rounds to singular, a larger mesh steps through the banded
-    LU of L instead, as a small one does.
+    Below the stacking line (_steps_by_modes) a run factors L once and
+    advances the reduced 6N-vector through its banded LU, without
+    scattering it per step, so million-step runs stay flat in memory; a
+    loop of step() reproduces the final state, and the levels before it,
+    bitwise.  Above it a run steps by its Fourier modes: M steps cost one
+    batched solve of the N + 1 real 6 x 6 symbols and log2(M) batched
+    products (Table 4's N = 1000 row, M = 1000, takes 4 to 7 ms on a shared
+    2-vCPU x86_64 host).  These agree with a loop of step() to within the
+    banded solve's forward error.  Where alpha**2 dt / h**2 is so large
+    (above about 1e17) that L(0) rounds to singular, such a mesh steps
+    through the banded LU of L instead.
 
     run is run_batch of one configuration, and raises the exception that
     its result holds.
@@ -416,16 +426,22 @@ def _plan_stacks(configs):
     """(index, config) pairs of configs grouped into stacks that step as one.
 
     Members of a stack share their step count and hold at most
-    _STACK_UNKNOWNS unknowns (6N each) together; a larger member stacks
-    alone.  Members keep input order, and so do stacks whose first
-    members have the same mesh and rule, but those stacks run one after
-    another, in the order their mesh and rule first appear: a batch then
-    holds the shared data of one mesh and rule at a time (run_batch).
+    _STACK_UNKNOWNS unknowns (6N each) together.  A member that steps by
+    its Fourier modes (_steps_by_modes) stacks alone, and does not close
+    the open stack of its step count.  Members keep input order, and so do
+    stacks whose first members have the same mesh and rule, but those
+    stacks run one after another, in the order their mesh and rule first
+    appear: a batch then holds the shared data of one mesh and rule at a
+    time (run_batch).
     """
     stacks = []
     filling = {}  # n_steps -> (members, unknowns) of the stack still open
     first = {}  # _key -> index of its first config
     for index, cfg in enumerate(configs):
+        first.setdefault(_key(cfg), index)
+        if _steps_by_modes(cfg):
+            stacks.append([(index, cfg)])
+            continue
         size = 6 * cfg.n_elements
         members, unknowns = filling.get(cfg.n_steps, (None, 0))
         if members is None or unknowns + size > _STACK_UNKNOWNS:
@@ -433,18 +449,18 @@ def _plan_stacks(configs):
             stacks.append(members)
         members.append((index, cfg))
         filling[cfg.n_steps] = (members, unknowns + size)
-        first.setdefault(_key(cfg), index)
     return sorted(stacks, key=lambda members: first[_key(members[0][1])])
 
 
 def _run_stack(spec, shared, last, members):
     """(index, result) of each (index, config) in members, which share a step count.
 
-    The banded members step as one block-diagonal system, and a mesh too
-    large to stack steps by its Fourier modes, _power then _state (or,
-    where its symbol is singular, banded and alone).  A member whose
+    The banded members step as one block-diagonal system, and a member that
+    steps by its Fourier modes, alone in its stack, by _power then _state
+    (or, where its symbol is singular, banded).  A member whose
     preparation or modal stepping raises gets that exception as its
-    result, and one whose final state is not finite a ValueError.
+    result, without its traceback, whose frames would keep the member's
+    arrays alive, and one whose final state is not finite a ValueError.
 
     shared holds the batch's _Shared by _key, and last the index of each
     key's last member in plan order.  A member builds its _Shared if it is
@@ -464,7 +480,7 @@ def _run_stack(spec, shared, last, members):
                 _power(kernel, start, n_steps)
                 start, kernel = _state(start), None
         except Exception as exc:  # reported per member; the others still run
-            results[index] = exc
+            results[index] = exc.with_traceback(None)
             continue
         if kernel is None:
             results[index] = start
@@ -483,9 +499,9 @@ def _advance_stack(stack, n_steps):
 
     The members' L are stacked and factored once, and their R stacked, by
     linalg.block_diagonal.  Where that factorization raises, a stack of one
-    member gets the exception as its result.  Where a state overflows,
-    dgbmv's 0 * inf in the band slots between the blocks makes NaN of its
-    neighbours too.  So a stack of several members whose factorization
+    member gets the exception, without its traceback, as its result.  Where
+    a state overflows, dgbmv's 0 * inf in the band slots between the blocks
+    makes NaN of its neighbours too.  So a stack of several members whose factorization
     raises or whose state ends not finite steps each member again alone.
     """
     indices, systems, xs = zip(*stack)
@@ -493,7 +509,7 @@ def _advance_stack(stack, n_steps):
         factors = band_lu_factor(block_diagonal([system.left for system in systems]))
     except Exception as exc:  # reported per member, as its own factorization raises it
         if len(stack) == 1:
-            return [(indices[0], exc)]
+            return [(indices[0], exc.with_traceback(None))]
     else:
         right = block_diagonal([system.right for system in systems])
         x = _advance(right, factors, np.concatenate(xs), n_steps)
@@ -589,14 +605,15 @@ def run_batch(spec, configs):
     """Run every configuration on one problem, yielding (index, result).
 
     index points into configs; result is the final state, bitwise equal to
-    run(spec, configs[index]), or the exception that its run raised, and
-    the other configurations still run.  Configurations with the same step
-    count are stacked into one block-diagonal banded system of at most 1024
-    unknowns, factored once, which steps faster than separate loops on
-    small meshes; a larger mesh runs alone, as in run().  A stack of
-    several members with at least _FORK_WORK unknowns times steps is split
-    across the CPUs the process may use, all groups but one stepping in
-    forked children (_advance_banded); its results are bitwise the same,
+    run(spec, configs[index]), or the exception that its run raised,
+    without its traceback, and the other configurations still run.  Below
+    the stacking line (_steps_by_modes), configurations with the same step
+    count are stacked into block-diagonal banded systems of bounded size
+    (_plan_stacks), each factored once, which step faster than separate
+    loops on small meshes; one above it runs alone, as in run().  A stack
+    of several members with at least _FORK_WORK unknowns times steps is
+    split across the CPUs the process may use, all groups but one stepping
+    in forked children (_advance_banded); its results are bitwise the same,
     and no child process outlives the call.
     A stack whose factorization raises, or whose state is not finite at the
     end, steps its members again one by one, so a member that overflows

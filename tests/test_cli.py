@@ -88,7 +88,8 @@ def test_solve_reports_nan_pivots(n, t_final, capsys):
 
 def test_solve_steps_a_stiff_mesh_above_the_stacking_line(capsys):
     """At alpha = 1e10, N = 171's symbol L(0) rounds to singular, though L
-    is not; the mesh then steps through the banded LU of L, as N = 170 does."""
+    is not; the mesh then steps through the banded LU of L, as a mesh below
+    the stacking line does."""
     assert main(["solve", "--n", "171", "--dt", "0.01", "--t-final", "0.01", "--alpha", "1e10"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -110,6 +111,34 @@ def test_convergence_rejects_sweeps_beyond_the_float_range(dt, count, code, mess
         returned = exc.code
     assert returned == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["solve", "--n", "4", "--dt", "5e-324", "--t-final", "5e-324"], 2, "--dt"),
+        (["convergence", "--sweep", "dt", "--n", "4", "--dt", "1e-308", "--count", "3",
+          "--t-final", "1e-308"], 2, "--count"),
+        (["solve", "--n", "4", "--dt", "5e-324", "--t-final", "1"], 1, "step count"),
+    ],
+    ids=["solve", "convergence", "step_count"],
+)
+def test_a_dt_whose_reciprocal_overflows_is_refused_without_a_warning(argv, code, message, capsys):
+    """1 / dt overflows at dt = 5e-324, and at 1e-308 / 4, the last dt of
+    the sweep, while t_final / dt does not: each flag is refused before any
+    work, with exit 2.  Where t_final / dt overflows too, the step count is
+    reported, with exit 1.  Each prints one error: line, and numpy never
+    warns of the overflow in H / dt (the suite turns a RuntimeWarning into
+    an error)."""
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        returned = exc.code
+    assert returned == code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert captured.out == "" and "Warning" not in captured.err
 
 
 def test_solve_reports_non_integral_step_count():

@@ -52,16 +52,19 @@ def test_import_leaves_scipy_linalg_and_numpy_f2py_unloaded():
 
 
 def test_numpy_fft_loads_only_above_the_stacking_line():
-    """N = 170 (1020 unknowns) steps banded and leaves numpy.fft unloaded;
-    N = 171 (1026) steps by its Fourier modes and loads it."""
+    """The largest N whose run steps banded (solver._steps_by_modes) leaves
+    numpy.fft unloaded; the next N steps by its Fourier modes and loads it."""
     code = """
 import sys
 from hermite_heat import RunConfig, control_problem, legendre_rule, run
-for n in (170, 171):
-    run(control_problem(), RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre_rule()))
-    print(n, "numpy.fft" in sys.modules)
+from hermite_heat.solver import _steps_by_modes
+configs = [RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre_rule()) for n in range(1, 1001)]
+line = next(index for index, cfg in enumerate(configs) if _steps_by_modes(cfg))
+for cfg in configs[line - 1 : line + 1]:
+    run(control_problem(), cfg)
+    print(_steps_by_modes(cfg), "numpy.fft" in sys.modules)
 """
-    assert run_python(code) == ["170 False", "171 True"]
+    assert run_python(code) == ["False False", "True True"]
 
 
 def test_a_later_scipy_linalg_import_reuses_the_loaded_wrappers():

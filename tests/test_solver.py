@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -92,16 +93,28 @@ def test_run_config_rejects_bad_parameters(legendre):
             RunConfig(dt=0.1, t_final=bad, n_elements=4, rule=legendre)
 
 
+def test_run_config_rejects_a_dt_whose_reciprocal_overflows(legendre):
+    """1 / dt overflows below about 5.6e-309, and so would the mass block
+    H / dt: dt = 5e-324 and 1e-310 are refused, as a Python float and as a
+    numpy float, whose division would warn; 1e-308 is accepted."""
+    for dt in (5e-324, 1e-310):
+        for value in (dt, np.float64(dt)):
+            with pytest.raises(ValueError, match="1 / dt overflows"):
+                RunConfig(dt=value, t_final=value, n_elements=4, rule=legendre)
+    assert RunConfig(dt=1e-308, t_final=1e-308, n_elements=4, rule=legendre).n_steps == 1
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     dt=st.one_of(st.floats(), st.integers(1, 10**7).map(lambda m: 1.0 / m)),
     t_final=st.sampled_from([1e-12, 0.1, 1.0, 3.0]),
 )
 def test_run_config_accepts_exactly_finite_positive_integral_steps(dt, t_final, legendre):
-    """Accepted: finite dt > 0 with t_final / dt within 1e-9 of a whole number >= 1."""
+    """Accepted: finite dt > 0 with a finite reciprocal and t_final / dt
+    within 1e-9 of a whole number >= 1."""
     ratio = t_final / dt if math.isfinite(dt) and dt > 0.0 else math.nan
     steps = round(ratio) if math.isfinite(ratio) else 0
-    valid = steps >= 1 and abs(ratio - steps) <= 1e-9 * max(1.0, ratio)
+    valid = steps >= 1 and abs(ratio - steps) <= 1e-9 * max(1.0, ratio) and math.isfinite(1.0 / dt)
     try:
         cfg = RunConfig(dt=dt, t_final=t_final, n_elements=4, rule=legendre)
     except ValueError:  # NonIntegralStepCount included
@@ -256,12 +269,13 @@ def complex_symbols(block, thetas):
     return symbols
 
 
-def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True):
-    """The state after n_steps exact Crank-Nicolson steps of the control problem, without FFT.
+def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1):
+    """The state after n_steps exact Crank-Nicolson steps of sin(k pi x), without FFT.
 
-    sin(pi x) on [0, 1] (alpha = 1) holds the one Fourier mode theta = pi /
-    N: its element states are Im(e^{i theta k} c) for one complex 6-vector
-    c, which solves H(theta) c = e^{i pi h xi} at the collocation points xi.
+    sin(k pi x) on [0, 1] (alpha = 1; k = 1 is the control problem) holds
+    the one Fourier mode theta = k pi / N, 0 < k < N: its element states
+    are Im(e^{i theta j} c), j the element, for one complex 6-vector c,
+    which solves H(theta) c = e^{i k pi h xi} at the collocation points xi.
     Each step multiplies c by I + E(theta), E = L(theta)^-1 D(theta),
     powered in delta form, F <- 2F + F^2.  With real set, all of it is
     computed in the odd extension's real coordinates (real_coordinates: c =
@@ -281,15 +295,15 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True):
     """
     h = 1.0 / n_elements
     table = build_basis_table(rule, h)
-    theta = math.pi / n_elements
+    theta = k * math.pi / n_elements
     p_inverse, q = (maps[0] for maps in real_coordinates([theta]))
 
     def symbol(block):
         symbol = complex_symbols(block, [theta])[0]
         return (p_inverse @ symbol @ q).real if real else symbol
 
-    collocated = np.exp(1j * math.pi * h * rule.points)
-    # P^-1 takes the collocated e^{i pi x} to an imaginary vector, as the extension is odd
+    collocated = np.exp(1j * (k * math.pi) * h * rule.points)
+    # P^-1 takes the collocated e^{i k pi x} to an imaginary vector, as the extension is odd
     x = np.linalg.solve(symbol(table.H), (p_inverse @ collocated).imag if real else collocated)
     left = element_blocks(table, 1.0, dt).left
     power = np.linalg.solve(symbol(left), symbol(table.B / h**2))
@@ -600,7 +614,7 @@ def test_every_table_row_meets_the_exact_crank_nicolson_reference(table_id, cont
         cfg = configs[index]
         mesh = build_mesh(control, cfg.n_elements)
         norms = error_norms(control, mesh, cfg.rule, state, cfg.t_final)
-        banded = 6 * cfg.n_elements <= solver._STACK_UNKNOWNS
+        banded = not solver._steps_by_modes(cfg)
         exact = exact_crank_nicolson(cfg.rule, cfg.n_elements, cfg.dt, cfg.n_steps, real=not banded)
         reference = error_norms(control, mesh, cfg.rule, exact, cfg.t_final)
         deviation = max(
@@ -659,6 +673,7 @@ def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
     with pytest.raises(np.linalg.LinAlgError):
         solver._propagator(solver._Shared(spec, 171, rule), 0.01)
     cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=171, rule=rule)
+    assert solver._steps_by_modes(cfg)
     final, looped = run(spec, cfg), banded_step_loop(spec, cfg)
     assert np.all(np.isfinite(final))
     assert final.tobytes() == looped.tobytes()
@@ -683,6 +698,38 @@ def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, 
     nodal = run(control, cfg)[0::6]
     expected = exact_crank_nicolson(rule, n_elements, dt, cfg.n_steps)[0::6]
     assert np.max(np.abs(nodal - expected)) <= 2e-11 * np.max(np.abs(expected))
+
+
+# Bounds on the deviation of each mode from exact Crank-Nicolson, by kernel
+# (banded, modal): 7.84e-13 and 3.19e-13 measured, both at k = 1 and M = 1.
+_MODE_BOUNDS = {False: 1.6e-12, True: 6.4e-13}
+
+
+@pytest.mark.parametrize("n_steps", [1, 10])
+@pytest.mark.parametrize("n_elements", [100, 200])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_every_fourier_mode_meets_exact_crank_nicolson(kind, n_elements, n_steps):
+    """sin(k pi x) for k = 1, 7, N/4, N/2 and N - 1, from the smoothest
+    mode to the stiffest, each run to T = 1 / (k pi)**2 (a decay of e**-1)
+    in n_steps steps, against exact_crank_nicolson of mode k.  The kernel
+    and the form of the reference come from solver._steps_by_modes: N = 100
+    steps banded, held to the complex form, and N = 200 by its Fourier
+    modes, held to the real one.  The metric is the largest deviation of
+    the values at the collocation points over the largest reference value;
+    the bounds are about twice the largest measured."""
+    rule = RULES[kind]()
+    for k in (1, 7, n_elements // 4, n_elements // 2, n_elements - 1):
+        t_final = 1.0 / (k * math.pi) ** 2
+        spec = ProblemSpec(0.0, 1.0, 1.0, lambda x, k=k: np.sin(k * np.pi * x))
+        cfg = RunConfig(dt=t_final / n_steps, t_final=t_final, n_elements=n_elements, rule=rule)
+        modal = solver._steps_by_modes(cfg)
+        assert modal == (n_elements == 200)
+        mesh = build_mesh(spec, n_elements)
+        x = collocation_abscissae(mesh, rule.points)
+        exact = exact_crank_nicolson(rule, n_elements, cfg.dt, n_steps, real=modal, k=k)
+        expected = evaluate(mesh, exact, x)
+        deviation = np.max(np.abs(evaluate(mesh, run(spec, cfg), x) - expected))
+        assert deviation <= _MODE_BOUNDS[modal] * np.max(np.abs(expected)), k
 
 
 def batch_matches_solo_runs(spec, configs):
@@ -823,6 +870,28 @@ def test_a_modal_member_s_errors_are_its_own(legendre, control, monkeypatch):
         assert outcomes[index].tobytes() == state.tobytes(), configs[index]
     with pytest.raises(MemoryError, match="N = 200"):
         run(control, configs[0])
+
+
+def test_a_failed_member_s_result_holds_none_of_its_arrays(legendre, control, monkeypatch):
+    """A member's exception is its result without its traceback, whose
+    frames would keep the member's arrays alive for as long as the caller
+    holds the result: the propagator of N = 1000, whose powering runs out
+    of memory, is freed while its MemoryError is still held.  run raises
+    that exception, of the same type and message."""
+    propagators = []
+
+    def power_out_of_memory(propagator, modes, n_steps):
+        propagators.append(weakref.ref(propagator))
+        raise MemoryError("no memory to power N = 1000")
+
+    monkeypatch.setattr(solver, "_power", power_out_of_memory)
+    cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=1000, rule=legendre)
+    ((_, result),) = run_batch(control, [cfg])
+    gc.collect()
+    assert isinstance(result, MemoryError) and result.__traceback__ is None
+    assert len(propagators) == 1 and propagators[0]() is None
+    with pytest.raises(MemoryError, match="^no memory to power N = 1000$"):
+        run(control, cfg)
 
 
 def test_run_batch_frees_shared_data_before_the_last_member_steps(control, monkeypatch):

@@ -11,7 +11,7 @@ checkouts print the same for every command when
 
 is empty.  The commands cover solve on both sides of the stacking line in
 both formats, a stiff mesh that steps banded, every reference table, both
-convergence sweeps and three error exits.  Standard library only.
+convergence sweeps and four error exits.  Standard library only.
 """
 
 import os
@@ -37,6 +37,7 @@ def commands():
     yield "error_overflow_n4", ["solve", "--n", "4", "--dt", "0.01", "--t-final", "1", "--alpha", "1e154"]
     yield "error_overflow_n200", ["solve", "--n", "200", *one_step, "--alpha", "1e154"]
     yield "error_step_count", ["solve", "--n", "4", "--dt", "0.3", "--t-final", "1"]
+    yield "error_tiny_dt", ["solve", "--n", "4", "--dt", "5e-324", "--t-final", "5e-324"]
 
 
 def main(argv):
