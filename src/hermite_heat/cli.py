@@ -224,7 +224,7 @@ def _validate(parser, args):
         if finest == 0.0:
             parser.error("--count halves --dt to 0 before the last row")
         if _reciprocal_overflows(finest, t_final):
-            parser.error("--count halves --dt past a finite reciprocal before the last row")
+            parser.error("--count halves --dt until 1 / dt overflows before the last row")
     # refused as _write would refuse it, but not opened, so an existing file stays as it was
     output = args.output
     missing = not (output and os.path.isdir(os.path.dirname(output) or "."))

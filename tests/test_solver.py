@@ -813,6 +813,18 @@ def test_run_batch_shares_each_mesh_and_rule_across_its_step_sizes(control):
     batch_matches_solo_runs(spec, configs)
 
 
+def test_a_modal_member_stacks_alone_and_closes_no_stack(legendre, control):
+    """With one step count, N = 4, 200 and 5 plan as {4, 5} and {200}: the
+    member that steps by its Fourier modes stacks alone, and the banded
+    members on either side of it share a stack.  Each result is still its
+    solo run's, bitwise."""
+    configs = [RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre) for n in (4, 200, 5)]
+    assert [solver._steps_by_modes(cfg) for cfg in configs] == [False, True, False]
+    plan = [[index for index, _ in members] for members in solver._plan_stacks(configs)]
+    assert plan == [[0, 2], [1]]
+    batch_matches_solo_runs(control, configs)
+
+
 def test_run_batch_reads_a_generator_of_configs(control):
     """configs may be a generator, which run_batch reads once: every member
     still runs, as it does from a list."""
