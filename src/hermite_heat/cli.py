@@ -1,9 +1,9 @@
 """Command line front end: single solves, table reproduction, sweeps.
 
 Exit codes: 0 on success, 1 on numerical failure (singular matrix,
-non-integral step count), 2 on invalid flags.  All numeric CSV output uses
-shortest round-trip formatting and LF line endings, so repeated runs with
-identical flags are byte-identical.
+non-integral step count, a solution that is not finite), 2 on invalid
+flags.  All numeric CSV output uses shortest round-trip formatting and LF
+line endings, so repeated runs with identical flags are byte-identical.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from .experiments import (
 )
 from .linalg import SingularMatrix
 from .problem import _sample, build_mesh, control_problem
-from .solver import NonIntegralStepCount, RunConfig, evaluate, run, run_batch
+from .solver import RunConfig, evaluate, run, run_batch
 
 
 def _fmt(value):
@@ -241,7 +241,7 @@ def main(argv=None):
     _validate(parser, args)
     try:
         return args.func(args)
-    except (SingularMatrix, NonIntegralStepCount) as exc:
+    except (SingularMatrix, ValueError) as exc:  # the step count, or a state not finite
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,10 @@ A member's state does not depend on its stack mates, so the results are
 bitwise those of the whole stack, and every child is reaped, or killed
 and reaped, before the call returns.
 
+One rule decides failures (run_batch): a member alone that fails anywhere
+gets the exception as its result, detached from its frames, and a stack
+of several that fails anywhere steps each member again alone.
+
 What depends only on the mesh and rule is computed once per run_batch
 call (_Shared): the initial state, and above the stacking line its real
 modes and the symbols of D = (alpha**2 / h**2) B.  Each step size then
@@ -452,15 +456,37 @@ def _plan_stacks(configs):
     return sorted(stacks, key=lambda members: first[_key(members[0][1])])
 
 
+def _finite(state, n_steps):
+    """state, or a ValueError raised where it is not finite after n_steps steps."""
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"the solution is not finite after step {n_steps}")
+    return state
+
+
+def _detached(exc):
+    """exc with no traceback on it or any exception it chains (__cause__,
+    __context__), whose frames would keep a failed member's arrays alive."""
+    chain, seen = [exc], set()
+    while chain:
+        link = chain.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            link.__traceback__ = None
+            chain += [link.__cause__, link.__context__]
+    return exc
+
+
+# an overflow leaves inf or NaN, which the factorization or _finite reports: no warning
+@np.errstate(over="ignore", invalid="ignore")
 def _run_stack(spec, shared, last, members):
     """(index, result) of each (index, config) in members, which share a step count.
 
     The banded members step as one block-diagonal system, and a member that
     steps by its Fourier modes, alone in its stack, by _power then _state
-    (or, where its symbol is singular, banded).  A member whose
-    preparation or modal stepping raises gets that exception as its
-    result, without its traceback, whose frames would keep the member's
-    arrays alive, and one whose final state is not finite a ValueError.
+    (or, where its symbol is singular, banded).  A member that fails
+    anywhere, from building its _Shared to a final state that is not
+    finite (a ValueError), gets the exception as its result, detached from
+    its frames (_detached); the others still run (_advance_stack).
 
     shared holds the batch's _Shared by _key, and last the index of each
     key's last member in plan order.  A member builds its _Shared if it is
@@ -479,18 +505,14 @@ def _run_stack(spec, shared, last, members):
             if isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
                 _power(kernel, start, n_steps)
                 start, kernel = _state(start), None
+            if kernel is None:
+                results[index] = _finite(start, n_steps)
+            else:
+                banded.append((index, kernel, start))
         except Exception as exc:  # reported per member; the others still run
-            results[index] = exc.with_traceback(None)
-            continue
-        if kernel is None:
-            results[index] = start
-        else:
-            banded.append((index, kernel, start))
+            results[index] = _detached(exc)
     if banded:
         results.update(_advance_banded(banded, n_steps))
-    for index, result in results.items():
-        if not isinstance(result, Exception) and not np.all(np.isfinite(result)):
-            results[index] = ValueError(f"the solution is not finite after step {n_steps}")
     return [(index, results[index]) for index, _ in members]
 
 
@@ -498,27 +520,25 @@ def _advance_stack(stack, n_steps):
     """(index, final state or exception) of each (index, system, x) in stack.
 
     The members' L are stacked and factored once, and their R stacked, by
-    linalg.block_diagonal.  Where that factorization raises, a stack of one
-    member gets the exception, without its traceback, as its result.  Where
-    a state overflows, dgbmv's 0 * inf in the band slots between the blocks
-    makes NaN of its neighbours too.  So a stack of several members whose factorization
-    raises or whose state ends not finite steps each member again alone.
+    linalg.block_diagonal.  A stack of one member that fails anywhere, from
+    its factorization to a state that is not finite, gets the exception
+    as its result.  A stack of several that fails steps each member again
+    alone: where a state overflows, dgbmv's 0 * inf in the band slots
+    between the blocks makes NaN of its neighbours too.
     """
     indices, systems, xs = zip(*stack)
     try:
         factors = band_lu_factor(block_diagonal([system.left for system in systems]))
-    except Exception as exc:  # reported per member, as its own factorization raises it
-        if len(stack) == 1:
-            return [(indices[0], exc.with_traceback(None))]
-    else:
         right = block_diagonal([system.right for system in systems])
-        x = _advance(right, factors, np.concatenate(xs), n_steps)
-        if len(stack) == 1 or np.all(np.isfinite(x)):
-            parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
-            return [
-                (index, _coefficients(system.reduced_to_full, part))
-                for index, system, part in zip(indices, systems, parts)
-            ]
+        x = _finite(_advance(right, factors, np.concatenate(xs), n_steps), n_steps)
+        parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
+        return [
+            (index, _coefficients(system.reduced_to_full, part))
+            for index, system, part in zip(indices, systems, parts)
+        ]
+    except Exception as exc:  # reported per member, as its solo run raises it
+        if len(stack) == 1:
+            return [(indices[0], _detached(exc))]
     return [pair for member in stack for pair in _advance_stack([member], n_steps)]
 
 
@@ -605,19 +625,22 @@ def run_batch(spec, configs):
     """Run every configuration on one problem, yielding (index, result).
 
     index points into configs; result is the final state, bitwise equal to
-    run(spec, configs[index]), or the exception that its run raised,
-    without its traceback, and the other configurations still run.  Below
-    the stacking line (_steps_by_modes), configurations with the same step
-    count are stacked into block-diagonal banded systems of bounded size
-    (_plan_stacks), each factored once, which step faster than separate
-    loops on small meshes; one above it runs alone, as in run().  A stack
-    of several members with at least _FORK_WORK unknowns times steps is
-    split across the CPUs the process may use, all groups but one stepping
-    in forked children (_advance_banded); its results are bitwise the same,
-    and no child process outlives the call.
-    A stack whose factorization raises, or whose state is not finite at the
-    end, steps its members again one by one, so a member that overflows
-    gets a ValueError without changing the results of its stack mates.
+    run(spec, configs[index]), or the exception that its run raises, and
+    the other configurations still run.  Below the stacking line
+    (_steps_by_modes), configurations with the same step count are stacked
+    into block-diagonal banded systems of bounded size (_plan_stacks), each
+    factored once, which step faster than separate loops on small meshes;
+    one above it runs alone, as in run().  A stack of several members with
+    at least _FORK_WORK unknowns times steps is split across the CPUs the
+    process may use, all groups but one stepping in forked children
+    (_advance_banded); its results are bitwise the same, and no child
+    process outlives the call.
+    A member alone that fails anywhere, from its shared data to a final
+    state that is not finite (a ValueError), gets the exception as its
+    result, holding no traceback (_detached).  A stack of several that
+    fails anywhere steps each member again alone, so an overflowing member
+    leaves its stack mates' results as they were, and a forked child that
+    fails hands its group back to the parent.
     Members with the same mesh and rule share what does not depend on dt
     (_Shared): the mesh, the initial state, and above the stacking line its
     real modes and D's symbols.  Each is built once, for the first member

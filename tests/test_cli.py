@@ -141,6 +141,33 @@ def test_a_dt_whose_reciprocal_overflows_is_refused_without_a_warning(argv, code
     assert captured.out == "" and "Warning" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "n, t_final, alpha, code, message",
+    [
+        ("1", "0.005", "1e154", 1, "not finite after step 1"),  # inf in L and R, not in a pivot
+        ("16", "0.005", "1e153", 1, "singular"),  # alpha**2 / h**2 finite, times B not
+        ("1", "0", "1e154", 0, None),  # alpha**2 pi**2 overflows in the exact solution
+    ],
+)
+def test_an_alpha_whose_scheme_overflows_is_reported_without_a_warning(
+    n, t_final, alpha, code, message, capsys
+):
+    """Below the largest alpha with a finite square, alpha**2 / h**2 times
+    B, or alpha**2 pi**2, can still overflow.  A scheme that holds inf is
+    reported with exit 1 and one error: line, no traceback (the state that
+    is not finite) and no warning (the product); a run with no steps
+    prints its initial state, whose exact solution is sin(pi x), not NaN."""
+    argv = ["solve", "--n", n, "--dt", "0.005", "--t-final", t_final, "--alpha", alpha]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.err == "" and "nan" not in captured.out
+        assert footer_value(captured.out, "l2") < 1e-14
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_solve_reports_non_integral_step_count():
     result = run_cli("solve", "--n", "4", "--dt", "0.3", "--t-final", "1")
     assert result.returncode == 1

@@ -100,6 +100,18 @@ def test_control_problem_exact_values():
     assert abs(prob.initial_condition(1.0)) < 1e-15
 
 
+def test_control_problem_decays_where_alpha_squared_pi_squared_overflows():
+    """At alpha = 1e154, alpha**2 is finite but alpha**2 pi**2 is not.  At t
+    = 0 the exact solution is sin(pi x), not inf * 0 = NaN, and at t =
+    1e-308 it decays by exp(-alpha**2 pi**2 t) = exp(-pi**2), not to 0."""
+    x = np.array([0.25, 0.5])
+    exact = control_problem(1e154).exact_solution
+    assert exact(x, 0.0).tobytes() == np.sin(np.pi * x).tobytes()
+    expected = np.sin(np.pi * x) * math.exp(-(math.pi**2))
+    assert exact(x, 1e-308) == pytest.approx(expected, rel=1e-12)
+    assert np.all(exact(x, 1.0) == 0.0)
+
+
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 @pytest.mark.parametrize("n_elements", [5, 40, 1000])
 def test_control_problem_array_calls_equal_scalar_calls_bitwise(n_elements, kind):

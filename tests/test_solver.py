@@ -269,10 +269,10 @@ def complex_symbols(block, thetas):
     return symbols
 
 
-def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1):
+def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1, alpha=1.0):
     """The state after n_steps exact Crank-Nicolson steps of sin(k pi x), without FFT.
 
-    sin(k pi x) on [0, 1] (alpha = 1; k = 1 is the control problem) holds
+    sin(k pi x) on [0, 1] (k = 1 and alpha = 1 is the control problem) holds
     the one Fourier mode theta = k pi / N, 0 < k < N: its element states
     are Im(e^{i theta j} c), j the element, for one complex 6-vector c,
     which solves H(theta) c = e^{i k pi h xi} at the collocation points xi.
@@ -305,8 +305,8 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1):
     collocated = np.exp(1j * (k * math.pi) * h * rule.points)
     # P^-1 takes the collocated e^{i k pi x} to an imaginary vector, as the extension is odd
     x = np.linalg.solve(symbol(table.H), (p_inverse @ collocated).imag if real else collocated)
-    left = element_blocks(table, 1.0, dt).left
-    power = np.linalg.solve(symbol(left), symbol(table.B / h**2))
+    left = element_blocks(table, alpha, dt).left
+    power = np.linalg.solve(symbol(left), symbol(alpha**2 * table.B / h**2))
     while True:
         if n_steps & 1:
             x = x + power @ x
@@ -700,36 +700,62 @@ def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, 
     assert np.max(np.abs(nodal - expected)) <= 2e-11 * np.max(np.abs(expected))
 
 
-# Bounds on the deviation of each mode from exact Crank-Nicolson, by kernel
-# (banded, modal): 7.84e-13 and 3.19e-13 measured, both at k = 1 and M = 1.
-_MODE_BOUNDS = {False: 1.6e-12, True: 6.4e-13}
+def mode_deviation(rule, n_elements, k, dt, n_steps, alpha=1.0):
+    """The run of sin(k pi x) against exact_crank_nicolson of mode k: the
+    largest deviation of the values at the collocation points over the
+    largest reference value, and that value.  The kernel and the form of
+    the reference come from solver._steps_by_modes, returned third."""
+    spec = ProblemSpec(0.0, 1.0, alpha, lambda x: np.sin(k * np.pi * x))
+    cfg = RunConfig(dt=dt, t_final=n_steps * dt, n_elements=n_elements, rule=rule)
+    assert cfg.n_steps == n_steps
+    modal = solver._steps_by_modes(cfg)
+    mesh = build_mesh(spec, n_elements)
+    x = collocation_abscissae(mesh, rule.points)
+    exact = exact_crank_nicolson(rule, n_elements, dt, n_steps, real=modal, k=k, alpha=alpha)
+    expected = evaluate(mesh, exact, x)
+    largest = np.max(np.abs(expected))
+    return np.max(np.abs(evaluate(mesh, run(spec, cfg), x) - expected)) / largest, largest, modal
+
+
+# Bounds on the deviation of each mode from exact Crank-Nicolson, by mesh:
+# N = 100 steps banded, N = 200 and 1000 by their Fourier modes.  Measured
+# 7.84e-13, 3.19e-13 and 7.93e-12, each at k = 1 and M = 1 (Legendre).
+_MODE_BOUNDS = {100: 1.6e-12, 200: 6.4e-13, 1000: 1.6e-11}
 
 
 @pytest.mark.parametrize("n_steps", [1, 10])
-@pytest.mark.parametrize("n_elements", [100, 200])
+@pytest.mark.parametrize("n_elements", [100, 200, 1000])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_every_fourier_mode_meets_exact_crank_nicolson(kind, n_elements, n_steps):
     """sin(k pi x) for k = 1, 7, N/4, N/2 and N - 1, from the smoothest
     mode to the stiffest, each run to T = 1 / (k pi)**2 (a decay of e**-1)
-    in n_steps steps, against exact_crank_nicolson of mode k.  The kernel
-    and the form of the reference come from solver._steps_by_modes: N = 100
-    steps banded, held to the complex form, and N = 200 by its Fourier
-    modes, held to the real one.  The metric is the largest deviation of
-    the values at the collocation points over the largest reference value;
-    the bounds are about twice the largest measured."""
+    in n_steps steps, against exact_crank_nicolson of mode k (mode_deviation):
+    N = 100 steps banded, held to the complex form, and N = 200 and 1000
+    by their Fourier modes, held to the real one.  The bounds are about
+    twice the largest deviation measured."""
     rule = RULES[kind]()
     for k in (1, 7, n_elements // 4, n_elements // 2, n_elements - 1):
         t_final = 1.0 / (k * math.pi) ** 2
-        spec = ProblemSpec(0.0, 1.0, 1.0, lambda x, k=k: np.sin(k * np.pi * x))
-        cfg = RunConfig(dt=t_final / n_steps, t_final=t_final, n_elements=n_elements, rule=rule)
-        modal = solver._steps_by_modes(cfg)
-        assert modal == (n_elements == 200)
-        mesh = build_mesh(spec, n_elements)
-        x = collocation_abscissae(mesh, rule.points)
-        exact = exact_crank_nicolson(rule, n_elements, cfg.dt, n_steps, real=modal, k=k)
-        expected = evaluate(mesh, exact, x)
-        deviation = np.max(np.abs(evaluate(mesh, run(spec, cfg), x) - expected))
-        assert deviation <= _MODE_BOUNDS[modal] * np.max(np.abs(expected)), k
+        deviation, _, modal = mode_deviation(rule, n_elements, k, t_final / n_steps, n_steps)
+        assert modal == (n_elements > 100)
+        assert deviation <= _MODE_BOUNDS[n_elements], k
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_stiff_fourier_modes_meet_exact_crank_nicolson(kind):
+    """alpha = 1e4 at N = 200 with dt = 0.01 (alpha**2 dt / h**2 = 4e10):
+    modes k = 1 and 7 are stiff, their Crank-Nicolson factor near -1, so
+    after M = 1000 steps each keeps almost all of its amplitude.  The
+    deviation grows about linearly in M, as the kernel's and the
+    reference's I + E differ in the last digits: measured 1.04e-9
+    (Legendre) and 8.96e-10 (Chebyshev) at k = 1, 1.4e-11 at k = 7."""
+    rule = RULES[kind]()
+    alpha, n_elements, dt = 1e4, 200, 0.01
+    assert alpha**2 * dt * n_elements**2 >= 1e6
+    for k, bound in [(1, 2.1e-9), (7, 3e-11)]:
+        deviation, largest, modal = mode_deviation(rule, n_elements, k, dt, 1000, alpha)
+        assert modal and largest >= 1e-2
+        assert deviation <= bound, k
 
 
 def batch_matches_solo_runs(spec, configs):
@@ -906,6 +932,41 @@ def test_a_failed_member_s_result_holds_none_of_its_arrays(legendre, control, mo
         run(control, cfg)
 
 
+def test_a_chained_exception_holds_no_frames(legendre, control):
+    """An initial condition that refuses arrays of more than two abscissae
+    passes ProblemSpec's check of the two ends, then fails on the 600
+    collocation points of N = 100: the member's ValueError chains the
+    TypeError as its __cause__.  Every exception reachable from the result
+    through __cause__ and __context__ comes without its traceback, so the
+    abscissae that the user's function was given are freed while the
+    caller holds the result; run raises the same ValueError."""
+    given = []
+
+    def scalars_only(x):
+        if np.size(x) > 2:
+            given.append(weakref.ref(x))
+            raise TypeError("takes at most two abscissae")
+        return np.sin(np.pi * x)
+
+    spec = ProblemSpec(0.0, 1.0, 1.0, scalars_only)
+    cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=100, rule=legendre)
+    ((_, result),) = run_batch(spec, [cfg])
+    gc.collect()
+    assert isinstance(result, ValueError) and isinstance(result.__cause__, TypeError)
+    chain, seen = [result], []
+    while chain:
+        link = chain.pop()
+        if link is not None and all(link is not other for other in seen):
+            seen.append(link)
+            assert link.__traceback__ is None, repr(link)
+            chain += [link.__cause__, link.__context__]
+    assert len(seen) >= 2
+    assert len(given) == 1 and given[0]() is None
+    with pytest.raises(ValueError) as solo:
+        run(spec, cfg)
+    assert str(solo.value) == str(result)
+
+
 def test_run_batch_frees_shared_data_before_the_last_member_steps(control, monkeypatch):
     """A batch holds the shared data (_Shared) of at most one mesh and rule
     at a time, and frees it once that mesh and rule's last member in plan
@@ -1011,6 +1072,43 @@ def test_a_stack_whose_factorization_raises_factors_each_member_alone(legendre, 
     assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "refused 18"
     assert np.array_equal(outcomes[0], solo[0])
     assert np.array_equal(outcomes[2], solo[1])
+
+
+def advance_refusing(n_steps, refused):
+    """solver._advance that raises MemoryError where it would take n_steps
+    steps on a reduced vector whose length is in refused (6N a member)."""
+    advance = solver._advance
+
+    def refusing(right, factors, x, steps):
+        if steps == n_steps and len(x) in refused:
+            raise MemoryError(f"no memory to step {len(x)} unknowns")
+        return advance(right, factors, x, steps)
+
+    return refusing
+
+
+def test_a_stack_whose_stepping_raises_steps_each_member_alone(legendre, control, monkeypatch):
+    """_advance runs out of memory at 20 steps on the stack of N = 8 and 5
+    (78 unknowns) and on N = 8 alone (48).  The stack then steps each
+    member alone: N = 8 gets the MemoryError that its solo run raises, and
+    its batch mates N = 5, N = 4 (10 steps) and N = 300 (Fourier modes)
+    equal their solo runs bitwise."""
+    configs = [
+        RunConfig(dt=0.01, t_final=t_final, n_elements=n, rule=legendre)
+        for n, t_final in [(4, 0.1), (8, 0.2), (5, 0.2), (300, 0.2)]
+    ]
+    plan = [[index for index, _ in members] for members in solver._plan_stacks(configs)]
+    assert plan == [[0], [1, 2], [3]]
+    solo = {index: run(control, configs[index]) for index in (0, 2, 3)}
+    monkeypatch.setattr(solver, "_advance", advance_refusing(20, {78, 48}))
+    outcomes = dict(run_batch(control, configs))
+    assert sorted(outcomes) == [0, 1, 2, 3]
+    assert isinstance(outcomes[1], MemoryError) and outcomes[1].__traceback__ is None
+    with pytest.raises(MemoryError) as raised:
+        run(control, configs[1])
+    assert str(outcomes[1]) == str(raised.value) == "no memory to step 48 unknowns"
+    for index, state in solo.items():
+        assert outcomes[index].tobytes() == state.tobytes(), configs[index]
 
 
 def fork_every_stack(monkeypatch):
@@ -1120,6 +1218,29 @@ def test_a_factorization_refused_in_a_child_reaches_the_parent(legendre, control
     assert outcomes[3].pivot_index == solo.value.pivot_index == 31
     for index in range(3):
         assert np.array_equal(outcomes[index], run(control, configs[index]))
+    assert_no_child_process()
+
+
+def test_a_stepping_error_in_a_child_reaches_the_parent(legendre, control, monkeypatch):
+    """_advance runs out of memory at 20 steps on N = 6, alone (36
+    unknowns) or in the child's stack with N = 2 (48).  The child steps
+    each member of its group alone and sends N = 6's MemoryError, the one
+    its solo run raises, to the parent; every other member equals its solo
+    run bitwise, and no child is left."""
+    sizes = (2, 3, 4, 6)
+    assert split_groups(sizes) == [[0, 3], [1, 2]]
+    configs = [RunConfig(dt=0.01, t_final=0.2, n_elements=n, rule=legendre) for n in sizes]
+    solo = {index: run(control, configs[index]) for index in range(3)}
+    monkeypatch.setattr(solver, "_advance", advance_refusing(20, {36, 48}))
+    forks = fork_every_stack(monkeypatch)
+    outcomes = dict(run_batch(control, configs))
+    assert len(forks) == 1
+    assert type(outcomes[3]) is MemoryError
+    with pytest.raises(MemoryError) as raised:
+        run(control, configs[3])
+    assert str(outcomes[3]) == str(raised.value) == "no memory to step 36 unknowns"
+    for index, state in solo.items():
+        assert outcomes[index].tobytes() == state.tobytes(), configs[index]
     assert_no_child_process()
 
 
