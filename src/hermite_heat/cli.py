@@ -1,9 +1,19 @@
 """Command line front end: single solves, table reproduction, sweeps.
 
-Exit codes: 0 on success, 1 on numerical failure (singular matrix,
-non-integral step count, a solution that is not finite), 2 on invalid
-flags.  All numeric CSV output uses shortest round-trip formatting and LF
-line endings, so repeated runs with identical flags are byte-identical.
+Each command computes and returns its output lines, or raises; it neither
+writes nor exits.  main alone writes the lines, to stdout or --output, and
+turns every failure into one error: line and its exit code:
+- 0 on success;
+- 1 on a failed computation: a singular matrix, a step count that is not a
+  whole number, a state that is not finite (SingularMatrix, ValueError),
+  arrays that cannot be allocated (MemoryError), or a table row that holds
+  an error;
+- 2 on an invalid flag, which argparse reports, and on an --output that
+  the system refuses, before any work where it can tell without opening
+  the path, otherwise when the lines are written.
+Nothing reaches stdout or --output on a failure.  All numeric CSV output
+uses shortest round-trip formatting and LF line endings, so repeated runs
+with identical flags are byte-identical.
 """
 
 import argparse
@@ -31,19 +41,7 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write(path, text):
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:  # an invalid flag: exit 2, as argparse does
-        print(f"error: cannot write --output: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
-def _solve_rows(args):
+def cmd_solve(args):
     problem = control_problem(alpha=args.alpha)
     rule = RULES[args.rule]()
     cfg = RunConfig(dt=args.dt, t_final=args.t_final, n_elements=args.n, rule=rule)
@@ -53,11 +51,6 @@ def _solve_rows(args):
     numeric = evaluate(mesh, a, mesh.nodes)
     rows = list(zip(mesh.nodes, numeric, exact, abs(exact - numeric)))
     l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
-    return rows, l2, linf
-
-
-def cmd_solve(args):
-    rows, l2, linf = _solve_rows(args)
     if args.format == "csv":
         lines = ["x,numeric,exact,abs_error"]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -75,13 +68,15 @@ def cmd_solve(args):
         lines += [f"{x:12.6f} {num:14.6e} {ex:14.6e} {err:12.4e}" for x, num, ex, err in rows]
         lines += [f"rule={args.rule} n={args.n} dt={args.dt} t_final={args.t_final}"]
         lines += [f"L2 = {l2:.4e}   Linf = {linf:.4e}"]
-    _write(args.output, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
 def cmd_table(args):
     rules = ("legendre", "chebyshev") if args.rule == "both" else (args.rule,)
     results = run_table(table_spec(args.id), rules=rules)
+    for r in results:
+        if r.error is not None:
+            raise ValueError(f"{r.rule_kind} N = {r.n_elements}, dt = {r.dt}: {r.error}")
     if args.format == "csv":
         lines = ["table,rule,N,dt,t_final,l2,linf,ref_value,ref_norm,rel_dev"]
         for r in results:
@@ -113,8 +108,7 @@ def cmd_table(args):
                 f"{r.rule_kind:>10} {r.n_elements:>5} {r.dt:>9} {r.t_final:>8} "
                 f"{r.l2:11.4e} {r.linf:11.4e} {ref:>11} {r.ref_norm or '-':>5} {dev:>9}"
             )
-    _write(args.output, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
 def cmd_convergence(args):
@@ -151,8 +145,7 @@ def cmd_convergence(args):
         for (param, l2, linf), order in zip(records, orders):
             tail = f"{order:9.3f}" if order is not None else f"{'-':>9}"
             lines.append(f"{param:>12} {l2:12.4e} {linf:12.4e} {tail}")
-    _write(args.output, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
 def _add_common(sub):
@@ -225,25 +218,59 @@ def _validate(parser, args):
             parser.error("--count halves --dt to 0 before the last row")
         if _reciprocal_overflows(finest, t_final):
             parser.error("--count halves --dt until 1 / dt overflows before the last row")
-    # refused as _write would refuse it, but not opened, so an existing file stays as it was
-    output = args.output
-    missing = not (output and os.path.isdir(os.path.dirname(output) or "."))
-    if output != "-" and (missing or os.path.isdir(output)):
-        code = errno.ENOENT if missing else errno.EISDIR
-        refused = OSError(code, os.strerror(code), output)
-        print(f"error: cannot write --output: {refused}", file=sys.stderr)
-        sys.exit(2)
+
+
+def _output_refusal(path):
+    """The OSError that writing --output path would raise, where the system
+    tells it without opening the path (so that an existing file keeps its
+    bytes), or None: a directory that cannot be searched or is no directory
+    (the system's errno), a directory or a name ending in a separator, a
+    name longer than the directory's file system allows, or the empty
+    path."""
+    if path == "-":
+        return None
+    directory, name = os.path.split(path.rstrip(os.sep) or path)
+    directory = directory or "."
+    try:
+        os.stat(os.path.join(directory, ""))  # the trailing separator: ENOTDIR for a file
+        if path.endswith(os.sep) or os.path.isdir(path):
+            code = errno.EISDIR
+        elif len(os.fsencode(name)) > os.pathconf(directory, "PC_NAME_MAX"):
+            code = errno.ENAMETOOLONG
+        elif not name:  # the empty path
+            code = errno.ENOENT
+        else:
+            return None
+    except OSError as exc:
+        code = exc.errno
+    return OSError(code, os.strerror(code), path)
 
 
 def main(argv=None):
+    """Run one command line: return 0 or 1, or exit 2 (module docstring)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    try:
-        return args.func(args)
-    except (SingularMatrix, ValueError) as exc:  # the step count, or a state not finite
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    refused = _output_refusal(args.output)
+    if refused is None:
+        try:
+            lines = args.func(args)
+        except (SingularMatrix, ValueError, MemoryError) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 1
+        text = "\n".join(lines) + "\n"
+        if args.output == "-":
+            sys.stdout.write(text)
+            return 0
+        try:
+            with open(args.output, "w", newline="") as handle:
+                handle.write(text)
+            return 0
+        except OSError as exc:  # the write's only: the computation's is no --output error
+            refused = OSError(exc.errno, exc.strerror, args.output)  # named, as a failed close is not
+    # an --output that the system refuses is an invalid flag, as argparse's are
+    print(f"error: cannot write --output: {refused}", file=sys.stderr)
+    sys.exit(2)
 
 
 if __name__ == "__main__":

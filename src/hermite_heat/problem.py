@@ -29,7 +29,8 @@ class ProblemSpec:
     alpha is the thermal diffusivity (alpha**2 multiplies u_xx), and its
     square must be finite.  The initial condition must vanish at both ends;
     anything incompatible with the homogeneous Dirichlet conditions is
-    rejected at construction.
+    rejected at construction.  A bad number raises ValueError, and an end
+    or alpha that is no real number (a str, say) TypeError.
     exact_solution(x, t) is optional and only needed for error norms.
 
     Both callables take a float ndarray of abscissae x (and a float t) and
@@ -46,13 +47,14 @@ class ProblemSpec:
     exact_solution: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
+        x_left, x_right, alpha = map(_real, (self.x_left, self.x_right, self.alpha))
         # also NaN or inf for a NaN or infinite end, or on overflow (1e308 - -1e308)
-        if not math.isfinite(self.x_right - self.x_left):
+        if not math.isfinite(x_right - x_left):
             raise ValueError("x_left, x_right and the width between them must be finite")
-        if not self.x_right > self.x_left:
+        if not x_right > x_left:
             raise ValueError("x_right must exceed x_left")
         # alpha * alpha rather than alpha**2, which raises OverflowError
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha * self.alpha)):
+        if not (alpha > 0.0 and math.isfinite(alpha * alpha)):
             raise ValueError("alpha must be positive with a finite square")
         ends = (self.x_left, self.x_right)
         values = _sample("initial_condition", self.initial_condition, np.array(ends))
@@ -62,6 +64,19 @@ class ProblemSpec:
                 raise ValueError(
                     f"initial condition must vanish at the boundary, got f({x}) = {value}"
                 )
+
+
+def _real(value):
+    """value as a Python float, for the checks of an input: a float's
+    arithmetic does not warn where a numpy scalar's overflows, and an int
+    beyond the float range is infinite.  A non-number (a str, which float()
+    would parse, or None) raises TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _sample(name, fn, x, *args):
@@ -120,6 +135,7 @@ def control_problem(alpha=1.0):
     f(x) = sin(pi x), whose exact evolution is
     u(x, t) = sin(pi x) * exp(-alpha**2 pi**2 t).
     """
+    alpha = _real(alpha)  # a float, as a numpy scalar's alpha**2 pi**2 would warn
 
     def exact_solution(x, t):
         # alpha**2 pi**2 overflows from alpha of about 4.3e153, and inf * 0

@@ -51,7 +51,7 @@ from .assembly import assemble_crank_nicolson, assemble_initial_system, element_
 from .basis import CollocationRule, build_basis_table, hermite_values
 from .basis import hermite_first_derivs, hermite_second_derivs
 from .linalg import SingularMatrix, band_lu_factor, band_solve, block_diagonal
-from .problem import _check_element_count, build_mesh
+from .problem import _check_element_count, _real, build_mesh
 
 __all__ = [
     "NonIntegralStepCount",
@@ -90,7 +90,11 @@ class NonIntegralStepCount(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One solver configuration: step size, horizon, mesh and rule."""
+    """One solver configuration: step size, horizon, mesh and rule.
+
+    A bad value raises ValueError, and a dt or t_final that is no real
+    number (a str, say) TypeError.
+    """
 
     dt: float
     t_final: float
@@ -98,22 +102,23 @@ class RunConfig:
     rule: CollocationRule
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        dt, t_final = _real(self.dt), _real(self.t_final)  # floats, which do not warn
+        if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
+        if not (math.isfinite(t_final) and t_final >= 0.0):
             raise ValueError("t_final must be nonnegative and finite")
         _check_element_count(self.n_elements)
-        ratio = self.t_final / self.dt
+        ratio = t_final / dt
         tolerance = _STEP_COUNT_RTOL * max(1.0, ratio)
         if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= tolerance):
             raise NonIntegralStepCount(
                 f"t_final / dt = {ratio} is not an integer step count"
             )
-        if self.t_final > 0.0 and round(ratio) == 0:
+        if t_final > 0.0 and round(ratio) == 0:
             raise NonIntegralStepCount(
                 f"t_final / dt = {ratio} rounds to a step count of 0 for t_final > 0"
             )
-        if not math.isfinite(1.0 / float(self.dt)):  # a float, which does not warn
+        if not math.isfinite(1.0 / dt):
             raise ValueError(f"dt = {self.dt} is too small: 1 / dt overflows")
 
     @property

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -8,6 +9,15 @@ from scipy.linalg import lapack
 from hermite_heat import chebyshev_rule, control_problem, legendre_rule
 from hermite_heat.linalg import BandedMatrix
 from hermite_heat.solver import _advance
+
+
+# Floats at the edges of the float64 range and of a valid input: zeros,
+# subnormals, the smallest normal, huge values, the largest float, NaN, the
+# infinities and a negative number; the property tests draw from these.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e150, 1e154,
+    1e300, 1.7976931348623157e308, math.nan, math.inf, -math.inf, -1.0,
+]
 
 
 def dense(m):

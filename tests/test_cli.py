@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import pytest
 
 import hermite_heat
 from hermite_heat.cli import build_parser, main
+from hermite_heat.experiments import TableResult
 from hermite_heat.linalg import SingularMatrix
 
 # the tree that holds the package under test, first on the child's path
@@ -196,21 +199,36 @@ def test_output_that_cannot_be_opened_is_an_invalid_flag(tmp_path):
 
 
 def test_output_that_cannot_be_opened_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
-    """A missing directory, a directory or an empty path as --output exits
-    2 before the table runs.  The check does not open the path, so an existing file
-    keeps its bytes when the run then fails."""
+    """A missing directory, a directory, an empty path, a name longer than
+    the file system allows, a path under a regular file and a name ending
+    in a separator as --output exit 2 before the table runs, with the
+    system's own message.  The check does
+    not open the path, so an existing file keeps its bytes when the run
+    then fails."""
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("run_table called for an --output that cannot be written")
 
     monkeypatch.setattr("hermite_heat.cli.run_table", must_not_run)
-    for target in (tmp_path / "missing" / "x", tmp_path, ""):
+    (tmp_path / "plain").write_bytes(b"kept\n")
+    refused = [
+        (tmp_path / "missing" / "x", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        ("", "No such file or directory"),
+        (tmp_path / ("x" * 300), "File name too long"),
+        (tmp_path / "plain" / "x.csv", "Not a directory"),
+        (str(tmp_path / "plain") + os.sep, "Is a directory"),  # as open() says
+    ]
+    for target, message in refused:
         with pytest.raises(SystemExit) as info:
             main(["table", "--id", "3", "--output", str(target)])
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write --output: ") and str(target) in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write --output: ")
+        assert message in captured.err and str(target) in captured.err
     assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "plain").read_bytes() == b"kept\n"
 
     def singular(*args, **kwargs):
         raise SingularMatrix(1)
@@ -220,6 +238,73 @@ def test_output_that_cannot_be_opened_is_refused_before_any_work(tmp_path, monke
     kept.write_bytes(b"earlier table\n")
     assert main(["table", "--id", "3", "--output", str(kept)]) == 1
     assert kept.read_bytes() == b"earlier table\n"
+
+
+def test_output_that_fails_on_writing_is_an_invalid_flag(capsys):
+    """Where the system refuses --output only when the lines are written
+    (here a full device), main still exits 2, through SystemExit, with one
+    error: line."""
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--n", "2", "--dt", "0.01", "--t-final", "0.01", "--output", "/dev/full"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write --output: ") and "/dev/full" in captured.err
+
+
+def test_output_dev_null_is_written(capsys):
+    """/dev/null is no regular file, but writable: exit 0, nothing on stdout."""
+    assert main(["solve", "--n", "2", "--dt", "0.01", "--t-final", "0.01", "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_arrays_that_cannot_be_allocated_exit_1_with_one_line(monkeypatch, capsys):
+    """A MemoryError from the run (a --n whose arrays do not fit) is one
+    error: line and exit 1, not a traceback.  No large mesh is run: the
+    run is replaced."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.47 GiB for an array")
+
+    monkeypatch.setattr("hermite_heat.cli.run", out_of_memory)
+    assert main(["solve", "--n", "100000000", "--dt", "0.01", "--t-final", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 4.47 GiB for an array\n"
+
+    def bare(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("hermite_heat.cli.run", bare)
+    assert main(["solve", "--n", "4", "--dt", "0.01", "--t-final", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
+def test_an_oserror_of_the_computation_is_no_output_error(monkeypatch, capsys):
+    """Only the write of --output is reported as cannot write --output."""
+
+    def fails(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("hermite_heat.cli.run", fails)
+    with pytest.raises(OSError):
+        main(["solve", "--n", "4", "--dt", "0.01", "--t-final", "0"])
+    assert "--output" not in capsys.readouterr().err
+
+
+def test_a_failed_table_row_exits_1_with_one_line(monkeypatch, capsys):
+    """A table whose row holds an error prints one error: line naming the
+    rule, N, dt and the cause, and nothing of the table."""
+    ok = TableResult(3, "legendre", 10, 1e-06, 0.1, 1e-12, 2e-12, None, None, None)
+    failed = dataclasses.replace(
+        ok, rule_kind="chebyshev", l2=math.nan, linf=math.nan, error="matrix is singular at pivot 7"
+    )
+    monkeypatch.setattr("hermite_heat.cli.run_table", lambda *args, **kwargs: [ok, failed])
+    for fmt in ("csv", "pretty"):
+        assert main(["table", "--id", "3", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chebyshev N = 10, dt = 1e-06: matrix is singular at pivot 7\n"
 
 
 def test_table_coupled_refinement():

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from hermite_heat import RunConfig, legendre_rule
 from hermite_heat.cli import main
 
+from conftest import EDGE_FLOATS
+
 # Runs are kept cheap by construction: at most this many elements, and a
 # drawn case whose step count is a whole number above _MAX_STEPS is
 # refused rather than run.
@@ -22,10 +24,6 @@ _MAX_ELEMENTS = 256
 _MAX_STEPS = 50
 
 _NON_NUMBERS = ["", "x", "1e", "0x10", "1,5", "--", "one"]
-_EDGE_FLOATS = [
-    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e150, 1e154,
-    1e300, 1.7976931348623157e308, math.nan, math.inf, -math.inf, -1.0,
-]
 
 # An unusual value of each flag, most of them invalid: for a number, an
 # edge of its range, any value of its type, or no number at all.
@@ -40,7 +38,7 @@ _UNUSUAL = {
 }
 for _flag in ("--dt", "--t-final", "--alpha"):
     _UNUSUAL[_flag] = st.one_of(
-        st.sampled_from(_EDGE_FLOATS).map(repr), st.floats().map(repr), st.sampled_from(_NON_NUMBERS)
+        st.sampled_from(EDGE_FLOATS).map(repr), st.floats().map(repr), st.sampled_from(_NON_NUMBERS)
     )
 
 # Each --output that may be drawn, as a path under the case's directory:

@@ -11,7 +11,8 @@ checkouts print the same for every command when
 
 is empty.  The commands cover solve on both sides of the stacking line in
 both formats, a stiff mesh that steps banded, every reference table, both
-convergence sweeps and four error exits.  Standard library only.
+convergence sweeps, each in both formats, five error exits, and --output
+paths that are refused or discard the output.  Standard library only.
 """
 
 import os
@@ -31,13 +32,25 @@ def commands():
     yield "solve_n171_stiff", ["solve", "--n", "171", *one_step, "--alpha", "1e10"]
     for table_id in range(1, 6):
         yield f"table_{table_id}", ["table", "--id", str(table_id)]
+    yield "table_5_pretty", ["table", "--id", "5", "--format", "pretty"]
     sweep = ["--count", "3", "--t-final", "1"]
-    yield "convergence_dt", ["convergence", "--sweep", "dt", "--n", "1000", "--dt", "0.01", *sweep]
-    yield "convergence_n", ["convergence", "--sweep", "n", "--n", "5", "--dt", "1e-06", *sweep]
+    dt_sweep = ["convergence", "--sweep", "dt", "--n", "1000", "--dt", "0.01", *sweep]
+    n_sweep = ["convergence", "--sweep", "n", "--n", "5", "--dt", "1e-06", *sweep]
+    yield "convergence_dt", dt_sweep
+    yield "convergence_n", n_sweep
+    yield "convergence_dt_pretty", [*dt_sweep, "--format", "pretty"]
+    yield "convergence_n_pretty", [*n_sweep, "--format", "pretty"]
     yield "error_overflow_n4", ["solve", "--n", "4", "--dt", "0.01", "--t-final", "1", "--alpha", "1e154"]
     yield "error_overflow_n200", ["solve", "--n", "200", *one_step, "--alpha", "1e154"]
     yield "error_step_count", ["solve", "--n", "4", "--dt", "0.3", "--t-final", "1"]
     yield "error_tiny_dt", ["solve", "--n", "4", "--dt", "5e-324", "--t-final", "5e-324"]
+    # the mesh's arange refuses the size before it allocates anything
+    yield "error_huge_n", ["solve", "--n", str(10**30), *one_step]
+    small = ["solve", "--n", "2", *one_step]
+    yield "output_dev_null", [*small, "--output", "/dev/null"]
+    yield "output_missing_dir", [*small, "--output", "/nonexistent-dir/out.csv"]
+    yield "output_under_a_file", [*small, "--output", "/etc/passwd/out.csv"]
+    yield "output_long_name", [*small, "--output", "/tmp/" + "x" * 300]
 
 
 def main(argv):
