@@ -25,6 +25,7 @@ import sys
 from .basis import RULES
 from .experiments import (
     TABLE_IDS,
+    _norms,
     convergence_order,
     error_norms,
     run_table,
@@ -32,7 +33,7 @@ from .experiments import (
 )
 from .linalg import SingularMatrix
 from .problem import _sample, build_mesh, control_problem
-from .solver import RunConfig, evaluate, run, run_batch
+from .solver import RunConfig, evaluate, run
 
 
 def _fmt(value):
@@ -76,7 +77,8 @@ def cmd_table(args):
     results = run_table(table_spec(args.id), rules=rules)
     for r in results:
         if r.error is not None:
-            raise ValueError(f"{r.rule_kind} N = {r.n_elements}, dt = {r.dt}: {r.error}")
+            cause = str(r.error) or type(r.error).__name__
+            raise ValueError(f"{r.rule_kind} N = {r.n_elements}, dt = {r.dt}: {cause}")
     if args.format == "csv":
         lines = ["table,rule,N,dt,t_final,l2,linf,ref_value,ref_norm,rel_dev"]
         for r in results:
@@ -121,20 +123,17 @@ def cmd_convergence(args):
         params = [args.n * 2**i for i in range(args.count)]
         points = [(p, args.dt) for p in params]
     configs = [RunConfig(dt=dt, t_final=args.t_final, n_elements=n, rule=rule) for n, dt in points]
-    finals = dict(run_batch(problem, configs))
+    norms = dict(_norms(problem, configs))
     records = []
-    pairs = []  # (step, l2): the order is in dt or h, not N, so refining gives a positive one
-    for index, (cfg, param) in enumerate(zip(configs, params)):
-        a = finals[index]
-        if isinstance(a, Exception):
-            raise a
-        mesh = build_mesh(problem, cfg.n_elements)
-        l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
-        records.append((param, l2, linf))
-        pairs.append((cfg.dt if args.sweep == "dt" else mesh.h, l2))
+    for index, param in enumerate(params):
+        if isinstance(norms[index], Exception):  # the first row that failed
+            raise norms[index]
+        records.append((param, *norms[index]))
     orders = [None]
     if len(records) > 1:
-        orders += convergence_order(pairs)
+        # (step, l2): the order is in dt or h, not N, so refining gives a positive one
+        steps = params if args.sweep == "dt" else [build_mesh(problem, n).h for n in params]
+        orders += convergence_order([(step, l2) for step, (_, l2, _) in zip(steps, records)])
     if args.format == "csv":
         lines = ["param,l2,linf,order_l2"]
         for (param, l2, linf), order in zip(records, orders):

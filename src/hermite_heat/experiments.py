@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import RULES, build_basis_table
 from .problem import _sample, build_mesh, collocation_abscissae, control_problem
-from .solver import RunConfig, _windows, run_batch
+from .solver import RunConfig, _detached, _windows, run_batch
 
 __all__ = [
     "MissingExactSolution",
@@ -44,15 +44,31 @@ def _solution_at_collocation_points(mesh, rule, a):
     return _windows(mesh, a) @ build_basis_table(rule, mesh.h).H.T
 
 
+# an overflow leaves inf or NaN, which the checks below report: no warning
+@np.errstate(over="ignore", invalid="ignore")
 def error_norms(spec, mesh, rule, a, t):
-    """(L2, Linf) of exact minus numerical at the collocation points."""
+    """(L2, Linf) of exact minus numerical at the collocation points.
+
+    An exact solution that is not finite at a collocation point raises
+    ValueError, and so do errors or an L2 norm beyond the float range.
+    """
     if spec.exact_solution is None:
         raise MissingExactSolution("problem has no exact solution to compare against")
     numeric = _solution_at_collocation_points(mesh, rule, a)
     abscissae = collocation_abscissae(mesh, rule.points)
-    errors = _sample("exact_solution", spec.exact_solution, abscissae, t) - numeric
+    exact = _sample("exact_solution", spec.exact_solution, abscissae, t)
+    if not np.all(np.isfinite(exact)):
+        raise ValueError("exact solution is not finite at every collocation point")
+    errors = exact - numeric
     l2 = math.sqrt(mesh.h * float(np.sum(errors**2)))
     linf = float(np.max(np.abs(errors)))
+    if not math.isfinite(linf):
+        raise ValueError("exact minus numerical solution is not finite at every collocation point")
+    if math.isinf(l2):
+        # the squares overflow: sum those of errors / linf, each at most 1
+        l2 = linf * math.sqrt(mesh.h * float(np.sum((errors / linf) ** 2)))
+        if math.isinf(l2):
+            raise ValueError("the L2 error norm overflows")
     return l2, linf
 
 
@@ -99,87 +115,75 @@ class TableSpec:
     rows: tuple
 
 
-def _refs(by_rule_norm):
-    return tuple(
-        Reference(rule_kind=rule, norm=norm, value=value)
-        for (rule, norm), value in by_rule_norm.items()
+def _table(table_id, keys, rows):
+    """TableSpec of rows (N, dt, t_final, *values), value i the reference
+    for keys[i], a (rule_kind, norm) pair."""
+    return TableSpec(
+        table_id=table_id,
+        rows=tuple(
+            TableRow(n, dt, t_final, tuple(Reference(*key, v) for key, v in zip(keys, values)))
+            for n, dt, t_final, *values in rows
+        ),
     )
 
 
-def _build_tables():
-    tables = {}
+def _unit_divisions(h):
+    """N = 1 / h, where h divides the unit interval."""
+    inv = 1.0 / h
+    n = round(inv)
+    if abs(inv - n) > 1e-9 * inv:
+        raise ValueError(f"h = {h} does not divide the unit interval")
+    return n
 
+
+_L2 = (("legendre", "l2"), ("chebyshev", "l2"))
+_TABLES = {
     # Temporal refinement at a fine mesh: N = 1000, T = 1.
-    rows = []
-    for dt, l_val, c_val in [
-        (0.01, 7.1591e-7, 7.1591e-7),
-        (0.005, 1.7931e-7, 1.7932e-7),
-        (0.0025, 4.4851e-8, 4.4851e-8),
-    ]:
-        refs = _refs({("legendre", "l2"): l_val, ("chebyshev", "l2"): c_val})
-        rows.append(TableRow(n_elements=1000, dt=dt, t_final=1.0, references=refs))
-    tables[1] = TableSpec(table_id=1, rows=tuple(rows))
-
+    1: _table(1, _L2, [
+        (1000, 0.01, 1.0, 7.1591e-7, 7.1591e-7),
+        (1000, 0.005, 1.0, 1.7931e-7, 1.7932e-7),
+        (1000, 0.0025, 1.0, 4.4851e-8, 4.4851e-8),
+    ]),
     # Spatial refinement at the roundoff floor: dt = 1e-6, T = 1.
-    rows = []
-    for n, l_val, c_val in [
-        (5, 1.2153e-14, 1.0075e-12),
-        (10, 1.9449e-15, 2.3323e-14),
-        (20, 4.6215e-15, 7.4211e-15),
-        (40, 8.1433e-15, 9.6794e-15),
-    ]:
-        refs = _refs({("legendre", "l2"): l_val, ("chebyshev", "l2"): c_val})
-        rows.append(TableRow(n_elements=n, dt=1e-6, t_final=1.0, references=refs))
-    tables[2] = TableSpec(table_id=2, rows=tuple(rows))
-
+    2: _table(2, _L2, [
+        (5, 1e-6, 1.0, 1.2153e-14, 1.0075e-12),
+        (10, 1e-6, 1.0, 1.9449e-15, 2.3323e-14),
+        (20, 1e-6, 1.0, 4.6215e-15, 7.4211e-15),
+        (40, 1e-6, 1.0, 8.1433e-15, 9.6794e-15),
+    ]),
     # Same regime at T = 0.1 (reference values exist only for the Legendre rule).
-    rows = []
-    for n, l_val in [(10, 6.2482e-13), (20, 3.3280e-12), (40, 5.8595e-12)]:
-        refs = _refs({("legendre", "l2"): l_val})
-        rows.append(TableRow(n_elements=n, dt=1e-6, t_final=0.1, references=refs))
-    tables[3] = TableSpec(table_id=3, rows=tuple(rows))
-
+    3: _table(3, (("legendre", "l2"),), [
+        (10, 1e-6, 0.1, 6.2482e-13),
+        (20, 1e-6, 0.1, 3.3280e-12),
+        (40, 1e-6, 0.1, 5.8595e-12),
+    ]),
     # Coupled refinement h = dt, T = 1, Linf references.
-    rows = []
-    for s, l_val, c_val in [
-        (0.2, 5.1578e-5, 5.1552e-5),
-        (0.1, 3.1586e-5, 3.1587e-5),
-        (0.05, 9.7106e-6, 9.7107e-6),
-        (0.025, 2.5489e-6, 2.5489e-6),
-        (0.0125, 6.4490e-7, 6.4490e-7),
-        (0.00625, 1.6171e-7, 1.6171e-7),
-        (0.01, 4.1333e-7, 4.1333e-7),
-        (0.005, 1.0353e-7, 1.0353e-7),
-        (0.0025, 2.5895e-8, 2.5895e-8),
-        (0.002, 1.6574e-8, 1.6574e-8),
-        (0.001, 4.1437e-9, 4.1437e-9),
-    ]:
-        inv = 1.0 / s
-        n = round(inv)
-        if abs(inv - n) > 1e-9 * inv:
-            raise ValueError(f"h = {s} does not divide the unit interval")
-        refs = _refs({("legendre", "linf"): l_val, ("chebyshev", "linf"): c_val})
-        rows.append(TableRow(n_elements=n, dt=s, t_final=1.0, references=refs))
-    tables[4] = TableSpec(table_id=4, rows=tuple(rows))
-
+    4: _table(4, (("legendre", "linf"), ("chebyshev", "linf")), [
+        (_unit_divisions(h), h, 1.0, l_val, c_val)
+        for h, l_val, c_val in [
+            (0.2, 5.1578e-5, 5.1552e-5),
+            (0.1, 3.1586e-5, 3.1587e-5),
+            (0.05, 9.7106e-6, 9.7107e-6),
+            (0.025, 2.5489e-6, 2.5489e-6),
+            (0.0125, 6.4490e-7, 6.4490e-7),
+            (0.00625, 1.6171e-7, 1.6171e-7),
+            (0.01, 4.1333e-7, 4.1333e-7),
+            (0.005, 1.0353e-7, 1.0353e-7),
+            (0.0025, 2.5895e-8, 2.5895e-8),
+            (0.002, 1.6574e-8, 1.6574e-8),
+            (0.001, 4.1437e-9, 4.1437e-9),
+        ]
+    ]),
     # Error history at N = 16, dt = 0.01 (Legendre-rule references, both norms).
-    rows = []
-    for t, l2_val, linf_val in [
-        (0.1, 5.1774e-4, 2.9891e-4),
-        (0.3, 2.1558e-4, 1.2447e-4),
-        (0.5, 4.9872e-5, 2.8793e-5),
-        (0.7, 9.6911e-6, 5.5950e-6),
-        (0.9, 1.7294e-6, 9.9847e-7),
-        (1.0, 7.1591e-7, 4.1332e-7),
-    ]:
-        refs = _refs({("legendre", "l2"): l2_val, ("legendre", "linf"): linf_val})
-        rows.append(TableRow(n_elements=16, dt=0.01, t_final=t, references=refs))
-    tables[5] = TableSpec(table_id=5, rows=tuple(rows))
-
-    return tables
-
-
-_TABLES = _build_tables()
+    5: _table(5, (("legendre", "l2"), ("legendre", "linf")), [
+        (16, 0.01, 0.1, 5.1774e-4, 2.9891e-4),
+        (16, 0.01, 0.3, 2.1558e-4, 1.2447e-4),
+        (16, 0.01, 0.5, 4.9872e-5, 2.8793e-5),
+        (16, 0.01, 0.7, 9.6911e-6, 5.5950e-6),
+        (16, 0.01, 0.9, 1.7294e-6, 9.9847e-7),
+        (16, 0.01, 1.0, 7.1591e-7, 4.1332e-7),
+    ]),
+}
 TABLE_IDS = tuple(sorted(_TABLES))
 
 
@@ -195,8 +199,8 @@ def table_spec(table_id):
 class TableResult:
     """One computed table cell next to its reference value (when any).
 
-    error holds the message of a configuration that failed, whose norms
-    are NaN.
+    A configuration that failed has NaN norms, no rel_dev, and its
+    exception in error.
     """
 
     table_id: int
@@ -209,7 +213,27 @@ class TableResult:
     ref_value: Optional[float]
     ref_norm: Optional[str]
     rel_dev: Optional[float]
-    error: Optional[str] = None
+    error: Optional[Exception] = None
+
+
+def _norms(problem, configs):
+    """Yield (index, (l2, linf)) for each of configs, run by run_batch, or
+    (index, exc) for one whose run or norms raised exc (_detached).
+
+    Norms are taken as each state arrives, and the state is dropped before
+    the next stack runs: a live state at the top of the heap keeps the
+    allocator from returning the next stack's freed matrices (table 1's
+    peak RSS read 1 MiB higher while states were kept).
+    """
+    for index, outcome in run_batch(problem, configs):
+        if not isinstance(outcome, Exception):
+            cfg = configs[index]
+            try:
+                mesh = build_mesh(problem, cfg.n_elements)
+                outcome = error_norms(problem, mesh, cfg.rule, outcome, cfg.t_final)
+            except Exception as exc:
+                outcome = _detached(exc)
+        yield index, outcome
 
 
 def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
@@ -224,48 +248,29 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
     """
     if problem is None:
         problem = control_problem()
-    # each case holds an index into configs, or the failed (l2, linf, error)
-    # when no RunConfig could be built
-    cases, configs = [], []
-    for row in spec_table.rows:
-        for rule_kind in rules:
-            try:
-                cfg = RunConfig(
-                    dt=row.dt,
-                    t_final=row.t_final,
-                    n_elements=row.n_elements,
-                    rule=RULES[rule_kind](),
-                )
-            except Exception as exc:  # reported in the row's result
-                cases.append((row, rule_kind, (math.nan, math.nan, str(exc))))
-            else:
-                cases.append((row, rule_kind, len(configs)))
-                configs.append(cfg)
-    # Norms are taken as each state arrives, and the state is dropped before
-    # the next stack runs: a live state at the top of the heap keeps the
-    # allocator from returning the next stack's freed matrices (table 1's
-    # peak RSS read 1 MiB higher while states were kept).
-    solved = {}
-    for index, state in run_batch(problem, configs):
-        cfg = configs[index]
+    cases = [(row, rule_kind) for row in spec_table.rows for rule_kind in rules]
+    # each outcome is (l2, linf) or the exception of a RunConfig that could
+    # not be built, a run or its norms
+    outcomes, built = {}, []
+    for case, (row, rule_kind) in enumerate(cases):
         try:
-            if isinstance(state, Exception):
-                raise state
-            mesh = build_mesh(problem, cfg.n_elements)
-            solved[index] = (*error_norms(problem, mesh, cfg.rule, state, cfg.t_final), None)
+            cfg = RunConfig(
+                dt=row.dt, t_final=row.t_final, n_elements=row.n_elements, rule=RULES[rule_kind]()
+            )
         except Exception as exc:
-            solved[index] = (math.nan, math.nan, str(exc))
-        del state
-    results = []
-    for row, rule_kind, outcome in cases:
-        l2, linf, error = solved[outcome] if isinstance(outcome, int) else outcome
-        refs = [r for r in row.references if r.rule_kind == rule_kind]
-        if error is None:
-            computed = {"l2": l2, "linf": linf}
-            cells = [(r.value, r.norm, (computed[r.norm] - r.value) / r.value) for r in refs]
+            outcomes[case] = _detached(exc)
         else:
-            cells = [(refs[0].value, refs[0].norm, None)] if refs else []
-        for ref_value, ref_norm, rel_dev in cells or [(None, None, None)]:
+            built.append((case, cfg))
+    for index, outcome in _norms(problem, [cfg for _, cfg in built]):
+        outcomes[built[index][0]] = outcome
+    results = []
+    for case, (row, rule_kind) in enumerate(cases):
+        failed = isinstance(outcomes[case], Exception)
+        l2, linf = (math.nan, math.nan) if failed else outcomes[case]
+        for ref in [r for r in row.references if r.rule_kind == rule_kind] or [None]:
+            rel_dev = None
+            if ref and not failed:
+                rel_dev = ({"l2": l2, "linf": linf}[ref.norm] - ref.value) / ref.value
             results.append(
                 TableResult(
                     table_id=spec_table.table_id,
@@ -275,10 +280,10 @@ def run_table(spec_table, rules=("legendre", "chebyshev"), problem=None):
                     t_final=row.t_final,
                     l2=l2,
                     linf=linf,
-                    ref_value=ref_value,
-                    ref_norm=ref_norm,
+                    ref_value=ref.value if ref else None,
+                    ref_norm=ref.norm if ref else None,
                     rel_dev=rel_dev,
-                    error=error,
+                    error=outcomes[case] if failed else None,
                 )
             )
     return results

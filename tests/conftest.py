@@ -26,6 +26,28 @@ def dense(m):
     return scipy.sparse.dia_matrix((m.bands, offsets), shape=(m.n, m.n)).toarray()
 
 
+def gauss_solve(a, b):
+    """Solve a x = b by dense Gaussian elimination with partial pivoting: the
+    oracle of the banded solves.  A zero pivot raises ZeroDivisionError."""
+    a = np.array(a, dtype=float)
+    x = np.array(b, dtype=float)
+    n = len(x)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0.0:
+            raise ZeroDivisionError("singular")
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            x[[k, p]] = x[[p, k]]
+        for i in range(k + 1, n):
+            factor = a[i, k] / a[k, k]
+            a[i, k + 1 :] -= factor * a[k, k + 1 :]
+            x[i] -= factor * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
+
+
 def lu_solve(factors, b):
     """Solve A x = b with band_lu_factor's factors of A.
 

@@ -32,7 +32,7 @@ from hermite_heat import (
 from hermite_heat.basis import B_COEFFS, H_POWERS
 from hermite_heat.linalg import BandedMatrix, band_solve
 
-from conftest import dense, lu_solve
+from conftest import dense, gauss_solve, lu_solve
 
 REL_TABLE_TOL = 1e-2
 
@@ -112,24 +112,6 @@ def test_criterion_5_temporal_convergence_order(temporal_sweep):
     print(f"criterion 5 (temporal orders {[round(o, 3) for o in orders]}): PASS")
 
 
-def _dense_gauss_solve(a, b):
-    a = np.array(a, dtype=float)
-    x = np.array(b, dtype=float)
-    n = len(x)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        for i in range(k + 1, n):
-            factor = a[i, k] / a[k, k]
-            a[i, k + 1 :] -= factor * a[k, k + 1 :]
-            x[i] -= factor * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
-
-
 def test_criterion_6_property_suite():
     h = 0.3
 
@@ -182,7 +164,7 @@ def test_criterion_6_property_suite():
         bands[kw] += 2 * kw + 3.0
         m = BandedMatrix(n, kw, kw, bands)
         b = rng.normal(size=n)
-        expected = _dense_gauss_solve(dense(m), b)
+        expected = gauss_solve(dense(m), b)
         for x in (band_solve(m, b), lu_solve(band_lu_factor(m), b)):
             assert np.allclose(x, expected, rtol=1e-10, atol=1e-12)
 

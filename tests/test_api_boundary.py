@@ -1,7 +1,8 @@
 """The API's input boundary as a property: ProblemSpec, control_problem
 and RunConfig return or raise ValueError, and never warn, whatever number
 they are given; run_batch yields one result per configuration, an
-exception or a finite state.
+exception or a finite state; and error_norms and run_table give finite
+norms or an exception, whatever values the problem's callables return.
 
 Numbers are drawn as Python floats and ints and as numpy float64 and int64
 scalars, from the edge values of the float range (conftest.EDGE_FLOATS).
@@ -15,7 +16,17 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, note, settings
 from hypothesis import strategies as st
 
-from hermite_heat import ProblemSpec, RunConfig, chebyshev_rule, control_problem, legendre_rule
+from hermite_heat import (
+    ProblemSpec,
+    RunConfig,
+    build_mesh,
+    chebyshev_rule,
+    control_problem,
+    error_norms,
+    legendre_rule,
+    run_table,
+)
+from hermite_heat.experiments import TableRow, TableSpec
 from hermite_heat.solver import run_batch
 
 from conftest import EDGE_FLOATS
@@ -139,3 +150,61 @@ def test_run_batch_yields_an_exception_or_a_finite_state_per_config(x_left, x_ri
         assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (6 * n + 2,)
         assert np.isfinite(a).all()
         assert a[0] == 0.0 and a[6 * n] == 0.0
+
+
+def _scaled(scale, fn, poison, point):
+    """scale * fn, with the value at flat index point of its array replaced
+    by poison (where poison is not None and the array has that index)."""
+
+    def scaled(x, *t):
+        with np.errstate(all="ignore"):  # the values may overflow: that is the point
+            values = scale * fn(x, *t)
+        if poison is not None and point < values.size:
+            values.flat[point] = poison
+        return values
+
+    return scaled
+
+
+@settings(_SETTINGS, max_examples=150)
+@given(
+    st.sampled_from(EDGE_FLOATS),
+    st.sampled_from(EDGE_FLOATS),
+    st.sampled_from(["f", "exact", None]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(0, 23),
+)
+@example(1e300, 1e300, None, math.nan, 0)  # the squares of the errors overflowed
+@example(1.0, 1.0, "exact", math.nan, 7)  # NaN norms came back
+def test_norms_are_finite_or_an_exception_whatever_the_callables_return(
+    f_scale, u_scale, poisoned, poison, point
+):
+    """The initial condition 4 x (1 - x), exactly 0 at both ends, and the
+    control problem's exact solution, scaled by edge values, one of them
+    with one point NaN or inf: run_batch, error_norms and run_table each
+    give finite norms or an exception per configuration (N = 4, two
+    steps), and nothing warns."""
+    f_poison, u_poison = (poison if poisoned == name else None for name in ("f", "exact"))
+    f = _scaled(f_scale, lambda x: 4 * x * (1 - x), f_poison, point)
+    u = _scaled(u_scale, control_problem().exact_solution, u_poison, point)
+    spec, warned = _quietly(lambda: ProblemSpec(0.0, 1.0, 1.0, f, exact_solution=u))
+    assert not warned, warned
+    assume(isinstance(spec, ProblemSpec))
+    configs = [RunConfig(0.01, 0.02, 4, rule()) for rule in (legendre_rule, chebyshev_rule)]
+    row = TableRow(n_elements=4, dt=0.01, t_final=0.02, references=())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        norms = []
+        for index, a in run_batch(spec, configs):
+            if not isinstance(a, Exception):
+                cfg = configs[index]
+                mesh = build_mesh(spec, 4)
+                norms.append(_quietly(lambda: error_norms(spec, mesh, cfg.rule, a, 0.02))[0])
+        results = run_table(TableSpec(0, (row,)), problem=spec)
+    assert not caught, [str(warning.message) for warning in caught]
+    for outcome in norms:
+        assert isinstance(outcome, ValueError) or all(map(math.isfinite, outcome)), outcome
+    assert len(results) == 2
+    for r in results:
+        finite = r.error is None and math.isfinite(r.l2) and math.isfinite(r.linf)
+        assert isinstance(r.error, Exception) or finite, r

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hermite_heat
@@ -297,7 +298,7 @@ def test_a_failed_table_row_exits_1_with_one_line(monkeypatch, capsys):
     rule, N, dt and the cause, and nothing of the table."""
     ok = TableResult(3, "legendre", 10, 1e-06, 0.1, 1e-12, 2e-12, None, None, None)
     failed = dataclasses.replace(
-        ok, rule_kind="chebyshev", l2=math.nan, linf=math.nan, error="matrix is singular at pivot 7"
+        ok, rule_kind="chebyshev", l2=math.nan, linf=math.nan, error=SingularMatrix(7)
     )
     monkeypatch.setattr("hermite_heat.cli.run_table", lambda *args, **kwargs: [ok, failed])
     for fmt in ("csv", "pretty"):
@@ -305,6 +306,20 @@ def test_a_failed_table_row_exits_1_with_one_line(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: chebyshev N = 10, dt = 1e-06: matrix is singular at pivot 7\n"
+
+
+def test_a_table_row_that_ran_out_of_memory_names_the_type(monkeypatch, capsys):
+    """A bare MemoryError has no message: the row's error: line names its
+    type, as main does for the command's own exception.  The other rows
+    run on states of zeros, so nothing large is solved."""
+
+    def first_row_out_of_memory(problem, configs):
+        for index, cfg in enumerate(configs):
+            yield index, MemoryError() if index == 0 else np.zeros(6 * cfg.n_elements + 2)
+
+    monkeypatch.setattr("hermite_heat.experiments.run_batch", first_row_out_of_memory)
+    assert main(["table", "--id", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: legendre N = 1000, dt = 0.01: MemoryError\n")
 
 
 def test_table_coupled_refinement():

@@ -8,6 +8,7 @@ from hermite_heat import (
     ProblemSpec,
     RunConfig,
     build_mesh,
+    control_problem,
     convergence_order,
     error_norms,
     evaluate,
@@ -18,6 +19,7 @@ from hermite_heat import (
 )
 from hermite_heat.experiments import Reference, TableRow, TableSpec
 from hermite_heat.problem import collocation_abscissae
+from hermite_heat.solver import NonIntegralStepCount
 
 
 def test_zero_error_when_exact_matches_numeric(legendre):
@@ -152,20 +154,37 @@ def test_temporal_sweep_is_monotone(legendre, control):
 
 
 def test_run_table_captures_row_failures():
-    bad = TableRow(
-        n_elements=4,
-        dt=0.3,
-        t_final=1.0,
-        references=(Reference("legendre", "l2", 1e-6),),
-    )
-    good = table_spec(5).rows[0]
-    results = run_table(TableSpec(table_id=0, rows=(bad, good)), rules=("legendre",))
-    assert results[0].error is not None
-    assert math.isnan(results[0].l2)
-    # the failing row does not stop the remaining rows
-    good_results = [r for r in results if r.error is None]
-    assert len(good_results) == 2  # one config, two reference norms
-    assert {r.ref_norm for r in good_results} == {"l2", "linf"}
+    """A configuration that fails, whether its RunConfig cannot be built
+    (dt = 0.3 is no whole number of steps in T = 1) or its norms fail (the
+    exact solution is NaN at t = 1), gives one result per reference, each
+    with NaN norms, no rel_dev and the exception, which keeps no traceback."""
+    refs = (Reference("legendre", "l2", 1e-6), Reference("legendre", "linf", 2e-6))
+    bad_step = TableRow(n_elements=4, dt=0.3, t_final=1.0, references=refs)
+    bad_exact = TableRow(n_elements=4, dt=0.25, t_final=1.0, references=refs)
+    good = table_spec(5).rows[0]  # t_final = 0.1
+    control = control_problem()
+
+    def exact(x, t):
+        return math.nan * x if t == 1.0 else control.exact_solution(x, t)
+
+    problem = ProblemSpec(0.0, 1.0, 1.0, control.initial_condition, exact_solution=exact)
+    spec = TableSpec(table_id=0, rows=(bad_step, good, bad_exact))
+    results = run_table(spec, rules=("legendre",), problem=problem)
+    assert [(r.dt, r.ref_norm) for r in results] == [
+        (0.3, "l2"), (0.3, "linf"), (0.01, "l2"), (0.01, "linf"), (0.25, "l2"), (0.25, "linf")
+    ]
+    failed = results[:2] + results[4:]
+    for r, kind, message in zip(
+        failed,
+        [NonIntegralStepCount] * 2 + [ValueError] * 2,
+        ["not an integer step count"] * 2 + ["exact solution is not finite"] * 2,
+    ):
+        assert isinstance(r.error, kind) and message in str(r.error)
+        assert r.error.__traceback__ is None
+        assert math.isnan(r.l2) and math.isnan(r.linf) and r.rel_dev is None
+    assert [r.ref_value for r in failed] == [1e-6, 2e-6, 1e-6, 2e-6]
+    # the failing rows do not stop the remaining one
+    assert all(r.error is None and abs(r.rel_dev) < 1e-2 for r in results[2:4])
 
 
 def test_run_table_samples_f_per_mesh_and_exact_per_solve(control):
@@ -203,3 +222,61 @@ def test_error_norms_reject_an_exact_solution_that_breaks_the_array_contract(leg
         spec = ProblemSpec(0.0, 1.0, 1.0, control.initial_condition, exact_solution=exact)
         with pytest.raises(ValueError, match=message):
             error_norms(spec, mesh, legendre, a0, 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 200])
+def test_error_norms_rescale_squares_that_overflow(legendre, n):
+    """With f = exact = 1e300 x (1 - x) the state is finite, but the squares
+    of the errors overflow: L2 is summed over errors / Linf instead, and
+    equals 1e300 times the norm of the unscaled problem."""
+    cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre)
+    norms = []
+    for scale in (1.0, 1e300):
+
+        def bump(x, t=0.0, scale=scale):
+            return scale * x * (1 - x)
+
+        spec = ProblemSpec(0.0, 1.0, 1.0, bump, exact_solution=bump)
+        norms.append(error_norms(spec, build_mesh(spec, n), legendre, run(spec, cfg), 0.02))
+    (l2, linf), (big_l2, big_linf) = norms
+    assert math.isinf(big_linf * big_linf)  # the largest square overflows
+    assert big_l2 == pytest.approx(1e300 * l2, rel=1e-12)
+    assert big_linf == pytest.approx(1e300 * linf, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_error_norms_reject_an_exact_solution_that_is_not_finite(legendre, control, value):
+    """One collocation point of NaN or inf is a ValueError, not NaN or inf norms."""
+    mesh = build_mesh(control, 4)
+    a0 = initial_coefficients(control, mesh, legendre)
+
+    def exact(x, t):
+        values = control.exact_solution(x, t)
+        values.flat[7] = value
+        return values
+
+    spec = ProblemSpec(0.0, 1.0, 1.0, control.initial_condition, exact_solution=exact)
+    with pytest.raises(ValueError, match="exact solution is not finite at every collocation point"):
+        error_norms(spec, mesh, legendre, a0, 0.0)
+
+
+def test_error_norms_reject_errors_and_norms_beyond_the_float_range(legendre, control):
+    """A state that is NaN or overflows at the collocation points, exact
+    and numerical values whose difference overflows, and an L2 norm that
+    overflows though every error is finite raise ValueError."""
+    mesh = build_mesh(control, 4)
+    a0 = initial_coefficients(control, mesh, legendre)  # largest entry pi**3
+    spec = ProblemSpec(
+        0.0, 1.0, 1.0, control.initial_condition, lambda x, t: -1.79e308 * np.sin(np.pi * x)
+    )
+    with_nan = a0.copy()
+    with_nan[5] = math.nan
+    not_finite = "exact minus numerical solution is not finite at every collocation point"
+    for problem, a, message in [
+        (control, with_nan, not_finite),
+        (control, np.full_like(a0, 1.7e308), not_finite),
+        (spec, 5e306 * a0, not_finite),
+        (spec, a0, "the L2 error norm overflows"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            error_norms(problem, mesh, legendre, a, 0.0)

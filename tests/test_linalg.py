@@ -16,28 +16,7 @@ from hermite_heat.linalg import (
     _permuted,
 )
 
-from conftest import dense, dgbtrf, dgbtrs_solve, lu_solve
-
-
-def gauss_solve(a, b):
-    """Dense Gaussian elimination with partial pivoting (test oracle)."""
-    a = np.array(a, dtype=float)
-    x = np.array(b, dtype=float)
-    n = len(x)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise ZeroDivisionError("singular")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        for i in range(k + 1, n):
-            factor = a[i, k] / a[k, k]
-            a[i, k + 1 :] -= factor * a[k, k + 1 :]
-            x[i] -= factor * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
+from conftest import dense, dgbtrf, dgbtrs_solve, gauss_solve, lu_solve
 
 
 def random_band(rng, n, kl, ku, dominant=True):
@@ -59,7 +38,7 @@ def identity_band(n, kl=1, ku=1):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_to_dense_reads_the_band_slots_even_when_a_bandwidth_passes_n(n):
+def test_dense_reads_the_band_slots_even_when_a_bandwidth_passes_n(n):
     """Entry (i, j) is bands[ku + i - j, j] for every shape, including kl or
     ku >= n (diagonals that miss the matrix); the other slots are ignored."""
     rng = np.random.default_rng(n)

@@ -11,7 +11,7 @@ checkouts print the same for every command when
 
 is empty.  The commands cover solve on both sides of the stacking line in
 both formats, a stiff mesh that steps banded, every reference table, both
-convergence sweeps, each in both formats, five error exits, and --output
+convergence sweeps, each in both formats, six error exits, and --output
 paths that are refused or discard the output.  Standard library only.
 """
 
@@ -32,6 +32,7 @@ def commands():
     yield "solve_n171_stiff", ["solve", "--n", "171", *one_step, "--alpha", "1e10"]
     for table_id in range(1, 6):
         yield f"table_{table_id}", ["table", "--id", str(table_id)]
+    yield "table_4_pretty", ["table", "--id", "4", "--format", "pretty"]
     yield "table_5_pretty", ["table", "--id", "5", "--format", "pretty"]
     sweep = ["--count", "3", "--t-final", "1"]
     dt_sweep = ["convergence", "--sweep", "dt", "--n", "1000", "--dt", "0.01", *sweep]
@@ -43,6 +44,9 @@ def commands():
     yield "error_overflow_n4", ["solve", "--n", "4", "--dt", "0.01", "--t-final", "1", "--alpha", "1e154"]
     yield "error_overflow_n200", ["solve", "--n", "200", *one_step, "--alpha", "1e154"]
     yield "error_step_count", ["solve", "--n", "4", "--dt", "0.3", "--t-final", "1"]
+    # RunConfig refuses the last row's step count before any row runs
+    long_sweep = ["--sweep", "dt", "--n", "1", "--dt", "0.01", "--count", "1030"]
+    yield "error_sweep_step_count", ["convergence", *long_sweep]
     yield "error_tiny_dt", ["solve", "--n", "4", "--dt", "5e-324", "--t-final", "5e-324"]
     # the mesh's arange refuses the size before it allocates anything
     yield "error_huge_n", ["solve", "--n", str(10**30), *one_step]
