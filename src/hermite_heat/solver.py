@@ -6,15 +6,17 @@ L a^{n+1} = R a^n.  A state is the float array of all 6N + 2
 coefficients, whose two eliminated boundary entries (0 and 6N) stay exactly
 zero so that evaluation code can index elements uniformly.
 
-_steps_by_modes(cfg) chooses the kernel: it draws the "stacking line".
-Runs below the line step through the banded LU of L, and run_batch
-stacks them, factoring each stack once; each step is one dgbmv, one
-gather and two BLAS dtbsv calls (linalg.LUFactors).  Runs above it step
-alone, through their Fourier modes: one real FFT of the state's odd
-extension splits the run into N + 1 independent 6 x 6 real problems,
-each powered in log2(M) batched products, and one inverse FFT returns
-the final state (_propagator, _power, _state).  A stiff mesh whose
-symbols round to singular steps banded instead.
+_steps_by_modes(cfg) chooses the kernel: it draws the "kernel line",
+past the measured crossover of the two kernels (6N > _MODE_UNKNOWNS,
+N >= 65).  Runs below the line step through the banded LU of L, and
+run_batch stacks them up to the stack cap (_STACK_UNKNOWNS), factoring
+each stack once; each step is one dgbmv, one gather and two BLAS dtbsv
+calls (linalg.LUFactors).  Runs above it step alone, through their
+Fourier modes: one real FFT of the state's odd extension splits the run
+into N + 1 independent 6 x 6 real problems, each powered in log2(M)
+batched products, and one inverse FFT returns the final state
+(_propagator, _power, _state).  A stiff mesh whose symbols round to
+singular steps banded instead.
 
 A long stack of several members (at least _FORK_WORK unknowns times
 steps) steps on every CPU the process may use: its members are split
@@ -29,7 +31,7 @@ gets the exception as its result, detached from its frames, and a stack
 of several that fails anywhere steps each member again alone.
 
 What depends only on the mesh and rule is computed once per run_batch
-call (_Shared): the initial state, and above the stacking line its real
+call (_Shared): the initial state, and above the kernel line its real
 modes and the symbols of D = (alpha**2 / h**2) B.  Each step size then
 builds only L's symbols, their batched solve, the powering and one
 inverse FFT.  run is run_batch of one configuration, so every run steps
@@ -66,11 +68,22 @@ __all__ = [
 
 _STEP_COUNT_RTOL = 1e-9
 
-# Largest block-diagonal system run_batch steps as one.  Stacking saves
-# about 1 us of call overhead per member and step (x86_64, OpenBLAS), a
-# gain that fades by about 1000 unknowns; near 10**4 unknowns the stack's
-# bands (256 bytes per unknown) outgrow the L2 cache and stacking loses.
+# The stack cap: the largest block-diagonal system run_batch steps as one.
+# Stacking saves about 1 us of call overhead per member and step (x86_64,
+# OpenBLAS), a gain that fades by about 1000 unknowns; near 10**4 unknowns
+# the stack's bands (256 bytes per unknown) outgrow the L2 cache and
+# stacking loses.
 _STACK_UNKNOWNS = 1024
+
+# The kernel line: a run on a mesh of more unknowns (6N) than this steps by
+# its Fourier modes.  Solo, the modal kernel was faster than the banded one
+# in every repeat from N = 30 on, at M = 10, 100 and 1000 steps: 1.2x at
+# N = 70, M = 10 and 14x at N = 70, M = 1000 (ROADMAP, the banded/modal
+# crossover table; 2-vCPU x86_64 host).  384 = 6 x 64 keeps every mesh of
+# at most 64 elements banded, and with them the bits of Tables 2 and 3
+# (N <= 40), where the banded kernel's roundoff partly cancels the exact
+# Crank-Nicolson error at the roundoff floor.
+_MODE_UNKNOWNS = 384
 
 # Least work, in steps times unknowns, for which a stack of several members
 # steps on several CPUs (_advance_banded).  A stack steps at about 0.03 us
@@ -127,11 +140,12 @@ class RunConfig:
 
 
 def _steps_by_modes(cfg):
-    """Whether cfg's run steps by its Fourier modes, the "stacking line",
+    """Whether cfg's run steps by its Fourier modes, the "kernel line",
     drawn here only: it has steps to take, on a mesh of more than
-    _STACK_UNKNOWNS unknowns (6N).  Other runs step through the banded LU
-    of L, and so does a stiff one whose symbol L(0) is singular (_prepare)."""
-    return cfg.n_steps > 0 and 6 * cfg.n_elements > _STACK_UNKNOWNS
+    _MODE_UNKNOWNS unknowns (6N > 384, N >= 65).  Other runs step through
+    the banded LU of L, and so does a stiff one whose symbol L(0) is
+    singular (_prepare)."""
+    return cfg.n_steps > 0 and 6 * cfg.n_elements > _MODE_UNKNOWNS
 
 
 def _coefficients(reduced_to_full, x):
@@ -313,8 +327,8 @@ def _power(propagator, modes, n_steps):
 def step(system, factors, a):
     """Advance one Crank-Nicolson step: solve L a_next = R a_current.
 
-    This is one step of the banded loop that run() uses below the stacking
-    line (_steps_by_modes), so there a hand-written loop of step()
+    This is one step of the banded loop that run() uses below the kernel
+    line (_steps_by_modes, N <= 64), so there a hand-written loop of step()
     reproduces run() bitwise, and gives the intermediate levels, which
     run() does not keep.  Above the line run() steps by Fourier modes,
     which agree with a loop of step() only to within the banded solve's
@@ -382,7 +396,7 @@ def _key(cfg):
 def _prepare(shared, cfg):
     """What cfg's run starts from, as a new array, and what its kernel steps with.
 
-    shared is cfg's _Shared: a0 and, above the stacking line, its real
+    shared is cfg's _Shared: a0 and, above the kernel line, its real
     modes and D's symbols come from there, built by the first member that
     needs them, so that each dt adds only what depends on it.  With no
     steps the run starts from a0 and has no kernel.  A run that steps by
@@ -410,8 +424,8 @@ def _prepare(shared, cfg):
 def run(spec, cfg):
     """Run the whole pipeline and return the final state: its 6N + 2 coefficients.
 
-    Below the stacking line (_steps_by_modes) a run factors L once and
-    advances the reduced 6N-vector through its banded LU, without
+    Below the kernel line (_steps_by_modes, N <= 64) a run factors L once
+    and advances the reduced 6N-vector through its banded LU, without
     scattering it per step, so million-step runs stay flat in memory; a
     loop of step() reproduces the final state, and the levels before it,
     bitwise.  Above it a run steps by its Fourier modes: M steps cost one
@@ -434,10 +448,10 @@ def run(spec, cfg):
 def _plan_stacks(configs):
     """(index, config) pairs of configs grouped into stacks that step as one.
 
-    Members of a stack share their step count and hold at most
-    _STACK_UNKNOWNS unknowns (6N each) together.  A member that steps by
-    its Fourier modes (_steps_by_modes) stacks alone, and does not close
-    the open stack of its step count.  Members keep input order, and so do
+    Members of a stack share their step count and hold at most the stack
+    cap, _STACK_UNKNOWNS unknowns (6N each), together.  A member that
+    steps by its Fourier modes (_steps_by_modes) stacks alone, and does
+    not close the open stack of its step count.  Members keep input order, and so do
     stacks whose first members have the same mesh and rule, but those
     stacks run one after another, in the order their mesh and rule first
     appear: a batch then holds the shared data of one mesh and rule at a
@@ -631,7 +645,7 @@ def run_batch(spec, configs):
 
     index points into configs; result is the final state, bitwise equal to
     run(spec, configs[index]), or the exception that its run raises, and
-    the other configurations still run.  Below the stacking line
+    the other configurations still run.  Below the kernel line
     (_steps_by_modes), configurations with the same step count are stacked
     into block-diagonal banded systems of bounded size (_plan_stacks), each
     factored once, which step faster than separate loops on small meshes;
@@ -647,7 +661,7 @@ def run_batch(spec, configs):
     leaves its stack mates' results as they were, and a forked child that
     fails hands its group back to the parent.
     Members with the same mesh and rule share what does not depend on dt
-    (_Shared): the mesh, the initial state, and above the stacking line its
+    (_Shared): the mesh, the initial state, and above the kernel line its
     real modes and D's symbols.  Each is built once, for the first member
     that needs it, and dropped once the last such member in the plan's
     order is prepared; nothing outlives the call, and no result shares

@@ -179,7 +179,7 @@ def test_criterion_6_property_suite():
         assert evaluate(mesh, a0, x) == pytest.approx(poly(x), rel=1e-10, abs=1e-12)
 
     # boundary pinning after every step of a loop of step(), which below
-    # the stacking line is run()'s loop, bitwise
+    # the kernel line is run()'s loop, bitwise
     problem = control_problem()
     cfg = RunConfig(dt=0.01, t_final=0.25, n_elements=8, rule=legendre_rule())
     mesh = build_mesh(problem, 8)

@@ -93,7 +93,7 @@ def test_solve_reports_nan_pivots(n, t_final, capsys):
 def test_solve_steps_a_stiff_mesh_above_the_stacking_line(capsys):
     """At alpha = 1e10, N = 171's symbol L(0) rounds to singular, though L
     is not; the mesh then steps through the banded LU of L, as a mesh below
-    the stacking line does."""
+    the kernel line does."""
     assert main(["solve", "--n", "171", "--dt", "0.01", "--t-final", "0.01", "--alpha", "1e10"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

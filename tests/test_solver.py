@@ -201,7 +201,7 @@ def test_run_zero_horizon_returns_initial_state(legendre, control):
     assert np.array_equal(a, a0)
 
 
-# Below the stacking line every level of step_levels is run()'s, bitwise
+# Below the kernel line every level of step_levels is run()'s, bitwise
 # (test_run_equals_a_loop_of_step_bitwise), so these hold for run() too.
 
 
@@ -269,7 +269,7 @@ def complex_symbols(block, thetas):
     return symbols
 
 
-def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1, alpha=1.0):
+def exact_crank_nicolson(rule, n_elements, dt, n_steps, k=1, alpha=1.0):
     """The state after n_steps exact Crank-Nicolson steps of sin(k pi x), without FFT.
 
     sin(k pi x) on [0, 1] (k = 1 and alpha = 1 is the control problem) holds
@@ -277,15 +277,16 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1, alpha=1.
     are Im(e^{i theta j} c), j the element, for one complex 6-vector c,
     which solves H(theta) c = e^{i k pi h xi} at the collocation points xi.
     Each step multiplies c by I + E(theta), E = L(theta)^-1 D(theta),
-    powered in delta form, F <- 2F + F^2.  With real set, all of it is
-    computed in the odd extension's real coordinates (real_coordinates: c =
-    i Q x for a real 6-vector x, and a symbol S becomes Re(P^-1 S Q)).  So
-    c_0 is real and the state a sine series, as for the scheme whose points
-    and tables are exactly mirror-symmetric, which the real modes step.
-    The tabulated ones are symmetric only to rounding, which in complex
-    coordinates (real false) gives c_0 an imaginary part of 3.1e-15 (N =
-    1000), a cos(pi x) term of 6e-11 of the final amplitude, as the banded
-    kernel keeps it.  At N = 1000, M = 1000 the real reference's nodal
+    powered in delta form, F <- 2F + F^2.  All of it is computed in the
+    odd extension's real coordinates (real_coordinates: c = i Q x for a
+    real 6-vector x, and a symbol S becomes Re(P^-1 S Q)).  So c_0 is real
+    and the state a sine series, as for the scheme whose points and tables
+    are exactly mirror-symmetric, which the real modes step.  The
+    tabulated ones are symmetric only to rounding, which the banded kernel
+    keeps, yet its table rows fit this reference better than one computed
+    in complex coordinates, which keeps that asymmetry too: 1.83e-11
+    against 3.29e-11 on Table 4 below the kernel line, 3.38e-11 against
+    2.18e-10 on Table 5.  At N = 1000, M = 1000 the reference's nodal
     values are within 1.7e-12 (Legendre) and 9.7e-13 (Chebyshev) of the
     largest of a 40-digit mpmath run on the mirror-symmetrized tables and
     points.  The symbols come from the element blocks by complex_symbols,
@@ -299,12 +300,11 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1, alpha=1.
     p_inverse, q = (maps[0] for maps in real_coordinates([theta]))
 
     def symbol(block):
-        symbol = complex_symbols(block, [theta])[0]
-        return (p_inverse @ symbol @ q).real if real else symbol
+        return (p_inverse @ complex_symbols(block, [theta])[0] @ q).real
 
     collocated = np.exp(1j * (k * math.pi) * h * rule.points)
     # P^-1 takes the collocated e^{i k pi x} to an imaginary vector, as the extension is odd
-    x = np.linalg.solve(symbol(table.H), (p_inverse @ collocated).imag if real else collocated)
+    x = np.linalg.solve(symbol(table.H), (p_inverse @ collocated).imag)
     left = element_blocks(table, alpha, dt).left
     power = np.linalg.solve(symbol(left), symbol(alpha**2 * table.B / h**2))
     while True:
@@ -314,7 +314,7 @@ def exact_crank_nicolson(rule, n_elements, dt, n_steps, real=True, k=1, alpha=1.
         if n_steps == 0:
             break
         power = 2.0 * power + power @ power
-    c = 1j * (q @ x) if real else x
+    c = 1j * (q @ x)
     phase = np.exp(1j * theta) ** np.arange(n_elements + 1)
     state = np.imag(phase[:, None] * c).ravel()[: 6 * n_elements + 2]
     state[0] = state[6 * n_elements] = 0.0
@@ -410,7 +410,7 @@ def test_modal_step_matches_a_dense_solve_and_banded_step(n_elements, kind):
     element blocks mirror-symmetric, which they are only to within
     mirror_asymmetry (1e-15 to 2.3e-14 here).  So its forward error is of
     order max(cond(L), cond(L(theta))) * (eps + asymmetry) relative.  On
-    meshes above the stacking line the two condition numbers agree (0.999
+    meshes above the kernel line the two condition numbers agree (0.999
     at N = 180), while small meshes at large alpha**2 dt / h**2 have
     symbols up to 6.6e5 times worse conditioned than L.  The largest
     deviation measured 0.096 of the bound (N = 1), and 5e-4 at N = 180.
@@ -581,29 +581,24 @@ def test_real_symbols_are_the_complex_symbols_in_real_coordinates(n_elements, ki
 
 
 # Bounds on the deviation of l2 and linf from exact Crank-Nicolson, by table
-# and by kernel (banded below the stacking line, modal above it): relative,
+# and by kernel (banded below the kernel line, modal above it): relative,
 # but absolute on Table 3, whose errors sit at the roundoff floor.
-_TABLE_BOUNDS = {1: (None, 1.4e-8), 3: (1e-11, None), 4: (1.7e-9, 9e-8), 5: (4.5e-10, None)}
+_TABLE_BOUNDS = {1: (None, 1.4e-8), 3: (1e-11, None), 4: (4e-11, 9e-8), 5: (7e-11, None)}
 
 
 @pytest.mark.parametrize("table_id", [1, 3, 4, 5])
 def test_every_table_row_meets_the_exact_crank_nicolson_reference(table_id, control):
     """Every row of Tables 1, 3, 4 and 5, both rules, stepped by run_batch,
-    against error_norms of exact_crank_nicolson.  Rows below the stacking
-    line are held to the reference in complex coordinates, which keeps the
-    tables' rounding asymmetry as the banded kernel does; rows above it to
-    the one in real coordinates, the scheme the real modes step.  The
-    largest relative deviations of l2 or linf measured 5.5e-9 (Table 1, all
-    above the line), 8.16e-10 below the line (Table 4, Chebyshev N = 160,
-    linf) and 3.3e-8 above it, and 2.18e-10 (Table 5, all below); the
-    bounds are about twice those.  Against the real reference Table 4's
-    banded rows read up to 1.56e-9, which left their bound only 1.09 times
-    the deviation.  Table 3's rows deviate by as much as their own error,
-    as the banded kernel's roundoff partly cancels the exact one, so its
-    bound is absolute: the largest deviations measured 5.02e-12 on l2
-    (Legendre N = 20) and 2.9e-12 on linf, and 1e-11 is about twice the
-    larger.  Table 2 (10**6 steps a row) is left out for the suite's time;
-    it runs Table 3's kernel."""
+    against error_norms of exact_crank_nicolson.  The largest relative
+    deviations of l2 or linf measured 5.49e-9 (Table 1, all above the
+    kernel line), 1.83e-11 below the line (Table 4, Legendre N = 40, linf)
+    and 3.32e-8 above it (Legendre N = 1000, linf), and 3.38e-11 (Table 5,
+    all below); the bounds are about twice those.  Table 3's rows deviate
+    by as much as their own error, as the banded kernel's roundoff partly
+    cancels the exact one, so its bound is absolute: the largest
+    deviations measured 5.02e-12 on l2 (Legendre N = 20) and 2.9e-12 on
+    linf, and 1e-11 is about twice the larger.  Table 2 (10**6 steps a
+    row) is left out for the suite's time; it runs Table 3's kernel."""
     below, above = _TABLE_BOUNDS[table_id]
     configs = [
         RunConfig(dt=row.dt, t_final=row.t_final, n_elements=row.n_elements, rule=RULES[kind]())
@@ -614,13 +609,12 @@ def test_every_table_row_meets_the_exact_crank_nicolson_reference(table_id, cont
         cfg = configs[index]
         mesh = build_mesh(control, cfg.n_elements)
         norms = error_norms(control, mesh, cfg.rule, state, cfg.t_final)
-        banded = not solver._steps_by_modes(cfg)
-        exact = exact_crank_nicolson(cfg.rule, cfg.n_elements, cfg.dt, cfg.n_steps, real=not banded)
+        exact = exact_crank_nicolson(cfg.rule, cfg.n_elements, cfg.dt, cfg.n_steps)
         reference = error_norms(control, mesh, cfg.rule, exact, cfg.t_final)
         deviation = max(
             abs(x - y) if table_id == 3 else abs(x / y - 1.0) for x, y in zip(norms, reference)
         )
-        bound = below if banded else above
+        bound = above if solver._steps_by_modes(cfg) else below
         assert deviation <= bound, (cfg.rule.kind, cfg.n_elements, cfg.dt, cfg.t_final, deviation)
 
 
@@ -662,17 +656,19 @@ def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, mo
     assert final.tobytes() == looped.tobytes()
 
 
+@pytest.mark.parametrize("n_elements", [100, 171])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
-def test_stiff_mesh_above_the_stacking_line_steps_banded(kind):
-    """At alpha = 1e10, N = 171 and dt = 0.01, alpha**2 dt / h**2 is 2.9e22:
-    the H / dt term of L(0) is lost to rounding, and numpy's solve finds the
-    symbol singular though L is not.  run() then steps through the banded
-    LU of L, and equals a loop of step(), bitwise."""
+def test_stiff_mesh_above_the_kernel_line_steps_banded(kind, n_elements):
+    """At alpha = 1e10 and dt = 0.01, alpha**2 dt / h**2 is 1e22 at N = 100
+    and 2.9e22 at N = 171, meshes above the kernel line on either side of
+    the stack cap: the H / dt term of L(0) is lost to rounding, and numpy's
+    solve finds the symbol singular though L is not.  run() then steps
+    through the banded LU of L, and equals a loop of step(), bitwise."""
     spec = control_problem(alpha=1e10)
     rule = RULES[kind]()
     with pytest.raises(np.linalg.LinAlgError):
-        solver._propagator(solver._Shared(spec, 171, rule), 0.01)
-    cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=171, rule=rule)
+        solver._propagator(solver._Shared(spec, n_elements, rule), 0.01)
+    cfg = RunConfig(dt=0.01, t_final=0.03, n_elements=n_elements, rule=rule)
     assert solver._steps_by_modes(cfg)
     final, looped = run(spec, cfg), banded_step_loop(spec, cfg)
     assert np.all(np.isfinite(final))
@@ -703,42 +699,44 @@ def test_modal_run_meets_a_mode_one_reference_on_nodal_values(n_elements, kind, 
 def mode_deviation(rule, n_elements, k, dt, n_steps, alpha=1.0):
     """The run of sin(k pi x) against exact_crank_nicolson of mode k: the
     largest deviation of the values at the collocation points over the
-    largest reference value, and that value.  The kernel and the form of
-    the reference come from solver._steps_by_modes, returned third."""
+    largest reference value, and that value.  The kernel comes from
+    solver._steps_by_modes, returned third."""
     spec = ProblemSpec(0.0, 1.0, alpha, lambda x: np.sin(k * np.pi * x))
     cfg = RunConfig(dt=dt, t_final=n_steps * dt, n_elements=n_elements, rule=rule)
     assert cfg.n_steps == n_steps
     modal = solver._steps_by_modes(cfg)
     mesh = build_mesh(spec, n_elements)
     x = collocation_abscissae(mesh, rule.points)
-    exact = exact_crank_nicolson(rule, n_elements, dt, n_steps, real=modal, k=k, alpha=alpha)
+    exact = exact_crank_nicolson(rule, n_elements, dt, n_steps, k=k, alpha=alpha)
     expected = evaluate(mesh, exact, x)
     largest = np.max(np.abs(expected))
     return np.max(np.abs(evaluate(mesh, run(spec, cfg), x) - expected)) / largest, largest, modal
 
 
 # Bounds on the deviation of each mode from exact Crank-Nicolson, by mesh:
-# N = 100 steps banded, N = 200 and 1000 by their Fourier modes.  Measured
-# 7.84e-13, 3.19e-13 and 7.93e-12, each at k = 1 and M = 1 (Legendre).
-_MODE_BOUNDS = {100: 1.6e-12, 200: 6.4e-13, 1000: 1.6e-11}
+# N = 40 steps banded, the others by their Fourier modes.  Measured at M = 1
+# 2.04e-13 (N = 40, k = 1, Legendre), 6.28e-14 (65, k = 64, Chebyshev),
+# 1.76e-13 (100, k = 99, Legendre), 3.19e-13 and 7.93e-12 (200 and 1000,
+# k = 1, Legendre).
+_MODE_BOUNDS = {40: 4e-13, 65: 1.3e-13, 100: 3.5e-13, 200: 6.4e-13, 1000: 1.6e-11}
 
 
 @pytest.mark.parametrize("n_steps", [1, 10])
-@pytest.mark.parametrize("n_elements", [100, 200, 1000])
+@pytest.mark.parametrize("n_elements", [40, 65, 100, 200, 1000])
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_every_fourier_mode_meets_exact_crank_nicolson(kind, n_elements, n_steps):
     """sin(k pi x) for k = 1, 7, N/4, N/2 and N - 1, from the smoothest
     mode to the stiffest, each run to T = 1 / (k pi)**2 (a decay of e**-1)
-    in n_steps steps, against exact_crank_nicolson of mode k (mode_deviation):
-    N = 100 steps banded, held to the complex form, and N = 200 and 1000
-    by their Fourier modes, held to the real one.  The bounds are about
-    twice the largest deviation measured."""
+    in n_steps steps, against exact_crank_nicolson of mode k
+    (mode_deviation), on the kernel that solver._steps_by_modes chooses:
+    banded at N = 40, by Fourier modes at the odd N = 65 just above the
+    kernel line and at N = 100, 200 and 1000.  The bounds are about twice
+    the largest deviation measured."""
     rule = RULES[kind]()
     for k in (1, 7, n_elements // 4, n_elements // 2, n_elements - 1):
         t_final = 1.0 / (k * math.pi) ** 2
         deviation, _, modal = mode_deviation(rule, n_elements, k, t_final / n_steps, n_steps)
-        assert modal == (n_elements > 100)
-        assert deviation <= _MODE_BOUNDS[n_elements], k
+        assert deviation <= _MODE_BOUNDS[n_elements], (k, modal)
 
 
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
@@ -812,7 +810,7 @@ def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
 
 def test_run_batch_shares_each_mesh_and_rule_across_its_step_sizes(control):
     """Members with the same N and rule share the initial state, and above
-    the stacking line its real modes and D's symbols, across dt, t_final
+    the kernel line its real modes and D's symbols, across dt, t_final
     and stacks: N = 16 (banded) and N = 180 (Fourier modes), both rules,
     interleaved, with zero-step members and, at N = 180, dt = 1e13, where
     L(0) rounds to singular and the member steps banded alone.  The batch

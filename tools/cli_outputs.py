@@ -9,10 +9,11 @@ checkouts print the same for every command when
 
     diff -r OUT_A OUT_B
 
-is empty.  The commands cover solve on both sides of the stacking line in
-both formats, a stiff mesh that steps banded, every reference table, both
-convergence sweeps, each in both formats, six error exits, and --output
-paths that are refused or discard the output.  Standard library only.
+is empty.  The commands cover solve on both sides of the kernel line in
+both formats, the two meshes that the line parts (N = 64 and 65), a stiff
+mesh that steps banded, every reference table, both convergence sweeps,
+each in both formats, six error exits, and --output paths that are
+refused or discard the output.  Standard library only.
 """
 
 import os
@@ -28,6 +29,9 @@ def commands():
             for fmt in ("csv", "pretty"):
                 args = ["--n", str(n), "--dt", "0.01", "--t-final", "1", "--rule", rule]
                 yield f"solve_n{n}_{rule}_{fmt}", ["solve", *args, "--format", fmt]
+    for n in (64, 65):
+        args = ["--n", str(n), "--dt", "0.01", "--t-final", "1", "--rule", "legendre"]
+        yield f"solve_n{n}_legendre_csv", ["solve", *args, "--format", "csv"]
     one_step = ["--dt", "0.01", "--t-final", "0.01"]
     yield "solve_n171_stiff", ["solve", "--n", "171", *one_step, "--alpha", "1e10"]
     for table_id in range(1, 6):
