@@ -36,10 +36,32 @@ from .problem import _sample, build_mesh, control_problem
 from .solver import RunConfig, evaluate, run
 
 
-def _fmt(value):
+def _cell(fmt, value, spec):
+    """One value as a CSV field or, formatted by spec, as a pretty cell (_lines)."""
     if value is None:
-        return ""
-    return repr(float(value))
+        return "" if fmt == "csv" else "-"
+    if fmt == "pretty":
+        return format(value, spec)
+    return str(value) if isinstance(value, (str, int)) else repr(float(value))
+
+
+def _lines(fmt, columns, rows):
+    """The header line and one line per row of values.
+
+    columns holds (name, width, spec) per column.  CSV joins the names,
+    then each row's fields, by commas: a str as it is, an int in decimal,
+    any other number in shortest round-trip form and None as an empty
+    field.  Pretty right-aligns each name and cell to its column's width
+    and joins them by spaces: a value formatted by its column's spec, None
+    as -.
+    """
+    sep = "," if fmt == "csv" else " "
+    widths = [0 if fmt == "csv" else width for _, width, _ in columns]
+    lines = [sep.join(f"{name:>{w}}" for (name, _, _), w in zip(columns, widths))]
+    for row in rows:
+        cells = (_cell(fmt, v, spec) for v, (_, _, spec) in zip(row, columns))
+        lines.append(sep.join(f"{cell:>{w}}" for cell, w in zip(cells, widths)))
+    return lines
 
 
 def cmd_solve(args):
@@ -50,23 +72,15 @@ def cmd_solve(args):
     mesh = build_mesh(problem, args.n)
     exact = _sample("exact_solution", problem.exact_solution, mesh.nodes, args.t_final)
     numeric = evaluate(mesh, a, mesh.nodes)
-    rows = list(zip(mesh.nodes, numeric, exact, abs(exact - numeric)))
+    rows = zip(mesh.nodes, numeric, exact, abs(exact - numeric))
     l2, linf = error_norms(problem, mesh, rule, a, args.t_final)
+    columns = [("x", 12, ".6f"), ("numeric", 14, ".6e"), ("exact", 14, ".6e"), ("abs_error", 12, ".4e")]
+    lines = _lines(args.format, columns, rows)
     if args.format == "csv":
-        lines = ["x,numeric,exact,abs_error"]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        lines += [
-            f"# rule,{args.rule}",
-            f"# n,{args.n}",
-            f"# dt,{_fmt(args.dt)}",
-            f"# t_final,{_fmt(args.t_final)}",
-            f"# alpha,{_fmt(args.alpha)}",
-            f"# l2,{_fmt(l2)}",
-            f"# linf,{_fmt(linf)}",
-        ]
+        footer = [("rule", args.rule), ("n", args.n), ("dt", args.dt), ("t_final", args.t_final)]
+        footer += [("alpha", args.alpha), ("l2", l2), ("linf", linf)]
+        lines += [f"# {key},{_cell('csv', value, '')}" for key, value in footer]
     else:
-        lines = [f"{'x':>12} {'numeric':>14} {'exact':>14} {'abs_error':>12}"]
-        lines += [f"{x:12.6f} {num:14.6e} {ex:14.6e} {err:12.4e}" for x, num, ex, err in rows]
         lines += [f"rule={args.rule} n={args.n} dt={args.dt} t_final={args.t_final}"]
         lines += [f"L2 = {l2:.4e}   Linf = {linf:.4e}"]
     return lines
@@ -79,38 +93,27 @@ def cmd_table(args):
         if r.error is not None:
             cause = str(r.error) or type(r.error).__name__
             raise ValueError(f"{r.rule_kind} N = {r.n_elements}, dt = {r.dt}: {cause}")
-    if args.format == "csv":
-        lines = ["table,rule,N,dt,t_final,l2,linf,ref_value,ref_norm,rel_dev"]
-        for r in results:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.table_id),
-                        r.rule_kind,
-                        str(r.n_elements),
-                        _fmt(r.dt),
-                        _fmt(r.t_final),
-                        _fmt(r.l2),
-                        _fmt(r.linf),
-                        _fmt(r.ref_value),
-                        r.ref_norm or "",
-                        _fmt(r.rel_dev),
-                    ]
-                )
-            )
-    else:
-        lines = [
-            f"{'rule':>10} {'N':>5} {'dt':>9} {'t_final':>8} {'l2':>11} "
-            f"{'linf':>11} {'ref':>11} {'norm':>5} {'rel_dev':>9}"
-        ]
-        for r in results:
-            ref = f"{r.ref_value:.4e}" if r.ref_value is not None else "-"
-            dev = f"{r.rel_dev:+.2e}" if r.rel_dev is not None else "-"
-            lines.append(
-                f"{r.rule_kind:>10} {r.n_elements:>5} {r.dt:>9} {r.t_final:>8} "
-                f"{r.l2:11.4e} {r.linf:11.4e} {ref:>11} {r.ref_norm or '-':>5} {dev:>9}"
-            )
-    return lines
+    csv = args.format == "csv"
+    columns = [
+        ("table", 0, ""),
+        ("rule", 10, ""),
+        ("N", 5, ""),
+        ("dt", 9, ""),
+        ("t_final", 8, ""),
+        ("l2", 11, ".4e"),
+        ("linf", 11, ".4e"),
+        ("ref_value" if csv else "ref", 11, ".4e"),
+        ("ref_norm" if csv else "norm", 5, ""),
+        ("rel_dev", 9, "+.2e"),
+    ]
+    rows = [
+        (r.table_id, r.rule_kind, r.n_elements, r.dt, r.t_final, r.l2, r.linf)
+        + (r.ref_value, r.ref_norm, r.rel_dev)
+        for r in results
+    ]
+    if not csv:  # the pretty table leaves out its id
+        columns, rows = columns[1:], [row[1:] for row in rows]
+    return _lines(args.format, columns, rows)
 
 
 def cmd_convergence(args):
@@ -134,17 +137,8 @@ def cmd_convergence(args):
         # (step, l2): the order is in dt or h, not N, so refining gives a positive one
         steps = params if args.sweep == "dt" else [build_mesh(problem, n).h for n in params]
         orders += convergence_order([(step, l2) for step, (_, l2, _) in zip(steps, records)])
-    if args.format == "csv":
-        lines = ["param,l2,linf,order_l2"]
-        for (param, l2, linf), order in zip(records, orders):
-            head = str(param) if isinstance(param, int) else _fmt(param)
-            lines.append(f"{head},{_fmt(l2)},{_fmt(linf)},{_fmt(order)}")
-    else:
-        lines = [f"{'param':>12} {'l2':>12} {'linf':>12} {'order_l2':>9}"]
-        for (param, l2, linf), order in zip(records, orders):
-            tail = f"{order:9.3f}" if order is not None else f"{'-':>9}"
-            lines.append(f"{param:>12} {l2:12.4e} {linf:12.4e} {tail}")
-    return lines
+    columns = [("param", 12, ""), ("l2", 12, ".4e"), ("linf", 12, ".4e"), ("order_l2", 9, ".3f")]
+    return _lines(args.format, columns, [(*record, order) for record, order in zip(records, orders)])
 
 
 def _add_common(sub):

@@ -127,15 +127,6 @@ def _table(table_id, keys, rows):
     )
 
 
-def _unit_divisions(h):
-    """N = 1 / h, where h divides the unit interval."""
-    inv = 1.0 / h
-    n = round(inv)
-    if abs(inv - n) > 1e-9 * inv:
-        raise ValueError(f"h = {h} does not divide the unit interval")
-    return n
-
-
 _L2 = (("legendre", "l2"), ("chebyshev", "l2"))
 _TABLES = {
     # Temporal refinement at a fine mesh: N = 1000, T = 1.
@@ -159,20 +150,17 @@ _TABLES = {
     ]),
     # Coupled refinement h = dt, T = 1, Linf references.
     4: _table(4, (("legendre", "linf"), ("chebyshev", "linf")), [
-        (_unit_divisions(h), h, 1.0, l_val, c_val)
-        for h, l_val, c_val in [
-            (0.2, 5.1578e-5, 5.1552e-5),
-            (0.1, 3.1586e-5, 3.1587e-5),
-            (0.05, 9.7106e-6, 9.7107e-6),
-            (0.025, 2.5489e-6, 2.5489e-6),
-            (0.0125, 6.4490e-7, 6.4490e-7),
-            (0.00625, 1.6171e-7, 1.6171e-7),
-            (0.01, 4.1333e-7, 4.1333e-7),
-            (0.005, 1.0353e-7, 1.0353e-7),
-            (0.0025, 2.5895e-8, 2.5895e-8),
-            (0.002, 1.6574e-8, 1.6574e-8),
-            (0.001, 4.1437e-9, 4.1437e-9),
-        ]
+        (5, 0.2, 1.0, 5.1578e-5, 5.1552e-5),
+        (10, 0.1, 1.0, 3.1586e-5, 3.1587e-5),
+        (20, 0.05, 1.0, 9.7106e-6, 9.7107e-6),
+        (40, 0.025, 1.0, 2.5489e-6, 2.5489e-6),
+        (80, 0.0125, 1.0, 6.4490e-7, 6.4490e-7),
+        (160, 0.00625, 1.0, 1.6171e-7, 1.6171e-7),
+        (100, 0.01, 1.0, 4.1333e-7, 4.1333e-7),
+        (200, 0.005, 1.0, 1.0353e-7, 1.0353e-7),
+        (400, 0.0025, 1.0, 2.5895e-8, 2.5895e-8),
+        (500, 0.002, 1.0, 1.6574e-8, 1.6574e-8),
+        (1000, 0.001, 1.0, 4.1437e-9, 4.1437e-9),
     ]),
     # Error history at N = 16, dt = 0.01 (Legendre-rule references, both norms).
     5: _table(5, (("legendre", "l2"), ("legendre", "linf")), [

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -414,3 +415,72 @@ def test_pretty_format_smoke():
     )
     assert result.returncode == 0
     assert "L2" in result.stdout
+
+
+# Per command: its arguments, its number of data rows, how many of its last
+# columns hold no value in every row (Table 5 has no Chebyshev reference, a
+# one-row sweep no order), and per format its header and number of footer lines.
+_LAYOUTS = {
+    "solve": (
+        ["solve", "--n", "2", "--dt", "0.1", "--t-final", "0.2"],
+        3,
+        0,
+        {
+            "csv": ("x,numeric,exact,abs_error", 7),
+            "pretty": ("           x        numeric          exact    abs_error", 2),
+        },
+    ),
+    "table": (
+        ["table", "--id", "5", "--rule", "chebyshev"],
+        6,
+        3,
+        {
+            "csv": ("table,rule,N,dt,t_final,l2,linf,ref_value,ref_norm,rel_dev", 0),
+            "pretty": (
+                "      rule     N        dt  t_final          l2        linf         ref  norm   rel_dev",
+                0,
+            ),
+        },
+    ),
+    "convergence": (
+        ["convergence", "--sweep", "dt", "--n", "2", "--dt", "0.1", "--count", "1", "--t-final", "0.2"],
+        1,
+        1,
+        {
+            "csv": ("param,l2,linf,order_l2", 0),
+            "pretty": ("       param           l2         linf  order_l2", 0),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+@pytest.mark.parametrize("command", sorted(_LAYOUTS))
+def test_each_command_s_layout_in_both_formats(command, fmt, capsys):
+    """The header line exactly; in every data line, a CSV field per column
+    or, pretty, each cell right-aligned within its header's width and one
+    space between columns; and an empty field (CSV) or - (pretty) for a
+    missing value, and only there.  Layout only: no digit is checked."""
+    argv, n_rows, n_missing, formats = _LAYOUTS[command]
+    header, n_footer = formats[fmt]
+    assert main([*argv, "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows + n_footer
+    if fmt == "csv":
+        rows = [line.split(",") for line in lines[1 : 1 + n_rows]]
+        assert all(len(cells) == header.count(",") + 1 for cells in rows)
+        assert all(line.startswith("# ") for line in lines[1 + n_rows :])
+    else:
+        ends = [m.end() for m in re.finditer(r"\S+", header)]
+        starts = [0] + [end + 1 for end in ends[:-1]]
+        rows = []
+        for line in lines[1 : 1 + n_rows]:
+            assert len(line) == len(header) and all(line[end] == " " for end in ends[:-1]), line
+            rows.append([line[start:end] for start, end in zip(starts, ends)])
+            assert all(re.fullmatch(r" *\S+", cell) for cell in rows[-1]), line
+    missing = "" if fmt == "csv" else "-"
+    for cells in rows:
+        values = [cell.strip() for cell in cells]
+        cut = len(values) - n_missing
+        assert values[cut:] == [missing] * n_missing and missing not in values[:cut], cells

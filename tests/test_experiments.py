@@ -107,6 +107,8 @@ def test_table_spec_lookup():
     spec = table_spec(4)
     assert spec.table_id == 4
     assert len(spec.rows) == 11
+    for row in spec.rows:  # coupled refinement: dt = h = 1 / N
+        assert math.isclose(row.dt * row.n_elements, 1.0, rel_tol=4 * np.finfo(float).eps), row
     with pytest.raises(ValueError):
         table_spec(7)
 

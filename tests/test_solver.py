@@ -756,6 +756,116 @@ def test_stiff_fourier_modes_meet_exact_crank_nicolson(kind):
         assert deviation <= bound, k
 
 
+def reference_propagator(rule, n_elements, dt, alpha):
+    """E(theta) = L(theta)^-1 D(theta) of every mode theta = pi m / N, m = 0
+    .. N, as exact_crank_nicolson builds its power: the complex_symbols of
+    the element blocks in real_coordinates, so no solver code runs."""
+    h = 1.0 / n_elements
+    table = build_basis_table(rule, h)
+    thetas = np.pi / n_elements * np.arange(n_elements + 1)
+    p_inverse, q = real_coordinates(thetas)
+
+    def symbols(block):
+        return (p_inverse @ complex_symbols(block, thetas) @ q).real
+
+    left = element_blocks(table, alpha, dt).left
+    return np.linalg.solve(symbols(left), symbols(alpha**2 * table.B / h**2))
+
+
+# Per-mode cases (N, dt, alpha) and the bound on the largest deviation of
+# _propagator's E from reference_propagator, max |dE_m| / max |E_m| over the
+# modes m = 0 .. N, about twice the worst measured over both rules.  E's
+# solve amplifies rounding as the scheme gets stiffer: measured 2.08e-14,
+# 1.39e-14 and 2.24e-13 at dt = 1e-6; 2.1e-11, 1.97e-10, 5.76e-8 at dt =
+# 0.01; 1.06e-9, 2.41e-8, 3.09e-6 at dt = 1; and 5.16e-8, 2.49e-6, 2.16e-4
+# at alpha = 1e4 (N = 65, 200, 1000).
+_PROPAGATOR_BOUNDS = {
+    (65, 1e-6, 1.0): 4.5e-14,
+    (200, 1e-6, 1.0): 3e-14,
+    (1000, 1e-6, 1.0): 4.5e-13,
+    (65, 0.01, 1.0): 4.2e-11,
+    (200, 0.01, 1.0): 4e-10,
+    (1000, 0.01, 1.0): 1.2e-7,
+    (65, 1.0, 1.0): 2.1e-9,
+    (200, 1.0, 1.0): 4.8e-8,
+    (1000, 1.0, 1.0): 6.2e-6,
+    (65, 0.01, 1e4): 1e-7,
+    (200, 0.01, 1e4): 5e-6,
+    (1000, 0.01, 1e4): 4.4e-4,
+}
+
+
+@pytest.mark.parametrize("n_elements, dt, alpha", sorted(_PROPAGATOR_BOUNDS))
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_every_mode_s_propagator_meets_the_reference(kind, n_elements, dt, alpha):
+    """_propagator of every mode m = 0 .. N, theta = 0 and pi included,
+    against reference_propagator, on meshes that step by their Fourier modes
+    (N = 65, the first; 200; 1000).  At dt = 1e-6 a fault in one mode's E
+    of 1e-9 relative (mode 3), or 1e-6 (the top mode, theta = pi), is
+    thousands of times the bound."""
+    rule = RULES[kind]()
+    assert solver._steps_by_modes(RunConfig(dt=dt, t_final=dt, n_elements=n_elements, rule=rule))
+    expected = reference_propagator(rule, n_elements, dt, alpha)
+    propagator = solver._propagator(solver._Shared(control_problem(alpha), n_elements, rule), dt)
+    deviation = np.max(np.abs(propagator - expected), axis=(1, 2)) / np.max(np.abs(expected), axis=(1, 2))
+    assert np.max(deviation) <= _PROPAGATOR_BOUNDS[n_elements, dt, alpha], int(np.argmax(deviation))
+
+
+def stepped_power(propagator, n_steps):
+    """(I + E)^n_steps of every mode, one product at a time: n_steps steps
+    x <- x + E x from x = I, except that each 1000 steps past the first
+    1000 are applied as the one matrix (I + E)^1000."""
+
+    def steps(count):
+        x = np.broadcast_to(np.eye(6), propagator.shape)
+        for _ in range(count):
+            x = x + propagator @ x
+        return x
+
+    if n_steps <= 1000:
+        return steps(n_steps)
+    thousand, x = steps(1000), steps(n_steps % 1000)
+    for _ in range(n_steps // 1000):
+        x = thousand @ x
+    return x
+
+
+# Bounds on the largest deviation of _power's (I + E)^M from stepped_power,
+# max |dP_m| / max |(I + E)_m| over the modes: by (dt, alpha), one per M in
+# _POWER_STEPS, about twice the worst measured over N = 65, 200 and 1000
+# and both rules.  A decayed mode's power is rounding noise, so each is
+# scaled by its one-step propagator.  Measured at M = 1, 2, 3: 0, 2.2e-15
+# and 7.1e-15; at M = 1000 and 2**17 - 1: 6.1e-13 and 6e-14 (dt = 1e-6),
+# 1.62e-9 and 1.37e-5 (0.01), 2.8e-10 and 3.8e-6 (1), 2.2e-13 and 1.01e-10
+# (alpha = 1e4, dt = 0.01).
+_POWER_STEPS = (1, 2, 3, 1000, 2**17 - 1)
+_POWER_BOUNDS = {
+    (1e-6, 1.0): (0.0, 4.4e-15, 1.5e-14, 1.2e-12, 1.2e-13),
+    (0.01, 1.0): (0.0, 4.4e-15, 1.5e-14, 3.3e-9, 2.8e-5),
+    (1.0, 1.0): (0.0, 4.4e-15, 1.5e-14, 5.6e-10, 7.6e-6),
+    (0.01, 1e4): (0.0, 4.4e-15, 1.5e-14, 4.4e-13, 2e-10),
+}
+
+
+@pytest.mark.parametrize("n_elements", [65, 200, 1000])
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+def test_every_mode_s_power_meets_single_steps(kind, n_elements):
+    """_power applies (I + E)^M through the bits of M; against stepped_power
+    of reference_propagator's E, every mode, at M = 1, 2, 3, 1000 (bits 3
+    and 5 .. 9) and 2**17 - 1 (bits 0 .. 16).  _power acts on (N + 1) x 6
+    modes, so row (m, j) of 6 (N + 1) modes steps column j of mode m."""
+    rule = RULES[kind]()
+    for (dt, alpha), bounds in _POWER_BOUNDS.items():
+        propagator = reference_propagator(rule, n_elements, dt, alpha)
+        scale = np.max(np.abs(np.eye(6) + propagator), axis=(1, 2))
+        for n_steps, bound in zip(_POWER_STEPS, bounds):
+            modes = np.tile(np.eye(6), (n_elements + 1, 1))
+            solver._power(np.repeat(propagator, 6, axis=0), modes, n_steps)
+            powered = modes.reshape(n_elements + 1, 6, 6).transpose(0, 2, 1)
+            deviation = np.max(np.abs(powered - stepped_power(propagator, n_steps)), axis=(1, 2)) / scale
+            assert np.max(deviation) <= bound, (dt, alpha, n_steps, int(np.argmax(deviation)))
+
+
 def batch_matches_solo_runs(spec, configs):
     """Every result of run_batch is its solo run's bitwise, and no two share memory."""
     outcomes = list(run_batch(spec, configs))
