@@ -9,9 +9,9 @@ zero so that evaluation code can index elements uniformly.
 _steps_by_modes(cfg) chooses the kernel: it draws the "kernel line",
 past the measured crossover of the two kernels (6N > _MODE_UNKNOWNS,
 N >= 65).  Runs below the line step through the banded LU of L, and
-run_batch stacks them up to the stack cap (_STACK_UNKNOWNS), factoring
-each stack once; each step is one dgbmv, one gather and two BLAS dtbsv
-calls (linalg.LUFactors).  Runs above it step alone, through their
+run_batch stacks those of one step count into one system, factored
+once; each step is one dgbmv, one gather and two BLAS dtbsv calls
+(linalg.LUFactors).  Runs above it step alone, through their
 Fourier modes: one real FFT of the state's odd extension splits the run
 into N + 1 independent 6 x 6 real problems, each powered in log2(M)
 batched products, and one inverse FFT returns the final state
@@ -68,29 +68,23 @@ __all__ = [
 
 _STEP_COUNT_RTOL = 1e-9
 
-# The stack cap: the largest block-diagonal system run_batch steps as one.
-# Stacking saves about 1 us of call overhead per member and step (x86_64,
-# OpenBLAS), a gain that fades by about 1000 unknowns; near 10**4 unknowns
-# the stack's bands (256 bytes per unknown) outgrow the L2 cache and
-# stacking loses.
-_STACK_UNKNOWNS = 1024
-
 # The kernel line: a run on a mesh of more unknowns (6N) than this steps by
 # its Fourier modes.  Solo, the modal kernel was faster than the banded one
-# in every repeat from N = 30 on, at M = 10, 100 and 1000 steps: 1.2x at
-# N = 70, M = 10 and 14x at N = 70, M = 1000 (ROADMAP, the banded/modal
-# crossover table; 2-vCPU x86_64 host).  384 = 6 x 64 keeps every mesh of
-# at most 64 elements banded, and with them the bits of Tables 2 and 3
-# (N <= 40), where the banded kernel's roundoff partly cancels the exact
-# Crank-Nicolson error at the roundoff floor.
+# in 10 of 10 repeats from N = 30 on, at M = 10, 100 and 1000 steps: 0.84x
+# the banded time at N = 65, M = 10 and 0.04x at M = 1000; at N = 10, M = 10
+# it was 1.09x (tools/thresholds.py, table 1; 2-vCPU x86_64 host).
+# 384 = 6 x 64 keeps every mesh of at most 64 elements banded, and with
+# them the bits of Tables 2 and 3 (N <= 40), where the banded kernel's
+# roundoff partly cancels the exact Crank-Nicolson error at the roundoff
+# floor.
 _MODE_UNKNOWNS = 384
 
 # Least work, in steps times unknowns, for which a stack of several members
-# steps on several CPUs (_advance_banded).  A stack steps at about 0.03 us
-# per unknown and step, so this is about 0.3 s of stepping, while a fork,
-# pipe, pickle and reap of a warm 38 MB process took 2.4 to 3.1 ms (two
-# medians of 30 round trips; 2-vCPU x86_64 host).  A larger parent forks
-# more slowly, as its page tables are copied.
+# steps on several CPUs (_advance_banded).  run_batch of two N = 64 members
+# took 1.20 to 1.25x its time without the fork at 10**6 and 3 x 10**6
+# unknown-steps, 0.94x at 10**7 (faster in 9 of 10 repeats) and 0.59 to
+# 0.64x from 3 x 10**7 on (tools/thresholds.py, table 3; 2-vCPU x86_64
+# host).  A larger parent forks more slowly, as its page tables are copied.
 _FORK_WORK = 10**7
 
 
@@ -448,30 +442,30 @@ def run(spec, cfg):
 def _plan_stacks(configs):
     """(index, config) pairs of configs grouped into stacks that step as one.
 
-    Members of a stack share their step count and hold at most the stack
-    cap, _STACK_UNKNOWNS unknowns (6N each), together.  A member that
-    steps by its Fourier modes (_steps_by_modes) stacks alone, and does
-    not close the open stack of its step count.  Members keep input order, and so do
-    stacks whose first members have the same mesh and rule, but those
-    stacks run one after another, in the order their mesh and rule first
-    appear: a batch then holds the shared data of one mesh and rule at a
-    time (run_batch).
+    The banded members of one step count make one stack, however many.  At
+    every size measured, 540 to 32,760 unknowns, it stepped faster than its
+    members one by one: 0.53 to 0.63x their time per step at N = 10 and
+    0.86 to 0.94x at N = 64 (tools/thresholds.py, table 2).  While it steps
+    it holds about 0.93 KiB of matrices and states per unknown (6N a
+    member): 29.7 MiB for 546 members of N = 10 (tracemalloc's peak).  A
+    member that steps by its Fourier modes (_steps_by_modes) stacks alone.
+    Members keep input order, and so do stacks whose first members have
+    the same mesh and rule, but those stacks run one after another, in the
+    order their mesh and rule first appear: a batch then holds the shared
+    data of one mesh and rule at a time (run_batch).
     """
     stacks = []
-    filling = {}  # n_steps -> (members, unknowns) of the stack still open
+    banded = {}  # n_steps -> its stack
     first = {}  # _key -> index of its first config
     for index, cfg in enumerate(configs):
         first.setdefault(_key(cfg), index)
         if _steps_by_modes(cfg):
             stacks.append([(index, cfg)])
             continue
-        size = 6 * cfg.n_elements
-        members, unknowns = filling.get(cfg.n_steps, (None, 0))
-        if members is None or unknowns + size > _STACK_UNKNOWNS:
-            members, unknowns = [], 0
+        members = banded.setdefault(cfg.n_steps, [])
+        if not members:
             stacks.append(members)
         members.append((index, cfg))
-        filling[cfg.n_steps] = (members, unknowns + size)
     return sorted(stacks, key=lambda members: first[_key(members[0][1])])
 
 
@@ -605,11 +599,14 @@ def _advance_banded(banded, n_steps):
 
 def _split(stack, count):
     """stack's members in count groups of about equal unknowns: the largest
-    first, each onto the group with the fewest unknowns so far.  Each group
-    keeps input order."""
+    first, each onto the group with the fewest unknowns so far (the first
+    such group).  Each group keeps input order."""
     groups = [[] for _ in range(count)]
+    unknowns = [0] * count
     for member in sorted(stack, key=lambda member: -len(member[2])):
-        min(groups, key=lambda group: sum(len(x) for _, _, x in group)).append(member)
+        fewest = unknowns.index(min(unknowns))
+        groups[fewest].append(member)
+        unknowns[fewest] += len(member[2])
     return [sorted(group, key=lambda member: member[0]) for group in groups]
 
 
@@ -647,13 +644,13 @@ def run_batch(spec, configs):
     run(spec, configs[index]), or the exception that its run raises, and
     the other configurations still run.  Below the kernel line
     (_steps_by_modes), configurations with the same step count are stacked
-    into block-diagonal banded systems of bounded size (_plan_stacks), each
-    factored once, which step faster than separate loops on small meshes;
-    one above it runs alone, as in run().  A stack of several members with
-    at least _FORK_WORK unknowns times steps is split across the CPUs the
-    process may use, all groups but one stepping in forked children
-    (_advance_banded); its results are bitwise the same, and no child
-    process outlives the call.
+    into one block-diagonal banded system (_plan_stacks), factored once,
+    which steps faster than separate loops, and holds about 0.93 KiB per
+    unknown while it steps; one above the line runs alone, as in run().  A
+    stack of several members with at least _FORK_WORK unknowns times steps
+    is split across the CPUs the process may use, all groups but one
+    stepping in forked children (_advance_banded); its results are bitwise
+    the same, and no child process outlives the call.
     A member alone that fails anywhere, from its shared data to a final
     state that is not finite (a ValueError), gets the exception as its
     result, holding no traceback (_detached).  A stack of several that

@@ -660,10 +660,10 @@ def test_modal_run_steps_banded_where_a_symbol_is_singular(legendre, control, mo
 @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
 def test_stiff_mesh_above_the_kernel_line_steps_banded(kind, n_elements):
     """At alpha = 1e10 and dt = 0.01, alpha**2 dt / h**2 is 1e22 at N = 100
-    and 2.9e22 at N = 171, meshes above the kernel line on either side of
-    the stack cap: the H / dt term of L(0) is lost to rounding, and numpy's
-    solve finds the symbol singular though L is not.  run() then steps
-    through the banded LU of L, and equals a loop of step(), bitwise."""
+    and 2.9e22 at N = 171, meshes above the kernel line: the H / dt term
+    of L(0) is lost to rounding, and numpy's solve finds the symbol
+    singular though L is not.  run() then steps through the banded LU of
+    L, and equals a loop of step(), bitwise."""
     spec = control_problem(alpha=1e10)
     rule = RULES[kind]()
     with pytest.raises(np.linalg.LinAlgError):
@@ -902,7 +902,7 @@ def test_run_batch_equals_solo_runs_on_the_floor_tables(table_id, t_final, contr
 def test_run_batch_mixes_one_element_meshes_with_wider_ones(control):
     """N = 1 (kl = ku = 5) stacks with N = 2, 3 and 7 (kl = ku = 6), its
     bands padded to theirs, though N = 1 and 2 are narrower than their band.
-    A 20-step run, a zero-step run and a mesh above the stack size (N =
+    A 20-step run, a zero-step run and a mesh above the kernel line (N =
     200, 1200 unknowns) each run on their own; the last steps by its
     Fourier modes, and batch and solo still agree bitwise."""
     configs = [
@@ -1247,12 +1247,28 @@ def split_groups(sizes, count=2):
     return [[index for index, _, _ in group] for group in solver._split(members, count)]
 
 
+def greedy_groups(sizes, count):
+    """_split's groups by its definition, each group's unknowns summed anew
+    for every member: the largest member first (input order among equal
+    sizes), onto the first of the groups with the fewest unknowns."""
+    groups = [[] for _ in range(count)]
+    for index in sorted(range(len(sizes)), key=lambda index: -sizes[index]):
+        unknowns = [sum(6 * sizes[member] for member in group) for group in groups]
+        groups[unknowns.index(min(unknowns))].append(index)
+    return [sorted(group) for group in groups]
+
+
 def test_split_balances_unknowns_largest_first():
     """floor's stack (Table 3, Legendre) splits into {N = 40} and {N = 10,
-    20}; the first group steps in the child, the last one in the parent."""
+    20}; the first group steps in the child, the last one in the parent.
+    On 3000 random sizes of N = 1 .. 64, with many equal sizes and many
+    ties between groups, the groups are those of greedy_groups."""
     assert split_groups([10, 20, 40]) == [[2], [0, 1]]
     assert split_groups([20, 12, 8, 4, 3, 2]) == [[0, 3], [1, 2, 4, 5]]
     assert split_groups([5, 5, 5], count=3) == [[0], [1], [2]]
+    sizes = random.Random(32).choices(range(1, 65), k=3000)
+    for count in (2, 3):
+        assert split_groups(sizes, count) == greedy_groups(sizes, count), count
 
 
 @pytest.mark.parametrize("table_id, t_final", [(2, 1e-3), (3, 1e-2)])
@@ -1276,6 +1292,25 @@ def test_a_split_stack_equals_the_whole_stack_and_solo_runs(table_id, t_final, c
     for index, state in split.items():
         assert_state(state, configs[index].n_elements)
         assert state.tobytes() == whole[index].tobytes() == solo[index].tobytes(), configs[index]
+    assert_no_child_process()
+
+
+def test_a_stack_past_1024_unknowns_equals_solo_runs(control, monkeypatch):
+    """200 members of N = 4 .. 10, both rules, 3 steps: 8,340 banded
+    unknowns, which plan as one stack however many they are.  Every result
+    is its solo run's bitwise, when the stack steps in one process and when
+    it is split across a forked child."""
+    configs = [
+        RunConfig(dt=0.01, t_final=0.03, n_elements=4 + index % 7, rule=RULES[kind]())
+        for index in range(100)
+        for kind in ("legendre", "chebyshev")
+    ]
+    assert sum(6 * cfg.n_elements for cfg in configs) == 8340
+    assert len(solver._plan_stacks(configs)) == 1
+    batch_matches_solo_runs(control, configs)
+    forks = fork_every_stack(monkeypatch)
+    batch_matches_solo_runs(control, configs)
+    assert forks == [os.getpid()]
     assert_no_child_process()
 
 
