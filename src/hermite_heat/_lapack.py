@@ -11,9 +11,11 @@ package uses.  That was about two thirds of `import hermite_heat`.
 So lapack and blas are those two modules, loaded from their files under
 their usual names, scipy.linalg._flapack and scipy.linalg._fblas, and
 registered in sys.modules: a later `import scipy.linalg` reuses the same
-module objects, and scipy.linalg.lapack.dgbtrf is lapack.dgbtrf.  Where
-either file is missing or fails to load, lapack and blas are
-scipy.linalg.lapack and scipy.linalg.blas, imported as usual.
+module objects, and scipy.linalg.lapack.dgbtrf is lapack.dgbtrf.  scipy's
+directory comes from its import spec (importlib.util.find_spec), so not
+even scipy/__init__ runs.  Where either file is missing or fails to load,
+lapack and blas are scipy.linalg.lapack and scipy.linalg.blas, imported
+as usual.
 
 Delete this module, and import from scipy.linalg again, once a plain
 `import scipy.linalg` is cheap.
@@ -23,8 +25,6 @@ import importlib.util
 import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES
-
-import scipy
 
 
 def _load_extension(directory, name):
@@ -46,7 +46,10 @@ def _load_extension(directory, name):
     return module
 
 
-_DIRECTORY = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+_SCIPY = importlib.util.find_spec("scipy")  # where scipy lies, without importing it
+if _SCIPY is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_DIRECTORY = os.path.join(_SCIPY.submodule_search_locations[0], "linalg")
 lapack = _load_extension(_DIRECTORY, "_flapack")
 blas = _load_extension(_DIRECTORY, "_fblas")
 if lapack is None or blas is None:

@@ -76,20 +76,25 @@ def convergence_order(pairs):
     """Observed orders from a refinement sweep of (step, error) pairs.
 
     Consecutive rows give order log(e1/e2) / log(s1/s2); the result has one
-    entry fewer than the input.
+    entry fewer than the input.  A step or error that is NaN or +-inf, and
+    a ratio e1/e2 or s1/s2 that overflows or underflows (which would give
+    an order of 0 or +-inf), raise ValueError, as steps that are not
+    positive and distinct and errors that are not positive do.
     """
     if len(pairs) < 2:
         raise ValueError("need at least two (step, error) pairs")
     steps = [float(s) for s, _ in pairs]
     errors = [float(e) for _, e in pairs]
+    if not all(math.isfinite(v) for v in steps + errors):
+        raise ValueError("steps and errors must be finite")
     if any(s <= 0.0 for s in steps) or len(set(steps)) != len(steps):
         raise ValueError("steps must be positive and distinct")
     if any(e <= 0.0 for e in errors):
         raise ValueError("errors must be positive")
-    return [
-        math.log(errors[i] / errors[i + 1]) / math.log(steps[i] / steps[i + 1])
-        for i in range(len(pairs) - 1)
-    ]
+    ratios = [(errors[i] / errors[i + 1], steps[i] / steps[i + 1]) for i in range(len(pairs) - 1)]
+    if not all(0.0 < r < math.inf for pair in ratios for r in pair):
+        raise ValueError("the ratio of consecutive steps or errors overflows or underflows")
+    return [math.log(e) / math.log(s) for e, s in ratios]
 
 
 @dataclass(frozen=True)

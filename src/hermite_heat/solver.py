@@ -36,6 +36,15 @@ modes and the symbols of D = (alpha**2 / h**2) B.  Each step size then
 builds only L's symbols, their batched solve, the powering and one
 inverse FFT.  run is run_batch of one configuration, so every run steps
 in _run_stack.
+
+Each configuration travels through run_batch as one record, _Member(index,
+cfg, system, x, result): _plan_stacks groups the members into stacks;
+_prepare, the one place that picks a kernel, gives a run with no steps
+or one that steps by its Fourier modes its result, and every other run
+its system and reduced vector x; _advance_stack, _advance_banded, _split
+and _fork_stack step those and set their results, a forked child sending
+back only its group's results, in group order.  run_batch yields each
+member's (index, result).
 """
 
 import contextlib
@@ -387,32 +396,51 @@ def _key(cfg):
     return cfg.n_elements, id(cfg.rule)
 
 
-def _prepare(shared, cfg):
-    """What cfg's run starts from, as a new array, and what its kernel steps with.
+@dataclass(eq=False)
+class _Member:
+    """One configuration's run through run_batch, from plan to result.
 
-    shared is cfg's _Shared: a0 and, above the kernel line, its real
-    modes and D's symbols come from there, built by the first member that
-    needs them, so that each dt adds only what depends on it.  With no
-    steps the run starts from a0 and has no kernel.  A run that steps by
-    its Fourier modes (_steps_by_modes) starts from a0's real modes and
-    steps by their propagator.  Otherwise it starts from a0's reduced
-    vector and steps by the system of L and R, unfactored: a stack factors
-    its members' L as one (_advance_stack).  A modal run whose symbol L(0)
-    rounds to singular (_propagator) gets its system too, and steps alone
-    through the banded LU of L.
+    index points into run_batch's configs.  A banded member carries its
+    system of L and R and its reduced vector x from _prepare until its
+    stack steps; result is its final state or the exception its run
+    raised, set by _prepare, _run_stack or the stack functions.
     """
-    a = shared.initial
+
+    index: int
+    cfg: RunConfig
+    system: object = None
+    x: object = None
+    result: object = None
+
+
+def _prepare(shared, member):
+    """Start member's run, the one place that picks its kernel.
+
+    shared is member's _Shared: a0 and, above the kernel line, its real
+    modes and D's symbols come from there, built by the first member that
+    needs them, so that each dt adds only what depends on it.  A run with
+    no steps gets a0 as its result.  A run that steps by its Fourier modes
+    (_steps_by_modes) powers a copy of a0's real modes by their propagator
+    and gets its final state here, having dropped shared first: the last
+    member of a mesh and rule holds the only reference to it.  Every other
+    run gets the system of L and R, unfactored (a stack factors its
+    members' L as one, _advance_stack), and a0's reduced vector as its x;
+    so does a modal run whose symbol L(0) rounds to singular (_propagator),
+    which then steps alone through the banded LU of L.
+    """
+    cfg, a, propagator = member.cfg, shared.initial, None
+    with contextlib.suppress(np.linalg.LinAlgError):  # L(0) rounds to singular: step banded
+        propagator = _propagator(shared, cfg.dt) if _steps_by_modes(cfg) else None
     if cfg.n_steps == 0:
-        return a.copy(), None
-    if _steps_by_modes(cfg):
-        try:
-            propagator = _propagator(shared, cfg.dt)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return shared.modes.copy(), propagator
-    system = assemble_crank_nicolson(shared.mesh, cfg.rule, shared.spec.alpha, cfg.dt)
-    return a[system.reduced_to_full], system
+        member.result = _finite(a.copy(), 0)
+    elif propagator is not None:
+        modes = shared.modes.copy()
+        del shared, a  # so the last member of a mesh and rule frees them before it steps
+        _power(propagator, modes, cfg.n_steps)
+        member.result = _finite(_state(modes), cfg.n_steps)
+    else:
+        member.system = assemble_crank_nicolson(shared.mesh, cfg.rule, shared.spec.alpha, cfg.dt)
+        member.x = a[member.system.reduced_to_full]
 
 
 def run(spec, cfg):
@@ -440,7 +468,7 @@ def run(spec, cfg):
 
 
 def _plan_stacks(configs):
-    """(index, config) pairs of configs grouped into stacks that step as one.
+    """The members of configs (_Member) grouped into stacks that step as one.
 
     The banded members of one step count make one stack, however many.  At
     every size measured, 540 to 32,760 unknowns, it stepped faster than its
@@ -460,13 +488,13 @@ def _plan_stacks(configs):
     for index, cfg in enumerate(configs):
         first.setdefault(_key(cfg), index)
         if _steps_by_modes(cfg):
-            stacks.append([(index, cfg)])
+            stacks.append([_Member(index, cfg)])
             continue
         members = banded.setdefault(cfg.n_steps, [])
         if not members:
             stacks.append(members)
-        members.append((index, cfg))
-    return sorted(stacks, key=lambda members: first[_key(members[0][1])])
+        members.append(_Member(index, cfg))
+    return sorted(stacks, key=lambda members: first[_key(members[0].cfg)])
 
 
 def _finite(state, n_steps):
@@ -492,45 +520,36 @@ def _detached(exc):
 # an overflow leaves inf or NaN, which the factorization or _finite reports: no warning
 @np.errstate(over="ignore", invalid="ignore")
 def _run_stack(spec, shared, last, members):
-    """(index, result) of each (index, config) in members, which share a step count.
+    """Set the result of each member of members, which share a step count.
 
-    The banded members step as one block-diagonal system, and a member that
-    steps by its Fourier modes, alone in its stack, by _power then _state
-    (or, where its symbol is singular, banded).  A member that fails
-    anywhere, from building its _Shared to a final state that is not
-    finite (a ValueError), gets the exception as its result, detached from
-    its frames (_detached); the others still run (_advance_stack).
+    Each member is prepared (_prepare): one with no steps or one that
+    steps by its Fourier modes gets its result there, and the members left
+    without one carry their systems and step as one block-diagonal system
+    (_advance_banded).  A member that fails anywhere, from building its
+    _Shared to a final state that is not finite (a ValueError), gets the
+    exception as its result, detached from its frames (_detached); the
+    others still run (_advance_stack).
 
     shared holds the batch's _Shared by _key, and last the index of each
     key's last member in plan order.  A member builds its _Shared if it is
     missing; the last member pops it, so the shared arrays are freed once
     it is prepared, before it steps.
     """
-    n_steps = members[0][1].n_steps
-    results = {}
-    banded = []
-    for index, cfg in members:
-        key = _key(cfg)
+    for member in members:
+        key = _key(member.cfg)
         try:
             if key not in shared:
-                shared[key] = _Shared(spec, cfg.n_elements, cfg.rule)
-            start, kernel = _prepare(shared.pop(key) if last[key] == index else shared[key], cfg)
-            if isinstance(kernel, np.ndarray):  # the propagator, always alone in its stack
-                _power(kernel, start, n_steps)
-                start, kernel = _state(start), None
-            if kernel is None:
-                results[index] = _finite(start, n_steps)
-            else:
-                banded.append((index, kernel, start))
+                shared[key] = _Shared(spec, member.cfg.n_elements, member.cfg.rule)
+            _prepare(shared.pop(key) if last[key] == member.index else shared[key], member)
         except Exception as exc:  # reported per member; the others still run
-            results[index] = _detached(exc)
+            member.result = _detached(exc)
+    banded = [member for member in members if member.result is None]
     if banded:
-        results.update(_advance_banded(banded, n_steps))
-    return [(index, results[index]) for index, _ in members]
+        _advance_banded(banded, members[0].cfg.n_steps)
 
 
 def _advance_stack(stack, n_steps):
-    """(index, final state or exception) of each (index, system, x) in stack.
+    """Set the result of each member of stack: its final state or exception.
 
     The members' L are stacked and factored once, and their R stacked, by
     linalg.block_diagonal.  A stack of one member that fails anywhere, from
@@ -539,24 +558,24 @@ def _advance_stack(stack, n_steps):
     alone: where a state overflows, dgbmv's 0 * inf in the band slots
     between the blocks makes NaN of its neighbours too.
     """
-    indices, systems, xs = zip(*stack)
     try:
-        factors = band_lu_factor(block_diagonal([system.left for system in systems]))
-        right = block_diagonal([system.right for system in systems])
-        x = _finite(_advance(right, factors, np.concatenate(xs), n_steps), n_steps)
-        parts = np.split(x, np.cumsum([len(v) for v in xs[:-1]]))
-        return [
-            (index, _coefficients(system.reduced_to_full, part))
-            for index, system, part in zip(indices, systems, parts)
-        ]
+        factors = band_lu_factor(block_diagonal([member.system.left for member in stack]))
+        right = block_diagonal([member.system.right for member in stack])
+        x = _advance(right, factors, np.concatenate([member.x for member in stack]), n_steps)
+        parts = np.split(_finite(x, n_steps), np.cumsum([len(member.x) for member in stack[:-1]]))
+        for member, part in zip(stack, parts):
+            member.result = _coefficients(member.system.reduced_to_full, part)
+        return
     except Exception as exc:  # reported per member, as its solo run raises it
         if len(stack) == 1:
-            return [(indices[0], _detached(exc))]
-    return [pair for member in stack for pair in _advance_stack([member], n_steps)]
+            stack[0].result = _detached(exc)
+            return
+    for member in stack:
+        _advance_stack([member], n_steps)
 
 
 def _advance_banded(banded, n_steps):
-    """(index, final state or exception) of each (index, system, x) in banded.
+    """Set the result of each member of banded, which carry their systems.
 
     With several members, two CPUs or more, os.fork and at least _FORK_WORK
     unknown-steps, the members are split into one group per CPU (_split).
@@ -570,9 +589,10 @@ def _advance_banded(banded, n_steps):
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(cpus, len(banded))
-    work = n_steps * sum(len(x) for _, _, x in banded)
+    work = n_steps * sum(len(member.x) for member in banded)
     if count < 2 or not hasattr(os, "fork") or work < _FORK_WORK:
-        return _advance_stack(banded, n_steps)
+        _advance_stack(banded, n_steps)
+        return
     *forked, own = _split(banded, count)
     children = []  # (pid, read end of its pipe, group)
     try:
@@ -581,12 +601,15 @@ def _advance_banded(banded, n_steps):
                 children.append((*_fork_stack(group, n_steps), group))
             except OSError:  # no process or pipe to spare: the group steps here
                 own += group
-        results = _advance_stack(own, n_steps)
+        _advance_stack(own, n_steps)
         for pid, pipe, group in children:
             with pipe:
                 data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            results += pickle.loads(data) if status == 0 and data else _advance_stack(group, n_steps)
+            if os.waitpid(pid, 0)[1] != 0 or not data:
+                _advance_stack(group, n_steps)
+                continue
+            for member, result in zip(group, pickle.loads(data)):
+                member.result = result
     finally:
         for pid, pipe, _ in children:
             pipe.close()
@@ -594,7 +617,6 @@ def _advance_banded(banded, n_steps):
                 if os.waitpid(pid, os.WNOHANG) == (0, 0):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-    return results
 
 
 def _split(stack, count):
@@ -603,19 +625,21 @@ def _split(stack, count):
     such group).  Each group keeps input order."""
     groups = [[] for _ in range(count)]
     unknowns = [0] * count
-    for member in sorted(stack, key=lambda member: -len(member[2])):
+    for member in sorted(stack, key=lambda member: -len(member.x)):
         fewest = unknowns.index(min(unknowns))
         groups[fewest].append(member)
-        unknowns[fewest] += len(member[2])
-    return [sorted(group, key=lambda member: member[0]) for group in groups]
+        unknowns[fewest] += len(member.x)
+    return [sorted(group, key=lambda member: member.index) for group in groups]
 
 
 def _fork_stack(group, n_steps):
     """(pid, read end of its pipe) of a forked child that steps group.
 
-    The child pickles _advance_stack's list into the pipe and leaves by
-    os._exit: it runs no exit handler and flushes no buffer of the parent,
-    stdout included, and it exits with status 1 on any failure.
+    The child steps group by _advance_stack and pickles its members'
+    results, in group order, into the pipe: only the results, not the
+    members' systems.  It leaves by os._exit: it runs no exit handler and
+    flushes no buffer of the parent, stdout included, and it exits with
+    status 1 on any failure.
     """
     read, write = os.pipe()
     try:
@@ -628,8 +652,9 @@ def _fork_stack(group, n_steps):
         status = 1
         try:
             os.close(read)
+            _advance_stack(group, n_steps)
             with open(write, "wb") as pipe:
-                pickle.dump(_advance_stack(group, n_steps), pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump([member.result for member in group], pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -642,15 +667,19 @@ def run_batch(spec, configs):
 
     index points into configs; result is the final state, bitwise equal to
     run(spec, configs[index]), or the exception that its run raises, and
-    the other configurations still run.  Below the kernel line
-    (_steps_by_modes), configurations with the same step count are stacked
-    into one block-diagonal banded system (_plan_stacks), factored once,
-    which steps faster than separate loops, and holds about 0.93 KiB per
-    unknown while it steps; one above the line runs alone, as in run().  A
-    stack of several members with at least _FORK_WORK unknowns times steps
-    is split across the CPUs the process may use, all groups but one
-    stepping in forked children (_advance_banded); its results are bitwise
-    the same, and no child process outlives the call.
+    the other configurations still run.  Each configuration becomes one
+    member (_Member), which carries its run from the plan to its result:
+    _plan_stacks groups the members into stacks, _prepare picks each
+    member's kernel, and the stack functions set each result.  Below the
+    kernel line (_steps_by_modes), configurations with the same step count
+    are stacked into one block-diagonal banded system (_plan_stacks),
+    factored once, which steps faster than separate loops, and holds about
+    0.93 KiB per unknown while it steps; one above the line runs alone, as
+    in run().  A stack of several members with at least _FORK_WORK
+    unknowns times steps is split across the CPUs the process may use, all
+    groups but one stepping in forked children, which send back only their
+    group's results (_advance_banded); the results are bitwise the same,
+    and no child process outlives the call.
     A member alone that fails anywhere, from its shared data to a final
     state that is not finite (a ValueError), gets the exception as its
     result, holding no traceback (_detached).  A stack of several that
@@ -664,17 +693,19 @@ def run_batch(spec, configs):
     order is prepared; nothing outlives the call, and no result shares
     memory with another.
     Results come stack by stack, the stacks of one mesh and rule one after
-    another (_plan_stacks), and each stack's matrices and states are freed
+    another (_plan_stacks).  Each stack is dropped from the plan as it
+    runs, and its members, with their matrices and states, are freed
     before the next one is assembled, so a caller that reduces each state
     as it arrives holds only one stack at a time, and the shared data of
     the members still to come.  configs may be any iterable; it is read
     once, before the first stack runs.
     """
     stacks = _plan_stacks(configs)
-    last = {_key(cfg): index for members in stacks for index, cfg in members}
+    last = {_key(member.cfg): member.index for members in stacks for member in members}
     shared = {}
-    for members in stacks:
-        yield from _run_stack(spec, shared, last, members)
+    while stacks:  # each stack leaves the plan as it yields, and is freed after
+        _run_stack(spec, shared, last, stacks[0])
+        yield from ((member.index, member.result) for member in stacks.pop(0))
 
 
 def _windows(mesh, a):

@@ -21,6 +21,8 @@ from hermite_heat.experiments import Reference, TableRow, TableSpec
 from hermite_heat.problem import collocation_abscissae
 from hermite_heat.solver import NonIntegralStepCount
 
+from conftest import EDGE_FLOATS
+
 
 def test_zero_error_when_exact_matches_numeric(legendre):
     zero = ProblemSpec(0.0, 1.0, 1.0, lambda x: 0.0, exact_solution=lambda x, t: 0.0)
@@ -101,6 +103,29 @@ def test_convergence_order_rejects_bad_input():
         convergence_order([(0.01, 1e-3), (0.01, 1e-4)])
     with pytest.raises(ValueError):
         convergence_order([(-0.01, 1e-3), (0.005, 1e-4)])
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS)
+def test_convergence_order_gives_a_finite_order_or_value_error_at_edge_floats(value):
+    """Each edge float in turn as either step or either error of (1, 1) and
+    (0.5, 0.25).  NaN and +-inf raise ValueError (they gave orders of nan,
+    0.0 and inf).  So do zeros, negatives, and a ratio of two steps or two
+    errors that leaves the float range (the largest float over 0.5, 1 over
+    5e-324); every order returned is finite and, for these pairs, nonzero."""
+    for position in range(4):
+        entries = [1.0, 1.0, 0.5, 0.25]
+        entries[position] = value
+        pairs = [(entries[0], entries[1]), (entries[2], entries[3])]
+        if not math.isfinite(value):
+            with pytest.raises(ValueError, match="must be finite"):
+                convergence_order(pairs)
+            continue
+        try:
+            orders = convergence_order(pairs)
+        except ValueError as exc:
+            assert "must be finite" not in str(exc), (position, value)
+            continue
+        assert len(orders) == 1 and math.isfinite(orders[0]) and orders[0] != 0.0, (position, orders)
 
 
 def test_table_spec_lookup():

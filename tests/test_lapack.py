@@ -40,9 +40,11 @@ def run_python(code):
 
 
 def test_import_leaves_scipy_linalg_and_numpy_f2py_unloaded():
-    """numpy.fft too: the Fourier-mode kernel reaches it only when it runs."""
+    """numpy.fft too: the Fourier-mode kernel reaches it only when it runs.
+    scipy itself is not imported either: only its two extension modules load."""
     code = "import json, sys, hermite_heat; print(json.dumps(sorted(sys.modules)))"
     modules = json.loads(run_python(code)[0])
+    assert "scipy" not in modules
     assert "scipy.linalg" not in modules and "numpy.f2py" not in modules
     assert "numpy.fft" not in modules
     assert [m for m in modules if m.startswith("scipy.linalg")] == [
@@ -84,20 +86,44 @@ print("ok")
     assert run_python(code) == ["ok"]
 
 
+def test_import_without_scipy_raises_module_not_found():
+    """Where scipy cannot be found, importing the package raises the
+    ModuleNotFoundError that `import scipy` would, naming scipy."""
+    code = """
+import importlib.util
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, package=None: None if name == "scipy" else find_spec(name, package)
+try:
+    import hermite_heat
+except ModuleNotFoundError as exc:
+    print(exc.name, exc)
+"""
+    assert run_python(code) == ["scipy No module named 'scipy'"]
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["empty", "unloadable"])
 def test_loader_falls_back_to_scipy_linalg_bitwise(tmp_path, broken):
     """Pointed at a directory without the two extension files, or with a
     _flapack that is not a shared library, the loader takes scipy.linalg's
     lapack and blas, and the banded solves through them are bitwise those of
-    the loaded wrappers."""
+    the loaded wrappers.  The loader is pointed there through scipy's import
+    spec, which importlib.util.find_spec gives it while _lapack loads."""
     linalg = tmp_path / "linalg"
     linalg.mkdir()
     if broken:
         (linalg / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a shared library")
     redirect = f"""
-import scipy
-scipy.__file__ = {str(tmp_path / "__init__.py")!r}
+import importlib.machinery, importlib.util
+find_spec = importlib.util.find_spec
+def redirected(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+    spec.submodule_search_locations.append({str(tmp_path)!r})
+    return spec
+importlib.util.find_spec = redirected
 from hermite_heat import _lapack
+importlib.util.find_spec = find_spec
 import scipy.linalg
 assert _lapack.lapack is scipy.linalg.lapack and _lapack.blas is scipy.linalg.blas
 """

@@ -954,7 +954,7 @@ def test_a_modal_member_stacks_alone_and_closes_no_stack(legendre, control):
     solo run's, bitwise."""
     configs = [RunConfig(dt=0.01, t_final=0.02, n_elements=n, rule=legendre) for n in (4, 200, 5)]
     assert [solver._steps_by_modes(cfg) for cfg in configs] == [False, True, False]
-    plan = [[index for index, _ in members] for members in solver._plan_stacks(configs)]
+    plan = [[member.index for member in members] for members in solver._plan_stacks(configs)]
     assert plan == [[0, 2], [1]]
     batch_matches_solo_runs(control, configs)
 
@@ -1075,6 +1075,35 @@ def test_a_chained_exception_holds_no_frames(legendre, control):
     assert str(solo.value) == str(result)
 
 
+def test_an_exception_reached_only_as_a_context_holds_no_frames(legendre, control):
+    """The initial condition looks up its 600 abscissae of N = 100, fails,
+    and raises a TypeError while it handles the KeyError: the member's
+    ValueError has that TypeError as its __cause__, and the KeyError is
+    reachable only as the TypeError's __context__.  The KeyError's
+    traceback, which holds the same frame, is cleared too, so the
+    abscissae are freed while the caller holds the result."""
+    given = []
+
+    def by_lookup(x):
+        if np.size(x) > 2:
+            given.append(weakref.ref(x))
+            try:
+                return {}[np.size(x)]
+            except KeyError:
+                raise TypeError("no values for that many abscissae")  # chains by __context__ only
+        return np.sin(np.pi * x)
+
+    spec = ProblemSpec(0.0, 1.0, 1.0, by_lookup)
+    cfg = RunConfig(dt=0.01, t_final=0.02, n_elements=100, rule=legendre)
+    ((_, result),) = run_batch(spec, [cfg])
+    gc.collect()
+    cause = result.__cause__
+    assert isinstance(cause, TypeError) and cause.__cause__ is None
+    assert isinstance(cause.__context__, KeyError)
+    assert cause.__context__.__traceback__ is None
+    assert len(given) == 1 and given[0]() is None
+
+
 def test_run_batch_frees_shared_data_before_the_last_member_steps(control, monkeypatch):
     """A batch holds the shared data (_Shared) of at most one mesh and rule
     at a time, and frees it once that mesh and rule's last member in plan
@@ -1106,12 +1135,44 @@ def test_run_batch_frees_shared_data_before_the_last_member_steps(control, monke
     random.Random(7).shuffle(configs)
     outcomes = dict(run_batch(control, configs))
     assert all(isinstance(state, np.ndarray) for state in outcomes.values())
-    order = [cfg for members in solver._plan_stacks(configs) for _, cfg in members]
+    order = [member.cfg for members in solver._plan_stacks(configs) for member in members]
     last = {solver._key(cfg): position for position, cfg in enumerate(order)}
     expected = [int(last[solver._key(cfg)] != position) for position, cfg in enumerate(order)]
     assert expected.count(0) == 4 and len(alive) == 12
     assert alive == expected
     assert not live
+
+
+def test_run_batch_frees_each_stack_s_systems_before_the_next_is_assembled(control, monkeypatch):
+    """A batch holds the matrices of one stack at a time: 24 shuffled
+    members, N = 3, 5 and 8 with both rules at 4 step counts (one dt each,
+    so 4 stacks), read by a caller that keeps every state.  Whenever a
+    system of L and R is assembled, no system of an earlier stack (another
+    dt) is still alive, neither in the plan nor in a member."""
+    systems = []  # (dt, weakref to the system assembled for it)
+    stale = []  # at each assembly, the earlier stacks' systems still alive
+    assemble = solver.assemble_crank_nicolson
+
+    def tracked(mesh, rule, alpha, dt):
+        stale.append(sum(other != dt and system() is not None for other, system in systems))
+        system = assemble(mesh, rule, alpha, dt)
+        systems.append((dt, weakref.ref(system)))
+        return system
+
+    monkeypatch.setattr(solver, "assemble_crank_nicolson", tracked)
+    configs = [
+        RunConfig(dt=dt, t_final=0.04, n_elements=n, rule=RULES[kind]())
+        for dt in (0.01, 0.02, 0.005, 0.0025)
+        for n in (3, 5, 8)
+        for kind in ("legendre", "chebyshev")
+    ]
+    random.Random(33).shuffle(configs)
+    assert len(solver._plan_stacks(configs)) == 4
+    outcomes = dict(run_batch(control, configs))
+    assert sorted(outcomes) == list(range(24))
+    assert all(isinstance(state, np.ndarray) for state in outcomes.values())
+    assert stale == [0] * 24
+    assert all(system() is None for _, system in systems)
 
 
 def overflowing_problem(scale):
@@ -1205,7 +1266,7 @@ def test_a_stack_whose_stepping_raises_steps_each_member_alone(legendre, control
         RunConfig(dt=0.01, t_final=t_final, n_elements=n, rule=legendre)
         for n, t_final in [(4, 0.1), (8, 0.2), (5, 0.2), (300, 0.2)]
     ]
-    plan = [[index for index, _ in members] for members in solver._plan_stacks(configs)]
+    plan = [[member.index for member in members] for members in solver._plan_stacks(configs)]
     assert plan == [[0], [1, 2], [3]]
     solo = {index: run(control, configs[index]) for index in (0, 2, 3)}
     monkeypatch.setattr(solver, "_advance", advance_refusing(20, {78, 48}))
@@ -1243,8 +1304,8 @@ def assert_no_child_process():
 
 def split_groups(sizes, count=2):
     """The indices of each group _split makes of members with sizes elements."""
-    members = [(index, None, np.empty(6 * n)) for index, n in enumerate(sizes)]
-    return [[index for index, _, _ in group] for group in solver._split(members, count)]
+    members = [solver._Member(index, None, x=np.empty(6 * n)) for index, n in enumerate(sizes)]
+    return [[member.index for member in group] for group in solver._split(members, count)]
 
 
 def greedy_groups(sizes, count):

@@ -105,8 +105,8 @@ MUTANTS = [
     (
         "_split smallest first",
         "solver.py",
-        "sorted(stack, key=lambda member: -len(member[2]))",
-        "sorted(stack, key=lambda member: len(member[2]))",
+        "sorted(stack, key=lambda member: -len(member.x))",
+        "sorted(stack, key=lambda member: len(member.x))",
     ),
     (
         "_split onto the last of equal groups",
@@ -115,6 +115,37 @@ MUTANTS = [
         "fewest = count - 1 - unknowns[::-1].index(min(unknowns))",
     ),
     ("_power's bit test n_steps & 2", "solver.py", "if n_steps & 1:", "if n_steps & 2:"),
+    (
+        "_detached walks only __cause__",
+        "solver.py",
+        "chain += [link.__cause__, link.__context__]",
+        "chain += [link.__cause__]",
+    ),
+    (
+        "_finite with np.any for np.all",
+        "solver.py",
+        "if not np.all(np.isfinite(state)):",
+        "if not np.any(np.isfinite(state)):",
+    ),
+    ("_advance's rows = n", "solver.py", "rows = max(n, kl + ku + 1)", "rows = n"),
+    (
+        "a forked group's results in reverse order",
+        "solver.py",
+        "zip(group, pickle.loads(data))",
+        "zip(group[::-1], pickle.loads(data))",
+    ),
+    (
+        "the last member keeps shared[key]",
+        "solver.py",
+        "_prepare(shared.pop(key) if",
+        "_prepare(shared[key] if",
+    ),
+    (
+        "_extend's sign of u'''R flipped",
+        "solver.py",
+        "[-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]",
+        "[-1.0, 1.0, -1.0, 1.0, -1.0, -1.0]",
+    ),
     (
         "_restrict without its a[0] = 0.0",
         "solver.py",

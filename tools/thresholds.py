@@ -137,15 +137,21 @@ def kernel_line(spec, rule):
 
 
 def _stepper(members, n_steps):
-    """A call of solver._advance that takes n_steps steps on members'
-    reduced vectors, the (system, x) pairs of _prepare, as one
-    block-diagonal system factored here, once: what _advance_stack does
-    after its factorization."""
-    systems, xs = zip(*members)
-    right = block_diagonal([system.right for system in systems])
-    factors = band_lu_factor(block_diagonal([system.left for system in systems]))
-    x = np.concatenate(xs)
+    """A call of solver._advance that takes n_steps steps on the reduced
+    vectors of members (solver._Member, each given its system and x by
+    solver._prepare), as one block-diagonal system factored here, once:
+    what _advance_stack does after its factorization."""
+    right = block_diagonal([member.system.right for member in members])
+    factors = band_lu_factor(block_diagonal([member.system.left for member in members]))
+    x = np.concatenate([member.x for member in members])
     return lambda: solver._advance(right, factors, x, n_steps)
+
+
+def _prepared(shared, index, cfg):
+    """cfg's member as solver._prepare leaves it: with its system and x."""
+    member = solver._Member(index, cfg)
+    solver._prepare(shared, member)
+    return member
 
 
 def stacking(spec, rule):
@@ -157,7 +163,7 @@ def stacking(spec, rule):
             n_steps = max(20, round(STACK_WORK / (6 * n * count)))
             cfg = RunConfig(dt=1e-6, t_final=n_steps * 1e-6, n_elements=n, rule=rule)
             shared = solver._Shared(spec, n, rule)
-            members = [solver._prepare(shared, cfg)[::-1] for _ in range(count)]
+            members = [_prepared(shared, index, cfg) for index in range(count)]
             stack = _stepper(members, n_steps)
             solos = [_stepper([member], n_steps) for member in members]
             labels.append((n, count, 6 * n * count, n_steps))
